@@ -20,9 +20,10 @@
 #    count == planned total, zero unaccounted task failures, prompt-cache
 #    hits == planned dedup savings).
 # 5. Ordered smoke (ISSUE 6): a best-first campaign on the same tiny
-#    checkpoint is crashed at a journaled frontier snapshot, resumed,
-#    diffed byte-for-byte against the uninterrupted stream, and its
-#    telemetry must pass `summarize --check`.
+#    checkpoint is crashed at a journaled frontier snapshot, its journal
+#    must pass `repro verify`, then it is resumed and diffed
+#    byte-for-byte against the uninterrupted stream, and its telemetry
+#    must pass `summarize --check`.
 # 6. Compiled-backend smoke (ISSUE 8): reruns the 2-worker campaign with
 #    `--backend compiled` and demands the byte-identical stream, then
 #    gates the compiled tiny bench.  Soft-skipped (with a visible
@@ -105,8 +106,9 @@ echo "telemetry smoke: merged campaign summary passes deterministic invariants"
 # Ordered smoke (ISSUE 6): best-first campaign, crash at a frontier
 # snapshot, resume, byte-identical stream + telemetry invariants.
 # ----------------------------------------------------------------------
-# Snapshot cadence matters here: a frontier snapshot journals the whole
-# heap (fsync'd), so every-round snapshots would dominate the wall-clock.
+# Snapshot cadence matters here: a frontier snapshot journals every
+# column of the sorted frontier (fsync'd), so every-round snapshots would
+# dominate the wall-clock.
 ORD_ARGS=(generate --checkpoint "$SMOKE_DIR/model.npz" -n 120
           --strategy ordered --beam-width 64 --max-frontier 5000
           --snapshot-every 20)
@@ -123,6 +125,7 @@ if REPRO_FAULT=crash:frontier:3 \
     exit 1
 fi
 test -s "$SMOKE_DIR/ordered.jsonl"  # journaled snapshots survived the crash
+python -m repro.cli verify "$SMOKE_DIR/ordered.jsonl"  # and the journal is intact
 
 # ...then resume and demand the byte-identical ordered stream.
 python -m repro.cli "${ORD_ARGS[@]}" --out "$SMOKE_DIR/ordered_resumed.txt" \

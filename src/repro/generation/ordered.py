@@ -13,14 +13,26 @@ Algorithm
 A node is a password prefix with its cumulative negative log-probability
 under the *constrained, renormalised* next-token distribution — the same
 distribution :mod:`repro.generation.sampler` draws from, so the ordered
-and sampled strategies enumerate the identical probability space.  A
-min-heap frontier holds ``(neg_logprob, seq, prompt_index, chars,
-complete)`` tuples; each round pops up to ``beam_width`` of the most
-probable incomplete nodes, computes their next-token distributions in
-one batched model call, and pushes every child back.  Because a child's
-negative log-probability is never below its parent's, a complete node
-popped while nothing else is pending is provably the most probable
-unemitted password — the emitted stream is non-increasing in
+and sampled strategies enumerate the identical probability space.  The
+frontier is a struct of arrays (:class:`Frontier`) kept sorted by
+``(neg_logprob, seq)``: float64 ``neg``, the int64 insertion counter
+``seq`` that breaks score ties, ``prompt``, ``depth``, ``complete`` and
+a zero-padded ``[N, W]`` token matrix ``chars`` (``W`` is the longest
+pattern, or ``max_chars``).  Each round works on whole arrays:
+
+* a prefix scan emits the leading complete nodes, then takes the first
+  ``beam_width`` incomplete nodes as the batch; complete nodes among
+  them stay where they are, since a pending expansion may produce
+  children that score better;
+* each ``(prompt, depth)`` group of the batch is one batched model call,
+  and its finite log-probs become children in row-major order, so the
+  ``seq`` tie-break is deterministic;
+* one sort on ``(neg, seq)`` merges the children into the frontier,
+  which is then cut to ``max_frontier``.
+
+Because a child's negative log-probability is never below its parent's,
+a complete node at the front of the frontier is provably the most
+probable unemitted password — the emitted stream is non-increasing in
 probability and duplicate-free (distinct nodes are distinct strings).
 
 Two prompt modes share the machinery:
@@ -48,25 +60,29 @@ Fault tolerance
 ---------------
 
 Ordered campaigns are first-class citizens of the journaled runtime:
-every ``snapshot_every`` rounds the full enumeration state (heap,
+every ``snapshot_every`` rounds the full enumeration state (frontier,
 emitted delta, counters) is recorded as a digest-guarded ``frontier``
-record.  Resuming replays the journaled snapshots and continues from
-the last one; because enumeration is deterministic, the merged stream
-is byte-identical to an uninterrupted run for any snapshot interval.
-``maybe_fail("frontier")`` guards the snapshot site for fault-injection
-tests (``REPRO_FAULT=crash:frontier:K``).
+record, each frontier column as base64 of its little-endian bytes.
+Resuming replays the journaled snapshots and continues from the last
+one; because enumeration is deterministic, the merged stream is
+byte-identical to an uninterrupted run for any snapshot interval.  The
+journal header pins :data:`SNAPSHOT_FORMAT`, so a journal written in an
+older snapshot layout fails to resume with a header mismatch instead of
+being misread.  ``maybe_fail("frontier")`` guards the snapshot site for
+fault-injection tests (``REPRO_FAULT=crash:frontier:K``).
 
-Memory is bounded by ``max_frontier``: when the heap outgrows it the
+Memory is bounded by ``max_frontier``: when the frontier outgrows it the
 *least* probable nodes are pruned.  Pruning never reorders the emitted
 stream but can drop reachable strings, so it is accounted, never
-silent: :attr:`OrderedStats.truncated_nodes` / ``truncated_mass`` and a
-``frontier_truncated`` telemetry event report exactly what was given up.
+silent: :attr:`OrderedStats.truncated_nodes` / ``truncated_mass`` (one
+numpy pairwise sum per prune) and a ``frontier_truncated`` telemetry
+event report exactly what was given up.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
-import heapq
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -90,7 +106,7 @@ class OrderedConfig:
     ``beam_width`` is the number of frontier nodes expanded per batched
     model call — a throughput knob that also sets how many equal-score
     candidates can be in flight (the emitted *order* is probability-
-    sorted regardless).  ``max_frontier`` caps heap memory; overflow
+    sorted regardless).  ``max_frontier`` caps frontier memory; overflow
     prunes the least probable nodes with full accounting.
     ``snapshot_every`` is the journaling cadence in rounds (resume is
     byte-identical for any value).  ``max_patterns`` truncates the S_p
@@ -171,6 +187,78 @@ def prompts_digest(prompts: Sequence[OrderedPrompt]) -> str:
     return h.hexdigest()[:16]
 
 
+#: Version of the ``frontier`` snapshot payload, pinned in the ordered
+#: journal header: resuming a journal written in another layout fails
+#: with a header mismatch instead of misreading its records.
+SNAPSHOT_FORMAT = "columns-1"
+
+#: Frontier columns and their little-endian dtypes, in memory and in
+#: snapshots.  Token ids fit ``int16``: the character vocabulary has a
+#: few hundred tokens at most.
+_COLUMNS = {
+    "neg": "<f8",
+    "seq": "<i8",
+    "prompt": "<i4",
+    "depth": "<i2",
+    "complete": "|b1",
+    "chars": "<i2",
+}
+
+
+@dataclass
+class Frontier:
+    """Struct-of-arrays frontier, one row per node, sorted by ``(neg, seq)``.
+
+    Row ``i`` is the prefix ``chars[i, :depth[i]]`` under root
+    ``prompt[i]`` with cumulative negative log-probability ``neg[i]``;
+    ``seq`` is the unique insertion counter that breaks score ties and
+    ``complete`` marks finished passwords.  ``chars`` is zero-padded to
+    a fixed width, so a row is self-contained.
+    """
+
+    neg: np.ndarray
+    seq: np.ndarray
+    prompt: np.ndarray
+    depth: np.ndarray
+    complete: np.ndarray
+    chars: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    def __len__(self) -> int:
+        return len(self.neg)
+
+    def take(self, index) -> "Frontier":
+        """The rows selected by ``index`` (slice, mask or positions)."""
+        return Frontier(*(getattr(self, name)[index] for name in _COLUMNS))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Frontier"]) -> "Frontier":
+        return cls(
+            *(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS)
+        )
+
+    def encode(self) -> dict:
+        """Each column as base64 of its little-endian bytes, plus the width."""
+        out = {
+            name: base64.b64encode(getattr(self, name).tobytes()).decode("ascii")
+            for name in _COLUMNS
+        }
+        out["width"] = int(self.chars.shape[1])
+        return out
+
+    @classmethod
+    def decode(cls, data: dict) -> "Frontier":
+        cols = {
+            name: np.frombuffer(base64.b64decode(data[name]), dtype=dtype)
+            for name, dtype in _COLUMNS.items()
+        }
+        cols["chars"] = cols["chars"].reshape(len(cols["neg"]), int(data["width"]))
+        return cls(**cols)
+
+
 class OrderedGenerator:
     """Best-first enumeration over a fitted GPT password model.
 
@@ -202,6 +290,25 @@ class OrderedGenerator:
             ]
         )
         self._eos_only = np.array([vocab.eos_id], dtype=np.int64)
+        # Every extend must fit the model's block: the deepest one feeds
+        # ``pattern.length - 1`` (pattern mode) or ``max_chars``
+        # (unconditional, whose last position allows only <EOS>) tokens.
+        block_size = model.inference.config.block_size
+        widths = []
+        for prompt in self.prompts:
+            if prompt.pattern is not None:
+                width, deepest = prompt.pattern.length, prompt.pattern.length - 1
+            else:
+                width = deepest = self._max_chars()
+            needed = len(prompt.prompt_ids) + deepest
+            if needed > block_size:
+                raise ValueError(
+                    f"prompt {prompt.label!r} needs {needed} positions "
+                    f"({len(prompt.prompt_ids)} prompt + {deepest} characters), "
+                    f"beyond the model's block size of {block_size}"
+                )
+            widths.append(width)
+        self._width = max(widths)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -321,6 +428,7 @@ class OrderedGenerator:
                     "beam_width": int(self.config.beam_width),
                     "max_frontier": int(self.config.max_frontier),
                     "prompts": prompts_digest(self.prompts),
+                    "snapshot_format": SNAPSHOT_FORMAT,
                 }
                 telemetry.pin_trace(header)
                 journal = RunJournal.attach(journal, header, resume=resume)
@@ -345,8 +453,7 @@ class OrderedGenerator:
         self.stats = OrderedStats()
         stats = self.stats
         registry = telemetry.get_registry()
-        heap: list[tuple] = []
-        seq = 0
+        beam = self.config.beam_width
         emitted: list[tuple[str, float]] = []
         delta: list[list] = []  # [password, neg_logprob] since last snapshot
         snapshot_id = 0
@@ -358,11 +465,7 @@ class OrderedGenerator:
                     (pw, -float(neg)) for pw, neg in restored[sid]["emitted"]
                 )
             last = restored[max(restored)]
-            heap = [
-                (float(neg), int(s), int(p), tuple(chars), bool(complete))
-                for neg, s, p, chars, complete in last["heap"]
-            ]
-            heapq.heapify(heap)
+            frontier = Frontier.decode(last["frontier"])
             seq = int(last["seq"])
             self.stats = stats = OrderedStats.from_dict(last["stats"])
             snapshot_id = max(restored) + 1
@@ -373,47 +476,44 @@ class OrderedGenerator:
                 model_calls=int(stats.model_calls),
             )
         else:
-            for index, prompt in enumerate(self.prompts):
-                if math.isfinite(prompt.prior_neg_logprob):
-                    heap.append((float(prompt.prior_neg_logprob), seq, index, (), False))
-                    seq += 1
-            heapq.heapify(heap)
+            frontier = self._roots()
+            seq = len(frontier)
 
         if progress is not None:
             progress(len(emitted), n)
 
-        while len(emitted) < n and heap:
+        while len(emitted) < n and len(frontier):
             with telemetry.trace(
                 "ordered.round", level="debug", round=int(stats.rounds)
             ) as span:
                 pops0, calls0, emit0 = stats.pops, stats.model_calls, len(emitted)
-                batch: list[tuple] = []
-                held: list[tuple] = []
-                while heap and len(batch) < self.config.beam_width and len(emitted) < n:
-                    node = heapq.heappop(heap)
-                    stats.pops += 1
-                    if node[4]:  # complete
-                        if batch:
-                            # An expansion is pending whose children may
-                            # score better — defer to a later round.
-                            held.append(node)
-                        else:
-                            password = self._password(node)
-                            emitted.append((password, -node[0]))
-                            delta.append([password, node[0]])
-                    else:
-                        batch.append(node)
-                if len(emitted) >= n:
-                    # Budget met mid-collection: everything popped but not
-                    # emitted goes back so snapshots stay exact.
-                    for node in batch:
-                        heapq.heappush(heap, node)
-                    batch = []
-                if batch:
-                    seq = self._expand(batch, heap, seq)
-                for node in held:
-                    heapq.heappush(heap, node)
-                self._prune(heap, registry, stats)
+                # Prefix scan: emit the leading complete nodes, then batch
+                # the first ``beam`` incomplete ones.  Complete nodes among
+                # those stay put -- a pending expansion may beat them.
+                waiting = np.flatnonzero(~frontier.complete)
+                lead = int(waiting[0]) if len(waiting) else len(frontier)
+                take = min(lead, n - len(emitted))
+                for row in range(take):
+                    password = self._password(frontier, row)
+                    neg = float(frontier.neg[row])
+                    emitted.append((password, -neg))
+                    delta.append([password, neg])
+                if len(emitted) < n and len(waiting):
+                    batch = waiting[:beam]
+                    # Popped: every node up to the beam's last one, or the
+                    # whole frontier when the beam could not be filled.
+                    full = len(batch) == beam
+                    stats.pops += int(batch[-1]) + 1 if full else len(frontier)
+                    keep = np.ones(len(frontier), dtype=bool)
+                    keep[:take] = False
+                    keep[batch] = False
+                    children, seq = self._expand(frontier.take(batch), seq)
+                    frontier = self._prune(
+                        Frontier.concat([frontier.take(keep), children])
+                    )
+                else:
+                    stats.pops += take
+                    frontier = frontier.take(slice(take, None))
                 stats.rounds += 1
                 stats.emitted = len(emitted)
                 registry.counter("ordered.pops").inc(stats.pops - pops0)
@@ -425,7 +525,9 @@ class OrderedGenerator:
             if progress is not None:
                 progress(len(emitted), n)
             if journal is not None and stats.rounds % self.config.snapshot_every == 0:
-                snapshot_id = self._snapshot(journal, snapshot_id, heap, seq, delta)
+                snapshot_id = self._snapshot(
+                    journal, snapshot_id, frontier, seq, delta
+                )
                 delta = []
             if budget is not None and budget.exceeded(
                 guesses=len(emitted), model_calls=stats.model_calls
@@ -435,7 +537,9 @@ class OrderedGenerator:
                 # round's guesses are durable before the raise — resume
                 # picks up exactly here.
                 if journal is not None and delta:
-                    snapshot_id = self._snapshot(journal, snapshot_id, heap, seq, delta)
+                    snapshot_id = self._snapshot(
+                        journal, snapshot_id, frontier, seq, delta
+                    )
                     delta = []
                 budget.poll(
                     guesses=len(emitted),
@@ -450,31 +554,55 @@ class OrderedGenerator:
             )
         stats.emitted = len(emitted)
         if journal is not None and delta:
-            self._snapshot(journal, snapshot_id, heap, seq, delta)
+            self._snapshot(journal, snapshot_id, frontier, seq, delta)
         return emitted[:n]
 
-    def _expand(self, batch: list[tuple], heap: list[tuple], seq: int) -> int:
-        """Batched child generation; returns the advanced ``seq`` counter.
+    def _roots(self) -> Frontier:
+        """One depth-0 node per prompt with a finite prior, sorted."""
+        live = [
+            index
+            for index, prompt in enumerate(self.prompts)
+            if math.isfinite(prompt.prior_neg_logprob)
+        ]
+        roots = Frontier(
+            neg=[self.prompts[index].prior_neg_logprob for index in live],
+            seq=np.arange(len(live)),
+            prompt=live,
+            depth=np.zeros(len(live)),
+            complete=np.zeros(len(live)),
+            chars=np.zeros((len(live), self._width)),
+        )
+        return roots.take(np.lexsort((roots.seq, roots.neg)))
+
+    def _expand(self, batch: Frontier, seq: int) -> tuple[Frontier, int]:
+        """Children of ``batch``, numbered from ``seq``; returns them and
+        the advanced ``seq`` counter.
 
         Nodes are grouped by ``(prompt, depth)`` so each group is one
         KV-cached forward: the shared prompt comes from the warm
         :class:`~repro.nn.PromptCache`, the decided characters ride one
-        :meth:`~repro.nn.GPT2Inference.extend` call.  Group iteration
-        order is sorted, so child insertion — and therefore the ``seq``
-        tie-break — is deterministic.
+        :meth:`~repro.nn.GPT2Inference.extend` call.  Groups run in
+        sorted key order and each group's children are numbered in
+        row-major ``(parent, token)`` order, so the ``seq`` tie-break is
+        deterministic.
         """
         stats = self.stats
-        groups: dict[tuple[int, int], list[tuple]] = {}
-        for node in batch:
-            groups.setdefault((node[2], len(node[3])), []).append(node)
-        for (prompt_index, depth), nodes in sorted(groups.items()):
+        # lexsort is stable: rows of a group keep their frontier order.
+        order = np.lexsort((batch.depth, batch.prompt))
+        key_prompt, key_depth = batch.prompt[order], batch.depth[order]
+        cuts = np.flatnonzero(
+            (key_prompt[1:] != key_prompt[:-1]) | (key_depth[1:] != key_depth[:-1])
+        )
+        children = []
+        for rows in np.split(order, cuts + 1):
+            prompt_index, depth = int(batch.prompt[rows[0]]), int(batch.depth[rows[0]])
             prompt = self.prompts[prompt_index]
             prompt_logits, prompt_kv = self.model.prompt_cache.lookup(prompt.prompt_ids)
             if depth == 0:
-                logits = np.repeat(prompt_logits, len(nodes), axis=0)
+                logits = np.repeat(prompt_logits, len(rows), axis=0)
             else:
-                kv = prompt_kv.gather(np.zeros(len(nodes), dtype=np.intp))
-                chars = np.array([node[3] for node in nodes], dtype=np.int64)
+                kv = prompt_kv.gather(np.zeros(len(rows), dtype=np.intp))
+                chars = batch.chars[rows, :depth].astype(np.int64)
                 logits = self.model.inference.extend(chars, kv)
                 stats.model_calls += 1
             allowed = self._allowed(prompt, depth)
@@ -484,29 +612,35 @@ class OrderedGenerator:
                 log_probs = np.log(
                     constrained_distribution(logits, allowed).astype(np.float64)
                 )
-            stats.expansions += len(nodes)
-            pattern_len = prompt.pattern.length if prompt.pattern is not None else None
-            for row, node in enumerate(nodes):
-                parent_neg, _, _, parent_chars, _ = node
-                for column, token_id in enumerate(allowed.tolist()):
-                    lp = log_probs[row, column]
-                    if not np.isfinite(lp):
-                        continue  # zero-probability child: unreachable
-                    child_neg = parent_neg - float(lp)
-                    if pattern_len is not None:
-                        child_chars = parent_chars + (token_id,)
-                        complete = depth + 1 == pattern_len
-                    elif token_id == self._eos_id:
-                        child_chars = parent_chars
-                        complete = True
-                    else:
-                        child_chars = parent_chars + (token_id,)
-                        complete = False
-                    heapq.heappush(
-                        heap, (child_neg, seq, node[2], child_chars, complete)
-                    )
-                    seq += 1
-        return seq
+            stats.expansions += len(rows)
+            # Zero-probability children are unreachable: skip them.
+            row, column = np.nonzero(np.isfinite(log_probs))
+            parents = rows[row]
+            tokens = allowed[column]
+            chars = batch.chars[parents]
+            if prompt.pattern is not None:
+                chars[:, depth] = tokens
+                complete = np.full(len(tokens), depth + 1 == prompt.pattern.length)
+                child_depth = np.full(len(tokens), depth + 1)
+            else:
+                # <EOS> completes the node and keeps its parent's chars.
+                complete = tokens == self._eos_id
+                grow = ~complete
+                if grow.any():
+                    chars[grow, depth] = tokens[grow]
+                child_depth = depth + grow
+            children.append(
+                Frontier(
+                    neg=batch.neg[parents] - log_probs[row, column],
+                    seq=np.arange(seq, seq + len(tokens)),
+                    prompt=np.full(len(tokens), prompt_index),
+                    depth=child_depth,
+                    complete=complete,
+                    chars=chars,
+                )
+            )
+            seq += len(tokens)
+        return Frontier.concat(children), seq
 
     def _allowed(self, prompt: OrderedPrompt, depth: int) -> np.ndarray:
         """Candidate token ids for the next position of a node."""
@@ -522,34 +656,36 @@ class OrderedGenerator:
         tokenizer = self.model.tokenizer
         return getattr(tokenizer, "max_password_length", tokenizer.block_size - 2)
 
-    def _password(self, node: tuple) -> str:
+    def _password(self, frontier: Frontier, row: int) -> str:
         token_strs = self.model.tokenizer.vocab.token_array
-        return "".join(token_strs[list(node[3])]) if node[3] else ""
+        return "".join(token_strs[frontier.chars[row, : frontier.depth[row]]])
 
-    def _prune(self, heap: list[tuple], registry, stats: OrderedStats) -> None:
-        """Cap the heap at ``max_frontier``, accounting for what's dropped."""
-        if len(heap) <= self.config.max_frontier:
-            return
-        heap.sort()  # a sorted list is a valid heap
-        dropped = heap[self.config.max_frontier :]
-        del heap[self.config.max_frontier :]
-        mass = float(sum(math.exp(-node[0]) for node in dropped))
-        stats.truncated_nodes += len(dropped)
-        stats.truncated_mass += mass
-        registry.counter("ordered.truncated").inc(len(dropped))
+    def _prune(self, frontier: Frontier) -> Frontier:
+        """Sort by ``(neg, seq)`` and cap at ``max_frontier``, accounting
+        for what's dropped."""
+        order = np.lexsort((frontier.seq, frontier.neg))
+        cap = self.config.max_frontier
+        if len(order) <= cap:
+            return frontier.take(order)
+        dropped = len(order) - cap
+        mass = float(np.exp(-frontier.neg[order[cap:]]).sum())
+        self.stats.truncated_nodes += dropped
+        self.stats.truncated_mass += mass
+        telemetry.get_registry().counter("ordered.truncated").inc(dropped)
         telemetry.emit(
             "frontier_truncated",
             level="debug",
-            dropped=len(dropped),
+            dropped=dropped,
             mass=mass,
-            frontier=len(heap),
+            frontier=cap,
         )
+        return frontier.take(order[:cap])
 
     def _snapshot(
         self,
         journal: RunJournal,
         snapshot_id: int,
-        heap: list[tuple],
+        frontier: Frontier,
         seq: int,
         delta: list[list],
     ) -> int:
@@ -567,10 +703,7 @@ class OrderedGenerator:
             {
                 "round": int(self.stats.rounds),
                 "emitted": delta,
-                "heap": [
-                    [neg, s, p, list(chars), complete]
-                    for neg, s, p, chars, complete in heap
-                ],
+                "frontier": frontier.encode(),
                 "seq": int(seq),
                 "stats": self.stats.as_dict(),
             },

@@ -13,12 +13,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.generation import DCGenConfig, DCGenerator, plan_digest
+from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator, plan_digest
 from repro.nn.backend import compiler_available
 from repro.runtime import faults
 from repro.runtime.faults import InjectedFault
 
-from tests.goldens import GOLDEN_PATH, SPEC, build_model, generate_ordered_stream
+from tests.goldens import (
+    GOLDEN_PATH,
+    SPEC,
+    build_model,
+    generate_ordered_stream,
+    ordered_config,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,24 @@ def test_ordered_stream_byte_identical(golden, snapshot_every):
     assert stream == golden["ordered"]
     digest = hashlib.sha256("\n".join(stream).encode()).hexdigest()
     assert digest == golden["ordered_sha256"]
+
+
+def test_ordered_counters_pinned():
+    """The golden stream does not cover the pop, hold and prune
+    accounting, so the counters of the golden campaign are pinned too."""
+    gen = OrderedGenerator.for_patterns(build_model(), config=ordered_config())
+    gen.generate(SPEC["ordered"]["n"])
+    stats = gen.stats
+    assert (
+        stats.rounds,
+        stats.pops,
+        stats.expansions,
+        stats.model_calls,
+        stats.emitted,
+        stats.truncated_nodes,
+    ) == (361, 11734, 11492, 853, 120, 268823)
+    assert not stats.exhausted
+    assert stats.truncated_mass == pytest.approx(0.9885961863170567, rel=1e-12)
 
 
 @pytest.mark.parametrize("snapshot_every", [2, 5])

@@ -13,7 +13,10 @@ check that contract from the outside:
   modes the emitted log-probs never increase and no password repeats;
 * **truncation accounting** — a frontier cap small enough to prune must
   show up in :class:`OrderedStats` and the metrics registry, never
-  silently.
+  silently;
+* **journaling** — an unconditional campaign crashed at a frontier
+  snapshot resumes into the uninterrupted stream, and a journal in an
+  older snapshot layout is refused by its header, never misread.
 """
 
 from __future__ import annotations
@@ -24,10 +27,18 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.generation import OrderedConfig, OrderedGenerator, prompts_digest
+from repro.cli import EXIT_CORRUPT, main
+from repro.generation import (
+    OrderedConfig,
+    OrderedGenerator,
+    OrderedStats,
+    prompts_digest,
+)
 from repro.generation.sampler import constrained_distribution
-from repro.models import PagPassGPT
+from repro.models import PagPassGPT, PassGPT
 from repro.nn import GPT2Config
+from repro.runtime import JournalError, RunJournal, faults
+from repro.runtime.faults import InjectedFault
 from repro.tokenizer.patterns import Pattern
 
 #: Small enough to brute-force exhaustively: 52*10 + 10*10 = 620 strings.
@@ -155,6 +166,22 @@ class TestOrderingProperties:
         assert len(set(passwords)) == len(passwords)
         assert all(len(pw) <= 2 for pw in passwords)
 
+    def test_short_beam_pops_the_held_completes(self, tiny_model):
+        """A beam that cannot fill pops the whole frontier, complete nodes
+        behind its last incomplete one included (they are held, not
+        emitted, while the expansion is pending)."""
+        gen = OrderedGenerator.for_patterns(
+            tiny_model,
+            {"L1N1": 0.99, "N1": 0.01},
+            OrderedConfig(beam_width=64, max_frontier=200_000),
+        )
+        assert len(gen.generate(530)) == 530  # the whole space
+        # Round 1 pops both roots.  Round 2 batches the 52 L1 prefixes
+        # and holds the 10 far less probable N1 passwords behind them.
+        # Round 3 emits all 520 + 10 complete passwords.
+        assert (gen.stats.rounds, gen.stats.pops) == (3, 2 + 62 + 530)
+        assert (gen.stats.expansions, gen.stats.model_calls) == (2 + 52, 1)
+
 
 class TestTruncationAccounting:
     def test_frontier_cap_is_reported_not_silent(self, tiny_model):
@@ -206,6 +233,37 @@ class TestConfigAndDigest:
         )
         assert prompts_digest(base.prompts) != prompts_digest(other.prompts)
 
+    def test_max_chars_past_block_size_raises_before_any_model_call(self):
+        """The deepest unconditional extend feeds ``max_chars`` tokens after
+        ``<BOS>``; a cap the block cannot hold fails at construction."""
+        model = PassGPT(seed=0)  # block size 16
+        with pytest.raises(ValueError, match="block size of 16"):
+            OrderedGenerator.unconditional(
+                model, OrderedConfig(beam_width=1, max_frontier=50, max_chars=40)
+            )
+        assert model.inference.counters.calls == 0
+        assert model.prompt_cache.stats()["misses"] == 0
+        with pytest.raises(ValueError, match="block size of 16"):
+            OrderedGenerator.unconditional(model, OrderedConfig(max_chars=16))
+        OrderedGenerator.unconditional(model, OrderedConfig(max_chars=15))
+
+    def test_pattern_fitting_the_block_exactly_runs(self):
+        """Pattern mode's deepest extend feeds ``length - 1`` characters."""
+        model = PagPassGPT(
+            model_config=GPT2Config(
+                vocab_size=135, block_size=8, dim=16, n_layers=1, n_heads=2,
+                dropout=0.0,
+            ),
+            seed=3,
+        )
+        model._fitted = True
+        config = OrderedConfig(beam_width=8, max_frontier=8)
+        # <BOS> L6 <SEP> plus 5 decided characters fills all 8 positions.
+        gen = OrderedGenerator.for_patterns(model, {"L6": 1.0}, config)
+        assert len(gen.generate(3)) == 3
+        with pytest.raises(ValueError, match="block size of 8"):
+            OrderedGenerator.for_patterns(model, {"L7": 1.0}, config)
+
     def test_requires_pattern_distribution(self):
         model = PagPassGPT(
             model_config=GPT2Config(
@@ -217,3 +275,86 @@ class TestConfigAndDigest:
         model._fitted = True  # fitted but with an empty S_p
         with pytest.raises(ValueError, match="pattern distribution"):
             OrderedGenerator.for_patterns(model)
+
+
+def _write_heap_format_journal(path, gen: OrderedGenerator, n: int) -> None:
+    """An ordered journal as the heap-based enumerator wrote it: a header
+    without ``snapshot_format`` and a ``heap`` list of node tuples."""
+    journal = RunJournal.create(
+        path,
+        {
+            "kind": "ordered",
+            "n": n,
+            "beam_width": gen.config.beam_width,
+            "max_frontier": gen.config.max_frontier,
+            "prompts": prompts_digest(gen.prompts),
+        },
+    )
+    journal.record(
+        "frontier",
+        0,
+        {
+            "round": 4,
+            "emitted": [],
+            "heap": [[1.25, 7, 0, [12, 40], False], [2.5, 3, 1, [9], False]],
+            "seq": 8,
+            "stats": OrderedStats(rounds=4, snapshots=1).as_dict(),
+        },
+    )
+    journal.close()
+
+
+class TestJournaling:
+    UNCONDITIONAL = OrderedConfig(
+        beam_width=16, max_chars=2, max_frontier=200_000, snapshot_every=1
+    )
+
+    @pytest.mark.parametrize("crash_after", [1, 3])
+    def test_unconditional_crash_resume_byte_identical(
+        self, tiny_model, tmp_path, monkeypatch, crash_after
+    ):
+        """<EOS> children keep their parent's chars, so a snapshot holds
+        complete nodes shorter than the chars matrix; resume must still
+        splice back into the uninterrupted stream."""
+
+        def run(**kwargs):
+            gen = OrderedGenerator.unconditional(tiny_model, config=self.UNCONDITIONAL)
+            return gen.generate_scored(60, **kwargs)
+
+        clean = run()
+        journal = tmp_path / "run.jsonl"
+        monkeypatch.setenv(faults.FAULT_ENV, f"crash:frontier:{crash_after}")
+        faults.reset()
+        with pytest.raises(InjectedFault):
+            run(journal=journal)
+        monkeypatch.delenv(faults.FAULT_ENV)
+        faults.reset()
+        assert len(journal.read_text().splitlines()) == 1 + crash_after
+        assert run(journal=journal, resume=True) == clean
+
+    def test_heap_format_journal_is_refused(self, tiny_model, tmp_path):
+        gen = OrderedGenerator.for_patterns(tiny_model)
+        journal = tmp_path / "old.jsonl"
+        _write_heap_format_journal(journal, gen, 10)
+        with pytest.raises(JournalError, match="snapshot_format"):
+            gen.generate(10, journal=journal, resume=True)
+
+    def test_cli_resume_of_heap_format_journal_exits_2(
+        self, tiny_model, tmp_path, capsys
+    ):
+        checkpoint = tmp_path / "model.npz"
+        tiny_model.save(checkpoint)
+        gen = OrderedGenerator.for_patterns(
+            PagPassGPT.load(checkpoint),
+            config=OrderedConfig(beam_width=16, max_frontier=2000),
+        )
+        journal = tmp_path / "old.jsonl"
+        _write_heap_format_journal(journal, gen, 10)
+        code = main([
+            "generate", "--checkpoint", str(checkpoint), "-n", "10",
+            "--strategy", "ordered", "--beam-width", "16",
+            "--max-frontier", "2000", "--journal", str(journal), "--resume",
+            "--out", str(tmp_path / "out.txt"),
+        ])
+        assert code == EXIT_CORRUPT
+        assert "snapshot_format" in capsys.readouterr().err
