@@ -164,7 +164,7 @@ def bench_dcgen(scale: dict) -> dict:
     counters.reset()
     timer = PhaseTimer(model)
     t0 = time.perf_counter()
-    results = gen._execute(batches, SEED)
+    results = gen.tasks(batches, SEED).run()
     execute_seconds = time.perf_counter() - t0
     timer.restore()
     guesses = [pw for chunk, _ in results for pw in chunk]

@@ -34,8 +34,8 @@
 #    bench records traced-vs-untraced cost into
 #    BENCH_telemetry_overhead.json (stream-identity gated, wall-clock
 #    recorded only); a live `repro serve` is scraped for Prometheus
-#    exposition and rendered once by `repro top` before its SIGTERM
-#    drain.
+#    exposition, rendered once by `repro top`, and runs one ordered
+#    campaign whose stream must equal the CLI's before its SIGTERM drain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -243,6 +243,39 @@ with urlopen(f"http://127.0.0.1:{port}/metrics", timeout=10) as r:
 print("prometheus exposition scrape ok")
 PY
 python -m repro.cli top --url "http://127.0.0.1:$PORT" --once | grep -q "state: serving"
+
+# Ordered through the live server: the server runs ordered jobs with
+# OrderedConfig(), whose defaults match the CLI's ordered flags, so the
+# job's stream must equal a default-flag CLI run byte for byte.
+python - "$PORT" "$SMOKE_DIR/ordered_server.txt" <<'PY'
+import json
+import sys
+import time
+from urllib.request import Request, urlopen
+
+base, out = f"http://127.0.0.1:{sys.argv[1]}", sys.argv[2]
+body = json.dumps({"strategy": "ordered", "n": 120}).encode()
+post = Request(f"{base}/campaigns", data=body, method="POST",
+               headers={"Content-Type": "application/json"})
+with urlopen(post, timeout=10) as r:
+    job = json.load(r)
+deadline = time.monotonic() + 600
+while job["state"] not in ("done", "failed", "interrupted"):
+    assert time.monotonic() < deadline, f"ordered job never finished: {job}"
+    time.sleep(0.5)
+    with urlopen(f"{base}/campaigns/{job['id']}", timeout=10) as r:
+        job = json.load(r)
+assert job["state"] == "done", job
+with urlopen(f"{base}/campaigns/{job['id']}/guesses", timeout=10) as r:
+    data = r.read()
+with open(out, "wb") as fh:
+    fh.write(data)
+print("ordered campaign through the live server: done")
+PY
+python -m repro.cli generate --checkpoint "$SMOKE_DIR/model.npz" -n 120 \
+    --strategy ordered --out "$SMOKE_DIR/ordered_cli.txt"
+diff "$SMOKE_DIR/ordered_cli.txt" "$SMOKE_DIR/ordered_server.txt"
+echo "ordered smoke: server ordered job == repro generate --strategy ordered"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 echo "observability smoke: prometheus scrape + repro top ok, drain clean"

@@ -62,8 +62,8 @@ from .evaluation import (
     render_table,
     repeat_rate,
 )
-from .generation import DCGenConfig, DCGenerator, SamplerConfig
-from .models import PagPassGPT, PassGPT
+from .generation import OrderedConfig, SamplerConfig, UnsupportedStrategy, run_strategy
+from .models import PagPassGPT, PassGPT, load_checkpoint
 from .nn import CheckpointError, GPT2Config
 from .runtime import (
     Budget,
@@ -269,7 +269,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         # The inference engine is built lazily on first use and reads
         # REPRO_BACKEND then; the env var also reaches spawned workers.
         os.environ["REPRO_BACKEND"] = args.backend
-    model = _load_any(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)
     if args.temperature != 1.0 or args.top_k or args.top_p < 1.0:
         model.sampler = SamplerConfig(
             temperature=args.temperature, top_k=args.top_k, top_p=args.top_p
@@ -290,53 +290,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
     strategy = "dcgen" if args.dcgen else args.strategy
     try:
         if args.pattern:
-            if not hasattr(model, "generate_with_pattern"):
-                print("this model cannot do pattern guided generation", file=sys.stderr)
-                return 2
             guesses = model.generate_with_pattern(Pattern.parse(args.pattern), args.n, seed=args.seed)
-        elif strategy == "ordered":
-            from .generation import OrderedConfig, OrderedGenerator
-
-            config = OrderedConfig(
-                beam_width=args.beam_width,
-                max_frontier=args.max_frontier,
-                snapshot_every=args.snapshot_every,
-            )
-            if isinstance(model, PagPassGPT):
-                generator = OrderedGenerator.for_patterns(model, config=config)
-            else:
-                generator = OrderedGenerator.unconditional(model, config=config)
-            guesses = generator.generate(
-                args.n, journal=journal_path, resume=args.resume,
-                progress=heartbeat.update, budget=budget,
-            )
-            stats = generator.stats
-            print(f"ordered: {stats.rounds} rounds, {stats.pops} pops, "
-                  f"{stats.model_calls} model calls, "
-                  f"{stats.truncated_nodes} frontier nodes truncated "
-                  f"({stats.truncated_mass:.3g} mass)", file=sys.stderr)
-        elif strategy == "dcgen":
-            if not isinstance(model, PagPassGPT):
-                print("--strategy dcgen requires a PagPassGPT checkpoint", file=sys.stderr)
-                return 2
-            generator = DCGenerator(
-                model, DCGenConfig(threshold=args.threshold, workers=args.workers)
-            )
-            guesses = generator.generate(
-                args.n, seed=args.seed, journal=journal_path, resume=args.resume,
-                progress=heartbeat.update, budget=budget,
-            )
-            stats = generator.stats
-            print(f"D&C-GEN: {stats.patterns_used} patterns, {stats.leaves} leaves, "
-                  f"{stats.divisions} divisions, {args.workers} worker(s)", file=sys.stderr)
-        elif isinstance(model, PagPassGPT):
-            guesses = model.generate(
-                args.n, seed=args.seed, workers=args.workers,
+        else:
+            ordered = None
+            if strategy == "ordered":
+                ordered = OrderedConfig(beam_width=args.beam_width, max_frontier=args.max_frontier,
+                                        snapshot_every=args.snapshot_every)
+            guesses, summary = run_strategy(
+                model, strategy, args.n, seed=args.seed, workers=args.workers,
+                threshold=args.threshold, ordered=ordered,
                 journal=journal_path, resume=args.resume,
                 progress=heartbeat.update, budget=budget,
             )
-        else:
-            guesses = model.generate(args.n, seed=args.seed)
+            if summary:
+                print(summary, file=sys.stderr)
     finally:
         heartbeat.close()
         _finish_profiler(args, profiler)
@@ -551,14 +518,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     jobs = {k: v for k, v in summary["jobs"].items() if v}
     print(f"drained ({summary['reason']}): {jobs or 'no jobs'}", file=sys.stderr)
     return EXIT_INTERRUPTED if summary["reason"] == "deadline" else EXIT_OK
-
-
-def _load_any(path: str) -> PagPassGPT | PassGPT:
-    """Load whichever GPT model kind the checkpoint holds."""
-    try:
-        return PagPassGPT.load(path)
-    except ValueError:
-        return PassGPT.load(path)
 
 
 # ----------------------------------------------------------------------
@@ -821,9 +780,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Unusable checkpoints/journals (missing, corrupt, or belonging to a
-    different run) exit with code 2 and a one-line diagnosis instead of
-    a traceback.  SIGTERM/SIGINT are converted into a graceful stop at
+    Unusable checkpoints/journals (missing, corrupt, belonging to a
+    different run, or unable to run the requested strategy) exit with
+    code 2 and a one-line diagnosis instead of a traceback.
+    SIGTERM/SIGINT are converted into a graceful stop at
     the next budget poll (progress stays durable and resumable; exit 4);
     tripped deadlines/quotas exit 3; a full disk aborts safely with
     exit 1.  The full table lives in docs/API.md.
@@ -841,7 +801,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DiskFullError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (CheckpointError, JournalError) as exc:
+    except (CheckpointError, JournalError, UnsupportedStrategy) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
 

@@ -1,5 +1,7 @@
-"""Generation machinery: samplers, D&C-GEN, ordered search, parallel backend."""
+"""Generation machinery: samplers, D&C-GEN, ordered search, the campaign
+runner and its parallel backend."""
 
+from .campaign import UnsupportedStrategy, run_strategy
 from .dcgen import (
     DCGenConfig,
     DCGenStats,
@@ -20,22 +22,20 @@ from .ordered import (
     OrderedStats,
     prompts_digest,
 )
-from .parallel import (
-    execute_batches_parallel,
-    execute_free_chunks_parallel,
-    free_chunks,
-    generate_free_parallel,
-)
+from .parallel import run_pool
 from .sampler import (
     SamplerConfig,
     choose_constrained,
     constrained_distribution,
+    free_chunks,
     logits_to_probs,
     sample,
     sample_constrained,
 )
 
 __all__ = [
+    "UnsupportedStrategy",
+    "run_strategy",
     "DCGenConfig",
     "DCGenStats",
     "DCGenerator",
@@ -52,10 +52,8 @@ __all__ = [
     "OrderedPrompt",
     "OrderedStats",
     "prompts_digest",
-    "execute_batches_parallel",
-    "execute_free_chunks_parallel",
+    "run_pool",
     "free_chunks",
-    "generate_free_parallel",
     "SamplerConfig",
     "choose_constrained",
     "constrained_distribution",

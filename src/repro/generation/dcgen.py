@@ -23,17 +23,18 @@ A run has two phases so leaves can execute anywhere:
   task tree and emits a flat list of :class:`LeafTask` in canonical
   order, each with a stable ``task_id``;
 * **execute**: leaves are packed into :class:`LeafBatch` es of at most
-  ``gen_batch`` rows (:func:`build_batches`) and run either in-process
-  or on a worker pool (:mod:`repro.generation.parallel`).  Every leaf
-  draws its randomness from ``(base_seed, task_id)``
-  (:func:`leaf_rng`), so the guess stream is byte-identical regardless
-  of batch width or worker count.
+  ``gen_batch`` rows (:func:`build_batches`), and the batches become a
+  task campaign (:meth:`DCGenerator.tasks`) that the campaign runner
+  (:mod:`repro.generation.campaign`) journals and runs either
+  in-process or on a worker pool (:mod:`repro.generation.parallel`),
+  one :func:`execute_batch` per batch.  Every leaf draws its randomness
+  from ``(base_seed, task_id)`` (:func:`leaf_rng`), so the guess stream
+  is byte-identical regardless of batch width or worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -41,14 +42,10 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .. import telemetry
-from ..runtime import Budget, RetryPolicy, RunJournal, maybe_fail
+from ..runtime import Budget, RetryPolicy, RunJournal
 from ..tokenizer.patterns import Pattern
-from .sampler import (
-    GEN_BATCH,
-    SamplerConfig,
-    choose_constrained,
-    constrained_distribution,
-)
+from . import campaign
+from .sampler import GEN_BATCH, choose_constrained, constrained_distribution
 
 if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
     from ..models.pagpassgpt import PagPassGPT
@@ -250,13 +247,13 @@ def execute_batch(
     model: "PagPassGPT",
     batch: LeafBatch,
     base_seed: int,
-    sampler: SamplerConfig,
 ) -> tuple[list[str], int]:
-    """Run one leaf batch; returns ``(guesses in row order, model calls)``.
+    """Run one leaf batch under the model's sampler; returns ``(guesses
+    in row order, model calls)``.
 
     Pure with respect to run state: everything it needs travels in the
     batch, so it executes identically in the serial loop and in a worker
-    process.
+    process — it is the task body of D&C-GEN campaigns.
 
     Priming is prefix-deduplicated: the shared ``<BOS> pattern <SEP>``
     prompt comes from the model's :class:`~repro.nn.PromptCache` (primed
@@ -279,6 +276,7 @@ def execute_batch(
         pattern=batch.slices[0][0].pattern,
         rows=batch.rows,
     ) as span:
+        sampler = model.sampler
         tokenizer = model.tokenizer
         vocab = tokenizer.vocab
         token_strs = vocab.token_array
@@ -408,75 +406,56 @@ class DCGenerator:
         ``seed`` feeds every leaf's rng via :func:`leaf_rng`; the stream
         is identical for any ``gen_batch`` or ``workers`` setting.
 
-        ``journal`` (a path or an open :class:`RunJournal`) makes the run
-        crash-safe: every completed leaf batch is journaled as it lands,
-        and a rerun with ``resume=True`` skips journaled batches and
-        emits the byte-identical stream an uninterrupted run would have —
-        even with a different worker count.  Resuming validates the
-        journal's header (seed, total, plan digest) and raises
-        :class:`~repro.runtime.JournalError` on mismatch.
-
-        ``progress`` is called as ``progress(done_rows, total_rows)``
-        after every completed batch (and once for journal-resumed work);
-        the CLI wires a :class:`~repro.telemetry.Heartbeat` here.  With
-        an active telemetry session the run also emits a
-        ``campaign_plan`` event carrying the full
-        :func:`planned_execute_costs` budget, a ``campaign_resume``
-        event for journal-reused work, and a ``campaign`` span.
-
-        ``budget`` (a :class:`~repro.runtime.Budget`) is polled after
-        every durable batch boundary — and while waiting on workers — so
-        a deadline, quota, or delivered SIGTERM raises
-        :class:`~repro.runtime.CampaignInterrupted` with the completed
-        work already journaled; a ``resume=True`` rerun then continues
-        byte-identically.
+        The run is a task campaign (:mod:`repro.generation.campaign`):
+        ``journal`` (a path or an open :class:`RunJournal`) records every
+        leaf batch as it lands, and a rerun with ``resume=True`` — on any
+        worker count — reuses journaled batches to emit the byte-identical
+        stream; the header pins seed, total and the plan digest.
+        ``progress(done_rows, total_rows)`` fires per batch and ``budget``
+        is polled at every durable batch boundary
+        (:meth:`~repro.generation.campaign.Tasks.run`); the
+        ``campaign_plan`` event carries :func:`planned_execute_costs`.
         """
-        with telemetry.trace("campaign", kind="dcgen", requested=int(total)):
+        config = self.config
+
+        def prepare() -> campaign.Plan:
             leaves = self.plan(total, pattern_probs)
-            batches = build_batches(leaves, self.config.gen_batch)
-            costs = planned_execute_costs(batches)
-            telemetry.emit(
-                "campaign_plan",
-                kind="dcgen",
-                requested=int(total),
-                rows=sum(b.rows for b in batches),
-                n_tasks=len(batches),
-                plan=plan_digest(leaves),
-                threshold=int(self.config.threshold),
-                gen_batch=int(self.config.gen_batch),
-                workers=int(self.config.workers),
+            batches = build_batches(leaves, config.gen_batch)
+            digest = plan_digest(leaves)
+            shape = {"threshold": int(config.threshold), "gen_batch": int(config.gen_batch),
+                     "plan": digest}
+            return self.tasks(batches, seed).plan(
+                {"seed": int(seed), "total": int(total), "n_batches": len(batches), **shape},
                 backend=self.model.inference.backend_name,
-                **costs,
+                **shape,
+                **planned_execute_costs(batches),
             )
-            owns_journal = False
-            if journal is not None and not isinstance(journal, RunJournal):
-                header = {
-                    "kind": "dcgen",
-                    "seed": int(seed),
-                    "total": int(total),
-                    "threshold": int(self.config.threshold),
-                    "gen_batch": int(self.config.gen_batch),
-                    "n_batches": len(batches),
-                    "plan": plan_digest(leaves),
-                }
-                telemetry.pin_trace(header)
-                journal = RunJournal.attach(journal, header, resume=resume)
-                owns_journal = True
-                # A resumed run rejoins the original run's trace so its
-                # spans extend the first attempt's tree; fresh runs
-                # adopt their own pinned ref (a no-op).
-                telemetry.rejoin_trace(journal.header.get(RunJournal.TRACE_HEADER_KEY))
-            try:
-                results = self._execute(batches, seed, journal, progress, budget)
-            finally:
-                if owns_journal:
-                    journal.close()
-            out: list[str] = []
-            for guesses, calls in results:
-                out.extend(guesses)
-                self.stats.model_calls += calls
-            self.stats.generated = len(out)
-            return out
+
+        results = campaign.run("dcgen", total, prepare, journal, resume, progress, budget)
+        out = [pw for guesses, _ in results for pw in guesses]
+        self.stats.model_calls += sum(calls for _, calls in results)
+        self.stats.generated = len(out)
+        return out
+
+    def tasks(self, batches: Sequence[LeafBatch], seed: int) -> campaign.Tasks:
+        """The execute phase of a plan: ``batches`` as a task campaign.
+
+        ``tasks(batches, seed).run()`` executes them, with the
+        configured workers and retry policy, and returns per-batch
+        ``(guesses, model_calls)``.
+        """
+        return campaign.Tasks(
+            self.model,
+            batches,
+            execute_batch,
+            seed,
+            rows=sum(batch.rows for batch in batches),
+            record="leaf_batch",
+            label="D&C-GEN execution",
+            workers=self.config.workers,
+            policy=self.config.retry_policy(),
+            counts_calls=True,
+        )
 
     # ------------------------------------------------------------------
     # Divide phase
@@ -645,108 +624,3 @@ class DCGenerator:
                 self.stats.model_calls += 1
             out[start : start + len(chunk)] = constrained_distribution(logits, allowed)
         return out
-
-    # ------------------------------------------------------------------
-    # Execute phase
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        batches: list[LeafBatch],
-        seed: int,
-        journal: Optional[RunJournal] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        budget: Optional[Budget] = None,
-    ) -> list[tuple[list[str], int]]:
-        """Run all batches serially or on a pool, in batch order.
-
-        With a journal, batches already journaled are reused verbatim and
-        every fresh completion is journaled the moment it lands — the
-        crash window never costs more than the batch in flight.  The
-        ``budget`` is polled right after each batch's journal write (a
-        durable boundary) and while waiting for worker results.
-        """
-        results: dict[int, tuple[list[str], int]] = {}
-        if journal is not None:
-            for batch_id, payload in journal.completed("leaf_batch").items():
-                if 0 <= batch_id < len(batches):
-                    results[batch_id] = (
-                        list(payload["guesses"]),
-                        int(payload["model_calls"]),
-                    )
-        pending = [b for b in batches if b.batch_id not in results]
-        total_rows = sum(b.rows for b in batches)
-        done_rows = sum(len(guesses) for guesses, _ in results.values())
-        done_calls = sum(calls for _, calls in results.values())
-        if results:
-            telemetry.emit(
-                "campaign_resume",
-                tasks=len(results),
-                guesses=done_rows,
-                model_calls=done_calls,
-            )
-        if progress is not None:
-            progress(done_rows, total_rows)
-
-        def current_progress() -> dict:
-            return {
-                "guesses": done_rows,
-                "model_calls": done_calls,
-                "tasks": len(results),
-                "n_tasks": len(batches),
-            }
-
-        def on_result(position: int, value) -> None:
-            nonlocal done_rows, done_calls
-            batch = pending[position]
-            guesses, calls = value
-            maybe_fail("leaf_batch")
-            if journal is not None:
-                journal.record(
-                    "leaf_batch",
-                    batch.batch_id,
-                    {"guesses": list(guesses), "model_calls": int(calls)},
-                )
-            results[batch.batch_id] = (guesses, calls)
-            done_rows += len(guesses)
-            done_calls += calls
-            if progress is not None:
-                progress(done_rows, total_rows)
-            if budget is not None:
-                budget.poll(**current_progress())
-
-        if budget is not None:
-            budget.poll(**current_progress())
-        if self.config.workers > 1 and len(pending) > 1:
-            from .parallel import execute_batches_parallel
-
-            try:
-                execute_batches_parallel(
-                    self.model,
-                    pending,
-                    seed,
-                    self.config.workers,
-                    policy=self.config.retry_policy(),
-                    on_result=on_result,
-                    stop=None if budget is None else budget.stopper(current_progress),
-                )
-            except Exception as exc:
-                warnings.warn(
-                    f"parallel D&C-GEN execution failed ({exc!r}); "
-                    "falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                for position, batch in enumerate(pending):
-                    if batch.batch_id in results:
-                        continue  # completed (and journaled) before the failure
-                    on_result(
-                        position,
-                        execute_batch(self.model, batch, seed, self.model.sampler),
-                    )
-        else:
-            for position, batch in enumerate(pending):
-                on_result(
-                    position,
-                    execute_batch(self.model, batch, seed, self.model.sampler),
-                )
-        return [results[batch.batch_id] for batch in batches]

@@ -60,9 +60,11 @@ Fault tolerance
 ---------------
 
 Ordered campaigns are first-class citizens of the journaled runtime:
-every ``snapshot_every`` rounds the full enumeration state (frontier,
-emitted delta, counters) is recorded as a digest-guarded ``frontier``
-record, each frontier column as base64 of its little-endian bytes.
+the campaign runner (:func:`repro.generation.campaign.run`) owns their
+span, plan event and journal, and every ``snapshot_every`` rounds the
+round loop records the full enumeration state (frontier, emitted delta,
+counters) as a digest-guarded ``frontier`` record, each frontier column
+as base64 of its little-endian bytes.
 Resuming replays the journaled snapshots and continues from the last
 one; because enumeration is deterministic, the merged stream is
 byte-identical to an uninterrupted run for any snapshot interval.  The
@@ -82,6 +84,7 @@ event report exactly what was given up.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
@@ -93,6 +96,7 @@ import numpy as np
 from .. import telemetry
 from ..runtime import Budget, RunJournal, maybe_fail
 from ..tokenizer.patterns import Pattern
+from . import campaign
 from .sampler import constrained_distribution
 
 if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
@@ -409,36 +413,20 @@ class OrderedGenerator:
         """
         if n <= 0:
             return []
-        with telemetry.trace("campaign", kind="ordered", requested=int(n)):
-            telemetry.emit(
-                "campaign_plan",
-                kind="ordered",
-                requested=int(n),
-                rows=int(n),
-                beam_width=int(self.config.beam_width),
-                max_frontier=int(self.config.max_frontier),
-                prompts=len(self.prompts),
-                backend=self.model.inference.backend_name,
+        config = self.config
+
+        def prepare() -> campaign.Plan:
+            shape = {"beam_width": int(config.beam_width),
+                     "max_frontier": int(config.max_frontier)}
+            return campaign.Plan(
+                header={"n": int(n), "prompts": prompts_digest(self.prompts),
+                        "snapshot_format": SNAPSHOT_FORMAT, **shape},
+                fields={"rows": int(n), "prompts": len(self.prompts),
+                        "backend": self.model.inference.backend_name, **shape},
+                execute=functools.partial(self._run, n),
             )
-            owns_journal = False
-            if journal is not None and not isinstance(journal, RunJournal):
-                header = {
-                    "kind": "ordered",
-                    "n": int(n),
-                    "beam_width": int(self.config.beam_width),
-                    "max_frontier": int(self.config.max_frontier),
-                    "prompts": prompts_digest(self.prompts),
-                    "snapshot_format": SNAPSHOT_FORMAT,
-                }
-                telemetry.pin_trace(header)
-                journal = RunJournal.attach(journal, header, resume=resume)
-                owns_journal = True
-                telemetry.rejoin_trace(journal.header.get(RunJournal.TRACE_HEADER_KEY))
-            try:
-                return self._run(n, journal, progress, budget)
-            finally:
-                if owns_journal:
-                    journal.close()
+
+        return campaign.run("ordered", n, prepare, journal, resume, progress, budget)
 
     # ------------------------------------------------------------------
     # Enumeration core

@@ -1,13 +1,15 @@
-"""Multiprocess execution backend for generation leaf tasks.
+"""Multiprocess execution backend for campaign tasks.
 
 D&C-GEN's subtasks are non-overlapping (§III-C2), which makes leaf
 execution embarrassingly parallel — the paper runs it across 4 GPUs.
-Here the divide phase stays serial in the parent (it is model-bound and
-cheap), and the resulting :class:`~repro.generation.dcgen.LeafBatch`
-list is sharded across a process pool.  Free (trawling) generation
-parallelises the same way, with ``gen_batch``-sized chunks as the unit.
+Here planning stays serial in the parent (it is model-bound and cheap),
+and the campaign runner (:class:`repro.generation.campaign.Tasks`) hands
+the resulting task list — D&C-GEN leaf batches or free-sampling chunks —
+to :func:`run_pool`, the one pool entry point, which shards it across a
+process pool.
 
-Because every leaf/chunk seeds its own rng from ``(base_seed, task_id)``,
+Because every task carries its own seed material (a leaf draws from
+``(base_seed, task_id)``, a free chunk from ``(base_seed, chunk)``),
 the merged stream is byte-identical to the serial path for any worker
 count — the equivalence harness in ``tests/test_generation_parallel.py``
 enforces this.
@@ -53,12 +55,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import numpy as np
-
 from .. import telemetry
 from ..runtime import RetryPolicy, maybe_fail, signals, supervised_map
-from .dcgen import LeafBatch, execute_batch
-from .sampler import GEN_BATCH, SamplerConfig
 
 if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
     from ..models.pagpassgpt import PagPassGPT
@@ -70,22 +68,17 @@ CRASH_ENV = "REPRO_PARALLEL_TEST_CRASH"
 
 @dataclass
 class _WorkerContext:
-    """Read-only state each worker needs: model, task list, seed."""
+    """Read-only state each worker needs: model, tasks, task body, seed."""
 
     model: "PagPassGPT"
     tasks: Sequence
+    execute: Callable
     base_seed: int
-    sampler: SamplerConfig
 
 
 #: Set in the parent before forking (inherited copy-on-write) or rebuilt
 #: by :func:`_init_from_checkpoint` under non-fork start methods.
 _CTX: Optional[_WorkerContext] = None
-
-
-def _check_crash_hook() -> None:
-    if os.environ.get(CRASH_ENV):
-        raise RuntimeError(f"worker crash injected via {CRASH_ENV}")
 
 
 def _parent_telemetry_args() -> Optional[tuple[str, str, str, Optional[dict]]]:
@@ -101,15 +94,19 @@ def _parent_telemetry_args() -> Optional[tuple[str, str, str, Optional[dict]]]:
     return (str(sess.dir), sess.run_id, sess.level, sess.trace_ref())
 
 
-def _init_worker_telemetry(tele: Optional[tuple[str, str, str, Optional[dict]]]) -> None:
-    """Open this worker's own ``telemetry-worker-<pid>.jsonl`` stream.
+def _init_worker(tele: Optional[tuple[str, str, str, Optional[dict]]]) -> None:
+    """Pool initializer for the fork path (the model arrives
+    copy-on-write) and first step of :func:`_init_from_checkpoint`.
 
-    Replaces any session inherited via fork (the parent's stream must
-    only ever be written by the parent) and marks the metrics registry,
-    so everything the worker reports is its own delta.  The shipped
-    trace ref (works for fork and spawn alike — it rides the initargs)
-    makes the worker a remote child of the parent's campaign span.
+    Opens this worker's own ``telemetry-worker-<pid>.jsonl`` stream,
+    replacing any session inherited via fork (the parent's stream must
+    only ever be written by the parent) and marking the metrics
+    registry, so everything the worker reports is its own delta.  The
+    shipped trace ref (works for fork and spawn alike — it rides the
+    initargs) makes the worker a remote child of the parent's campaign
+    span.
     """
+    signals.ignore_in_worker()
     if tele is not None:
         directory, run_id, level, trace = tele
         telemetry.start_session(
@@ -121,13 +118,7 @@ def _init_worker_telemetry(tele: Optional[tuple[str, str, str, Optional[dict]]])
         )
 
 
-def _init_fork_worker(tele: Optional[tuple[str, str, str, Optional[dict]]]) -> None:
-    """Pool initializer for the fork path (model arrives copy-on-write)."""
-    signals.ignore_in_worker()
-    _init_worker_telemetry(tele)
-
-
-def _init_from_checkpoint(path, tokenizer, sampler, tasks, base_seed, tele=None) -> None:
+def _init_from_checkpoint(path, tokenizer, sampler, tasks, execute, base_seed, tele=None) -> None:
     """Pool initializer for non-fork start methods.
 
     Rebuilds the model once per worker from an explicit weight blob (a
@@ -136,43 +127,28 @@ def _init_from_checkpoint(path, tokenizer, sampler, tasks, base_seed, tele=None)
     global _CTX
     from ..models.pagpassgpt import PagPassGPT
 
-    signals.ignore_in_worker()
-    _init_worker_telemetry(tele)
+    _init_worker(tele)
     model = PagPassGPT.load(path)
     model.tokenizer = tokenizer
     model.sampler = sampler
-    _CTX = _WorkerContext(model=model, tasks=tasks, base_seed=base_seed, sampler=sampler)
+    _CTX = _WorkerContext(model=model, tasks=tasks, execute=execute, base_seed=base_seed)
 
 
-def _run_batch(index: int) -> tuple[list[str], int]:
-    """Worker body: execute one D&C-GEN leaf batch by index."""
-    _check_crash_hook()
-    maybe_fail("worker", index)
-    ctx = _CTX
-    assert ctx is not None, "worker context not initialised"
-    return execute_batch(ctx.model, ctx.tasks[index], ctx.base_seed, ctx.sampler)
+def _run_task(index: int) -> tuple[int, bool, object]:
+    """Worker body: run task ``index`` into an ``(index, ok, value)`` record.
 
-
-def _run_free_chunk(index: int) -> list[str]:
-    """Worker body: generate one free-generation chunk by index."""
-    _check_crash_hook()
-    maybe_fail("worker", index)
-    ctx = _CTX
-    assert ctx is not None, "worker context not initialised"
-    chunk_index, batch = ctx.tasks[index]
-    rng = np.random.default_rng((ctx.base_seed, chunk_index))
-    return ctx.model._generate_free_batch(batch, rng)
-
-
-def _guard(runner: Callable[[int], object], index: int) -> tuple[int, bool, object]:
-    """Run one task, converting any raise into a per-task failure record.
-
-    Catching ``BaseException`` is deliberate: injected faults derive from
-    it, and the supervisor must be able to attribute *any* worker failure
-    to its task index rather than lose the whole map.
+    Any raise becomes a per-task failure record.  Catching
+    ``BaseException`` is deliberate: injected faults derive from it, and
+    the supervisor must be able to attribute *any* worker failure to its
+    task index rather than lose the whole map.
     """
     try:
-        result = (index, True, runner(index))
+        if os.environ.get(CRASH_ENV):
+            raise RuntimeError(f"worker crash injected via {CRASH_ENV}")
+        maybe_fail("worker", index)
+        ctx = _CTX
+        assert ctx is not None, "worker context not initialised"
+        result = (index, True, ctx.execute(ctx.model, ctx.tasks[index], ctx.base_seed))
     except BaseException as exc:  # noqa: BLE001 — see docstring
         return (index, False, f"{type(exc).__name__}: {exc}")
     # Refresh this worker's final metrics snapshot after every completed
@@ -184,28 +160,27 @@ def _guard(runner: Callable[[int], object], index: int) -> tuple[int, bool, obje
     return result
 
 
-def _guarded_batch(index: int) -> tuple[int, bool, object]:
-    return _guard(_run_batch, index)
-
-
-def _guarded_free(index: int) -> tuple[int, bool, object]:
-    return _guard(_run_free_chunk, index)
-
-
-def _run_pool(
+def run_pool(
     model: "PagPassGPT",
     tasks: Sequence,
+    execute: Callable,
     base_seed: int,
     workers: int,
-    guarded: Callable[[int], tuple[int, bool, object]],
-    serial_fn: Callable[[int], object],
     start_method: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
     on_result: Optional[Callable[[int, object], None]] = None,
     context: str = "parallel execution",
     stop: Optional[Callable[[], None]] = None,
 ) -> list:
-    """Supervised map of ``guarded`` over task indices; results in task order.
+    """Run ``execute(model, task, base_seed)`` for every task on a pool.
+
+    ``execute`` must be a module-level function (spawned workers receive
+    it by reference).  Returns the results in task order — the list a
+    serial loop produces; empty ``tasks`` returns ``[]`` without
+    spinning up a pool.  Individual task failures are retried per
+    :class:`~repro.runtime.retry.RetryPolicy` and fall back to
+    in-parent serial execution as a last resort; ``on_result(index,
+    result)`` fires once per task as it completes (unordered).
 
     ``stop`` (e.g. ``Budget.stopper``) is polled while waiting on worker
     results so deadlines and graceful-shutdown signals interrupt the map
@@ -215,6 +190,7 @@ def _run_pool(
     global _CTX
     if not tasks:
         return []
+    tasks = tuple(tasks)
     policy = policy or RetryPolicy()
     if start_method is None:
         methods = mp.get_all_start_methods()
@@ -228,28 +204,29 @@ def _run_pool(
     # kernel cache instead (the env var travels with them).
     model.inference
     model.prompt_cache
-    sampler = model.sampler
     workers = max(1, min(workers, len(tasks)))
-
     tele = _parent_telemetry_args()
+
+    def supervise(factory: Callable) -> list:
+        return supervised_map(
+            factory,
+            _run_task,
+            len(tasks),
+            policy=policy,
+            serial_fn=lambda i: execute(model, tasks[i], base_seed),
+            on_result=on_result,
+            context=context,
+            stop=stop,
+        )
 
     if start_method == "fork":
         ctx = mp.get_context("fork")
-        _CTX = _WorkerContext(
-            model=model, tasks=tuple(tasks), base_seed=base_seed, sampler=sampler
-        )
+        _CTX = _WorkerContext(model=model, tasks=tasks, execute=execute, base_seed=base_seed)
         try:
-            return supervised_map(
+            return supervise(
                 lambda: ctx.Pool(
-                    processes=workers, initializer=_init_fork_worker, initargs=(tele,)
-                ),
-                guarded,
-                len(tasks),
-                policy=policy,
-                serial_fn=serial_fn,
-                on_result=on_result,
-                context=context,
-                stop=stop,
+                    processes=workers, initializer=_init_worker, initargs=(tele,)
+                )
             )
         finally:
             _CTX = None
@@ -261,120 +238,11 @@ def _run_pool(
     with tempfile.TemporaryDirectory(prefix="repro-parallel-") as tmp:
         path = Path(tmp) / "weights.npz"
         model.save(path)
-        factory = lambda: ctx.Pool(  # noqa: E731
-            processes=workers,
-            initializer=_init_from_checkpoint,
-            initargs=(str(path), model.tokenizer, sampler, tuple(tasks), base_seed, tele),
+        return supervise(
+            lambda: ctx.Pool(
+                processes=workers,
+                initializer=_init_from_checkpoint,
+                initargs=(str(path), model.tokenizer, model.sampler, tasks, execute,
+                          base_seed, tele),
+            )
         )
-        return supervised_map(
-            factory,
-            guarded,
-            len(tasks),
-            policy=policy,
-            serial_fn=serial_fn,
-            on_result=on_result,
-            context=context,
-            stop=stop,
-        )
-
-
-# ----------------------------------------------------------------------
-# Public entry points
-# ----------------------------------------------------------------------
-
-def execute_batches_parallel(
-    model: "PagPassGPT",
-    batches: Sequence[LeafBatch],
-    base_seed: int,
-    workers: int,
-    start_method: Optional[str] = None,
-    policy: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[int, object], None]] = None,
-    stop: Optional[Callable[[], None]] = None,
-) -> list[tuple[list[str], int]]:
-    """Execute D&C-GEN leaf batches on a supervised process pool.
-
-    Returns per-batch ``(guesses, model_calls)`` in batch order — the
-    same list the serial loop produces.  An empty ``batches`` returns
-    ``[]`` without spinning up a pool.  Individual task failures are
-    retried per :class:`~repro.runtime.retry.RetryPolicy` and fall back
-    to in-parent serial execution as a last resort; ``on_result(index,
-    result)`` fires once per batch as it completes (unordered).
-    """
-    return _run_pool(
-        model,
-        batches,
-        base_seed,
-        workers,
-        _guarded_batch,
-        lambda i: execute_batch(model, batches[i], base_seed, model.sampler),
-        start_method,
-        policy=policy,
-        on_result=on_result,
-        context="parallel D&C-GEN execution",
-        stop=stop,
-    )
-
-
-def free_chunks(n: int, gen_batch: int = GEN_BATCH) -> list[tuple[int, int]]:
-    """``(chunk_index, rows)`` pairs covering ``n`` free-generation rows."""
-    return [
-        (i, min(gen_batch, n - start))
-        for i, start in enumerate(range(0, n, gen_batch))
-    ]
-
-
-def execute_free_chunks_parallel(
-    model: "PagPassGPT",
-    chunks: Sequence[tuple[int, int]],
-    base_seed: int,
-    workers: int,
-    start_method: Optional[str] = None,
-    policy: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[int, object], None]] = None,
-    stop: Optional[Callable[[], None]] = None,
-) -> list[list[str]]:
-    """Run ``(chunk_index, rows)`` free-generation chunks on a pool.
-
-    Returns per-chunk guess lists in the order of ``chunks`` (which may
-    be a resumed run's pending subset).  Empty input returns ``[]``
-    without a pool.
-    """
-    def serial(i: int) -> list[str]:
-        chunk_index, rows = chunks[i]
-        return model._generate_free_batch(
-            rows, np.random.default_rng((base_seed, chunk_index))
-        )
-
-    return _run_pool(
-        model,
-        chunks,
-        base_seed,
-        workers,
-        _guarded_free,
-        serial,
-        start_method,
-        policy=policy,
-        on_result=on_result,
-        context="parallel free generation",
-        stop=stop,
-    )
-
-
-def generate_free_parallel(
-    model: "PagPassGPT",
-    n: int,
-    base_seed: int,
-    workers: int,
-    start_method: Optional[str] = None,
-    policy: Optional[RetryPolicy] = None,
-) -> list[str]:
-    """Free (trawling) generation with chunks sharded across a pool.
-
-    ``n <= 0`` returns ``[]`` without spinning up a pool.
-    """
-    chunks = free_chunks(n) if n > 0 else []
-    results = execute_free_chunks_parallel(
-        model, chunks, base_seed, workers, start_method, policy=policy
-    )
-    return [pw for chunk in results for pw in chunk]

@@ -18,6 +18,14 @@ import numpy as np
 GEN_BATCH = 512
 
 
+def free_chunks(n: int, gen_batch: int = GEN_BATCH) -> list[tuple[int, int]]:
+    """``(chunk_index, rows)`` pairs covering ``n`` free-generation rows."""
+    return [
+        (i, min(gen_batch, n - start))
+        for i, start in enumerate(range(0, n, gen_batch))
+    ]
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Sampling hyper-parameters.

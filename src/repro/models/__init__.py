@@ -15,7 +15,7 @@ from .passflow import PassFlow
 from .passgan import PassGAN
 from .passgpt import PassGPT
 from .pcfg import PCFGModel
-from .registry import available_models, create_model
+from .registry import available_models, create_model, load_checkpoint
 from .rulebased import RuleBasedModel
 from .vaepass import VAEPass
 
@@ -32,5 +32,6 @@ __all__ = [
     "RuleBasedModel",
     "available_models",
     "create_model",
+    "load_checkpoint",
     "VAEPass",
 ]

@@ -131,37 +131,17 @@ class PassGPT(PatternGuidedGuesser):
         return model
 
     # ------------------------------------------------------------------
-    def generate(
-        self,
-        n: int,
-        seed: int = 0,
-        strategy: str = "sampled",
-        ordered_config=None,
-    ) -> list[str]:
+    def generate(self, n: int, seed: int = 0) -> list[str]:
         """Unconditional sampling from ``<BOS>`` until ``<EOS>``.
 
         Sampling is restricted to character tokens plus ``<EOS>``: the
         shared vocabulary also contains pattern tokens this model never
         trains on, whose random-init logits would otherwise pollute the
         decode (a no-op for a converged model).
-
-        ``strategy="ordered"`` switches to the deterministic best-first
-        enumerator (:class:`~repro.generation.OrderedGenerator` in
-        unconditional mode): the ``n`` most probable passwords, most
-        probable first, with ``seed`` ignored.
         """
         self._require_fitted(self._fitted)
-        if strategy not in ("sampled", "ordered"):
-            raise ValueError(f"unknown strategy {strategy!r}; use 'sampled' or 'ordered'")
         if n <= 0:
             return []
-        if strategy == "ordered":
-            from ..generation.ordered import OrderedConfig, OrderedGenerator
-
-            gen = OrderedGenerator.unconditional(
-                self, config=ordered_config or OrderedConfig()
-            )
-            return gen.generate(n)
         rng = np.random.default_rng(seed)
         vocab = self.tokenizer.vocab
         allowed = np.concatenate(

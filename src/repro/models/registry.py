@@ -1,11 +1,14 @@
-"""Model registry: build any model of the zoo by name.
+"""Model registry: build any model of the zoo by name, or load a GPT
+checkpoint of either kind.
 
 Used by the benchmark harness and examples so "the six rows of Table IV"
-are data, not code.
+are data, not code, and by ``repro generate`` / ``repro serve`` to load
+checkpoints.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable
 
 from .base import PasswordGuesser
@@ -45,3 +48,11 @@ def create_model(name: str, **kwargs) -> PasswordGuesser:
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {available_models()}") from None
     return factory(**kwargs)
+
+
+def load_checkpoint(path: str | Path) -> PagPassGPT | PassGPT:
+    """Load whichever GPT model kind the checkpoint holds."""
+    try:
+        return PagPassGPT.load(path)
+    except ValueError:
+        return PassGPT.load(path)

@@ -133,10 +133,9 @@ class KVCache:
 
     Invariant: positions ``[0, length)`` of every buffer are filled; the
     remainder up to ``capacity`` is zeroed headroom for future decode
-    steps.  Row operations (:meth:`gather` and its :meth:`select` /
-    :meth:`repeat_rows` conveniences) therefore copy only the filled
-    region while allocating full-capacity buffers, so a gathered cache
-    keeps the same remaining decode capacity as its source.
+    steps.  The row operation :meth:`gather` therefore copies only the
+    filled region while allocating full-capacity buffers, so a gathered
+    cache keeps the same remaining decode capacity as its source.
     """
 
     def __init__(self, n_layers: int, batch: int, n_heads: int, block_size: int, head_dim: int) -> None:
@@ -154,11 +153,10 @@ class KVCache:
         """Return a new cache whose rows are ``self``'s rows at ``indices``.
 
         ``indices`` may repeat and reorder rows arbitrarily, which makes
-        this the one primitive behind batch splitting (``select``),
-        prompt fan-out (``repeat_rows``) and D&C-GEN's unique-prefix →
-        full-row expansion.  Only the filled ``[0, length)`` region is
-        copied; the result owns fresh full-capacity buffers (storage is
-        never shared with the source).
+        this the one primitive behind batch splitting, prompt fan-out and
+        D&C-GEN's unique-prefix → full-row expansion.  Only the filled
+        ``[0, length)`` region is copied; the result owns fresh
+        full-capacity buffers (storage is never shared with the source).
         """
         indices = np.asarray(indices, dtype=np.intp)
         out = KVCache.__new__(KVCache)
@@ -180,18 +178,6 @@ class KVCache:
         out.capacity = self.capacity
         out._scratch = None
         return out
-
-    def select(self, rows: np.ndarray) -> "KVCache":
-        """Gather the given batch rows into a new cache.
-
-        Used by D&C-GEN when a task batch is split into surviving
-        sub-prefixes.
-        """
-        return self.gather(rows)
-
-    def repeat_rows(self, row: int, count: int) -> "KVCache":
-        """Return a cache with one row replicated ``count`` times."""
-        return self.gather(np.full(count, row, dtype=np.intp))
 
     def trimmed(self) -> "KVCache":
         """Compact deep copy holding only the filled ``[0, length)`` region.

@@ -42,8 +42,8 @@ from typing import Optional
 
 from .. import telemetry
 from ..evaluation import hit_rate, repeat_rate
-from ..generation import DCGenConfig, DCGenerator
-from ..models import PagPassGPT, PassGPT
+from ..generation import UnsupportedStrategy, run_strategy
+from ..models import PagPassGPT, PassGPT, load_checkpoint
 from ..nn import CheckpointError
 from ..runtime import (
     Budget,
@@ -60,14 +60,6 @@ from .protocol import CampaignSpec, RequestError
 GUESSES_FILE = "guesses.txt"
 JOB_JOURNAL = "run.journal.jsonl"
 JOB_TELEMETRY_DIR = "tele"
-
-
-def load_checkpoint(path: str | Path) -> PagPassGPT | PassGPT:
-    """Load whichever GPT model kind the checkpoint holds."""
-    try:
-        return PagPassGPT.load(path)
-    except ValueError:
-        return PassGPT.load(path)
 
 
 @dataclass
@@ -360,8 +352,8 @@ class CampaignServer:
             }
         except DiskFullError as exc:
             return "failed", {"error": "disk_full", "message": str(exc)}
-        except RequestError as exc:
-            return "failed", {"error": exc.code, "message": str(exc)}
+        except UnsupportedStrategy as exc:
+            return "failed", {"error": "invalid_request", "message": str(exc)}
         except (CheckpointError, JournalError) as exc:
             return "failed", {"error": "corrupt_artifact", "message": str(exc)}
         except Exception as exc:  # noqa: BLE001 — typed per-request failure
@@ -414,7 +406,11 @@ class CampaignServer:
                 context=telemetry.TraceContext.from_dict(job.trace),
             )
         try:
-            guesses = self._dispatch(model, spec, journal, resume, progress, budget)
+            guesses, _ = run_strategy(
+                model, spec.strategy, spec.n, seed=spec.seed, workers=spec.workers,
+                threshold=spec.threshold, journal=journal, resume=resume,
+                progress=progress, budget=budget,
+            )
         finally:
             if session_dir is not None:
                 telemetry.end_session()
@@ -422,31 +418,6 @@ class CampaignServer:
         atomic_write_text(out, "\n".join(guesses) + "\n")
         journal.unlink(missing_ok=True)  # campaign finished; journal spent
         return "done", {"guesses": len(guesses), "resumed": resume}
-
-    @staticmethod
-    def _dispatch(model, spec: CampaignSpec, journal, resume, progress, budget):
-        if spec.strategy == "dcgen":
-            if not isinstance(model, PagPassGPT):
-                raise RequestError(400, "invalid_request",
-                                   "strategy dcgen requires a PagPassGPT checkpoint")
-            generator = DCGenerator(
-                model, DCGenConfig(threshold=spec.threshold, workers=spec.workers)
-            )
-            return generator.generate(
-                spec.n, seed=spec.seed, journal=journal, resume=resume,
-                progress=progress, budget=budget,
-            )
-        if spec.strategy == "ordered":
-            return model.generate(
-                spec.n, strategy="ordered", journal=journal, resume=resume,
-                progress=progress, budget=budget,
-            )
-        if isinstance(model, PagPassGPT):
-            return model.generate(
-                spec.n, seed=spec.seed, workers=spec.workers, journal=journal,
-                resume=resume, progress=progress, budget=budget,
-            )
-        return model.generate(spec.n, seed=spec.seed)
 
     # ------------------------------------------------------------------
     # Introspection (``/status`` and ``/metrics``)

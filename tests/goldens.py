@@ -14,7 +14,13 @@ module pins that contract to committed fixtures:
 * running ``PYTHONPATH=src python tests/goldens.py`` regenerates
   ``tests/golden/streams.json``.  Only regenerate after a change that is
   *meant* to alter sampling (e.g. a new sampler), never for a pure
-  optimisation — the whole point is that optimisations keep these bytes.
+  optimisation — the whole point is that optimisations keep these bytes;
+* :data:`CRASH_JOURNALS` are journals of crashed golden campaigns,
+  committed as written by the code that produced the fixture (rewrite
+  them with ``python tests/goldens.py --crash-journals``, under the same
+  rule).  Resuming them pins the journal wire format — header and
+  payload keys — which journals written and read by the same code
+  cannot.
 
 ``tests/test_generation_golden.py`` asserts current code reproduces the
 committed fixture for workers 1/2 and several ``gen_batch`` widths.
@@ -27,6 +33,12 @@ import json
 from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "streams.json"
+
+#: Crashed golden campaigns: ``kind -> (REPRO_FAULT directive, journal)``.
+CRASH_JOURNALS = {
+    "dcgen": ("crash:leaf_batch:3", GOLDEN_PATH.parent / "dcgen-crash.journal.jsonl"),
+    "free": ("crash:free_chunk:1", GOLDEN_PATH.parent / "free-crash.journal.jsonl"),
+}
 
 #: Reference campaign parameters.  Scale is chosen so the full golden
 #: suite (4 D&C-GEN runs + 2 free runs) stays test-suite friendly while
@@ -89,6 +101,40 @@ def generate_ordered_stream(snapshot_every: int = 4, journal=None, resume=False)
     return gen.generate(SPEC["ordered"]["n"], journal=journal, resume=resume)
 
 
+def generate_campaign(kind: str, journal=None, resume=False) -> list[str]:
+    """The serial golden D&C-GEN or free campaign via the public API."""
+    from repro.generation import DCGenConfig, DCGenerator
+
+    model = build_model()
+    if kind == "dcgen":
+        dc = SPEC["dcgen"]
+        gen = DCGenerator(model, DCGenConfig(threshold=dc["threshold"]))
+        return gen.generate(dc["total"], seed=dc["seed"], journal=journal, resume=resume)
+    free = SPEC["free"]
+    return model.generate(free["n"], seed=free["seed"], journal=journal, resume=resume)
+
+
+def write_crash_journals() -> None:
+    """Rewrite :data:`CRASH_JOURNALS` by crashing each golden campaign."""
+    import os
+
+    from repro.runtime import faults
+
+    for kind, (fault, path) in CRASH_JOURNALS.items():
+        path.unlink(missing_ok=True)
+        os.environ[faults.FAULT_ENV] = fault
+        faults.reset()
+        try:
+            generate_campaign(kind, journal=path)
+        except faults.InjectedFault:
+            print(f"wrote {path} ({fault})")
+        else:
+            raise RuntimeError(f"{fault} did not fire")
+        finally:
+            del os.environ[faults.FAULT_ENV]
+            faults.reset()
+
+
 def generate_streams(workers: int = 1, gen_batch: int | None = None) -> dict:
     """Reference D&C-GEN + free + ordered streams via the public API."""
     from repro.generation import DCGenConfig, DCGenerator, plan_digest
@@ -130,4 +176,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    import sys
+
+    if "--crash-journals" in sys.argv:
+        write_crash_journals()
+    else:
+        main()

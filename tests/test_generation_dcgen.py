@@ -184,7 +184,7 @@ class TestDedupedPriming:
         planned = planned_execute_costs(batches)
         counters = model.inference.counters
         counters.reset()
-        gen._execute(batches, 1)
+        gen.tasks(batches, 1).run()
         assert counters.calls == planned["model_calls"]
         assert counters.prime_positions == planned["primed_positions"]
 

@@ -9,6 +9,7 @@ means an "optimisation" changed what the generators sample.
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from repro.runtime import faults
 from repro.runtime.faults import InjectedFault
 
 from tests.goldens import (
+    CRASH_JOURNALS,
     GOLDEN_PATH,
     SPEC,
     build_model,
+    generate_campaign,
     generate_ordered_stream,
     ordered_config,
 )
@@ -70,6 +73,18 @@ def test_journaled_resume_validates_plan_digest(golden, tmp_path):
     # Resume replays the journaled batches and must emit the same bytes.
     resumed, _ = _dcgen_stream(1, 256, journal=journal, resume=True)
     assert resumed == first == golden["dcgen"]
+
+
+@pytest.mark.parametrize("kind", sorted(CRASH_JOURNALS))
+def test_committed_crash_journal_resumes_to_golden(golden, kind, tmp_path):
+    """A crashed journal written by the fixture's code resumes to the
+    golden bytes: the header and payload keys are still read the same."""
+    fault, committed = CRASH_JOURNALS[kind]
+    journal = tmp_path / committed.name
+    shutil.copy(committed, journal)  # resume appends to (and may repair) it
+    records = len(journal.read_text().splitlines()) - 1  # minus header
+    assert records == int(fault.rsplit(":", 1)[1])
+    assert generate_campaign(kind, journal=journal, resume=True) == golden[kind]
 
 
 @pytest.mark.parametrize("snapshot_every", [1, 4])

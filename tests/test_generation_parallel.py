@@ -24,12 +24,10 @@ from repro.generation import (
     build_batches,
     free_chunks,
 )
-from repro.generation.parallel import (
-    CRASH_ENV,
-    execute_batches_parallel,
-    generate_free_parallel,
-)
+from repro.generation.dcgen import execute_batch
+from repro.generation.parallel import CRASH_ENV, run_pool
 from repro.models import PagPassGPT
+from repro.models.pagpassgpt import execute_free_chunk
 from repro.nn import GPT2Config
 from repro.runtime import FAULT_ENV, FAULT_STATE_ENV, InjectedFault, RetryPolicy, RunJournal
 
@@ -100,13 +98,11 @@ class TestEquivalence:
 
     def test_spawn_backend_matches_serial(self, model):
         """The explicit weight-blob path (non-fork start methods)."""
-        from repro.generation.dcgen import execute_batch
-
         gen = DCGenerator(model, DCGenConfig(threshold=32))
         batches = build_batches(gen.plan(300), gen.config.gen_batch)
-        serial = [execute_batch(model, b, 7, model.sampler) for b in batches]
-        spawned = execute_batches_parallel(
-            model, batches, 7, workers=2, start_method="spawn"
+        serial = [execute_batch(model, b, 7) for b in batches]
+        spawned = run_pool(
+            model, batches, execute_batch, 7, workers=2, start_method="spawn"
         )
         assert spawned == serial
 
@@ -221,12 +217,12 @@ class TestCrashFallback:
 # ----------------------------------------------------------------------
 
 class TestEmptyInputs:
-    def test_execute_batches_parallel_empty(self, model):
-        assert execute_batches_parallel(model, [], 7, workers=2) == []
+    def test_run_pool_empty(self, model):
+        assert run_pool(model, [], execute_batch, 7, workers=2) == []
 
-    def test_generate_free_parallel_zero(self, model):
-        assert generate_free_parallel(model, 0, 7, workers=2) == []
-        assert generate_free_parallel(model, -5, 7, workers=2) == []
+    def test_run_pool_zero_free_chunks(self, model):
+        for n in (0, -5):
+            assert run_pool(model, free_chunks(n), execute_free_chunk, 7, workers=2) == []
 
     def test_model_generate_zero(self, model):
         assert model.generate(0, seed=1, workers=2) == []
@@ -247,14 +243,12 @@ class TestPerTaskRetry:
         gen = DCGenerator(model, DCGenConfig(threshold=32))
         batches = build_batches(gen.plan(1200), gen.config.gen_batch)
         assert len(batches) > 2
-        from repro.generation.dcgen import execute_batch
-
-        serial = [execute_batch(model, b, 7, model.sampler) for b in batches]
+        serial = [execute_batch(model, b, 7) for b in batches]
 
         # One-shot crash of the worker running task 1: its retry succeeds.
         monkeypatch.setenv(FAULT_ENV, "crash:worker:1")
         monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path))
-        out = execute_batches_parallel(model, batches, 7, workers=2)
+        out = run_pool(model, batches, execute_batch, 7, workers=2)
 
         assert out == serial
         # No degradation to the serial-fallback path...
@@ -268,14 +262,12 @@ class TestPerTaskRetry:
     def test_hung_worker_is_killed_and_task_retried(self, model, tmp_path, monkeypatch):
         gen = DCGenerator(model, DCGenConfig(threshold=32))
         batches = build_batches(gen.plan(600), gen.config.gen_batch)
-        from repro.generation.dcgen import execute_batch
-
-        serial = [execute_batch(model, b, 7, model.sampler) for b in batches]
+        serial = [execute_batch(model, b, 7) for b in batches]
 
         monkeypatch.setenv(FAULT_ENV, "hang:worker:0")
         monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path))
         policy = RetryPolicy(max_retries=2, backoff_base=0.0, task_timeout=3.0)
-        out = execute_batches_parallel(model, batches, 7, workers=2, policy=policy)
+        out = run_pool(model, batches, execute_batch, 7, workers=2, policy=policy)
         assert out == serial
 
 

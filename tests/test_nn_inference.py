@@ -60,7 +60,7 @@ class TestCachedDecoding:
         model, ids = model_and_ids
         inf = GPT2Inference(model)
         _, cache = inf.start(ids[:, :5])
-        sub = cache.select(np.array([0, 2]))
+        sub = cache.gather(np.array([0, 2]))
         assert sub.batch == 2
         full = inf.logits(ids[[0, 2]])
         last = inf.step(ids[[0, 2], 5], sub)
@@ -70,7 +70,7 @@ class TestCachedDecoding:
         model, ids = model_and_ids
         inf = GPT2Inference(model)
         _, cache = inf.start(ids[:, :5])
-        rep = cache.repeat_rows(1, 3)
+        rep = cache.gather(np.full(3, 1))
         assert rep.batch == 3
         last = inf.step(np.array([7, 7, 7]), rep)
         assert np.allclose(last[0], last[1], atol=1e-6)

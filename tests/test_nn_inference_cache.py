@@ -1,8 +1,8 @@
 """KV-cache row operations and cached-vs-serial logit equivalence.
 
 ``tests/test_nn_inference.py`` covers the happy path; this file stresses
-the cache's ``select`` (gather) / ``repeat_rows`` (replicate) operations
-— the primitives D&C-GEN uses when splitting task batches — plus the
+the cache's ``gather`` row operation — selecting and replicating rows,
+the primitive D&C-GEN uses when splitting task batches — plus the
 serial-vs-cached equivalence at several prefix lengths, including the
 degenerate one-token prompt and a full-block decode.
 """
@@ -56,14 +56,14 @@ class TestPrefixLengths:
 
 
 class TestSelect:
-    """``select`` gathers batch rows — used when surviving sub-prefixes
+    """``gather`` selects batch rows — used when surviving sub-prefixes
     continue decoding after a task split."""
 
     @pytest.mark.parametrize("prefix_len", [2, 7, 12])
     def test_gathered_rows_continue_identically(self, inf, ids, prefix_len):
         _, cache = inf.start(ids[:, :prefix_len])
         rows = np.array([1, 4, 5])
-        sub = cache.select(rows)
+        sub = cache.gather(rows)
         assert sub.batch == 3
         assert sub.length == prefix_len
         fresh_last, fresh_cache = inf.start(ids[rows, :prefix_len])
@@ -74,14 +74,14 @@ class TestSelect:
     def test_reordering_rows(self, inf, ids):
         _, cache = inf.start(ids[:, :6])
         perm = np.array([3, 0, 5, 1])
-        sub = cache.select(perm)
+        sub = cache.gather(perm)
         out = inf.step(ids[perm, 6], sub)
         expected = inf.logits(ids[perm, :7])[:, -1]
         assert np.allclose(out, expected, atol=1e-4)
 
     def test_select_of_select(self, inf, ids):
         _, cache = inf.start(ids[:, :4])
-        sub = cache.select(np.array([0, 2, 4])).select(np.array([1, 2]))
+        sub = cache.gather(np.array([0, 2, 4])).gather(np.array([1, 2]))
         assert sub.batch == 2
         out = inf.step(ids[[2, 4], 4], sub)
         expected = inf.logits(ids[[2, 4], :5])[:, -1]
@@ -91,7 +91,7 @@ class TestSelect:
         """Gather must deep-copy: stepping the child may not corrupt the
         parent (and vice versa)."""
         _, cache = inf.start(ids[:, :5])
-        sub = cache.select(np.array([0, 1]))
+        sub = cache.gather(np.array([0, 1]))
         sub.keys[0][...] = 1e9
         stepped = inf.step(ids[:, 5], cache)
         expected = inf.logits(ids[:, :6])[:, -1]
@@ -101,13 +101,13 @@ class TestSelect:
 
 
 class TestRepeatRows:
-    """``repeat_rows`` replicates one row — used to fan a shared prefix
-    out into a batch of samples."""
+    """``gather`` with a repeated index replicates one row — used to fan
+    a shared prefix out into a batch of samples."""
 
     @pytest.mark.parametrize("prefix_len", [1, 5, 10])
     def test_replicated_rows_match_tiled_prompt(self, inf, ids, prefix_len):
         _, cache = inf.start(ids[:, :prefix_len])
-        rep = cache.repeat_rows(2, 4)
+        rep = cache.gather(np.full(4, 2))
         assert rep.batch == 4
         assert rep.length == prefix_len
         next_ids = np.array([7, 8, 9, 7])
@@ -120,7 +120,7 @@ class TestRepeatRows:
 
     def test_replicate_copies_storage(self, inf, ids):
         _, cache = inf.start(ids[:, :5])
-        rep = cache.repeat_rows(0, 2)
+        rep = cache.gather(np.full(2, 0))
         rep.values[1][...] = -1e9
         fresh = inf.start(ids[:, :5])[1]
         assert np.allclose(cache.values[1][:, :, :5], fresh.values[1][:, :, :5], atol=1e-5)
@@ -129,7 +129,7 @@ class TestRepeatRows:
         """Replicated rows fed different tokens must evolve like
         independent sequences."""
         _, cache = inf.start(ids[:1, :3])
-        rep = cache.repeat_rows(0, 3)
+        rep = cache.gather(np.full(3, 0))
         tokens = np.array([[1, 2, 3], [4, 5, 6]])  # two steps, three rows
         last = inf.step(tokens[0], rep)
         last = inf.step(tokens[1], rep)
@@ -165,7 +165,7 @@ class TestPromptCacheAccounting:
 
         batches = build_batches(leaves, 128)
         planned = planned_execute_costs(batches)
-        gen._execute(batches, dc["seed"])
+        gen.tasks(batches, dc["seed"]).run()
 
         stats = cache.stats()
         # Execute-phase hits are exactly the planned dedup savings; the
@@ -312,11 +312,11 @@ class TestGatherIndices:
 class TestBookkeeping:
     def test_select_and_repeat_preserve_length(self, inf, ids):
         _, cache = inf.start(ids[:, :9])
-        assert cache.select(np.array([0])).length == 9
-        assert cache.repeat_rows(0, 5).length == 9
+        assert cache.gather(np.array([0])).length == 9
+        assert cache.gather(np.full(5, 0)).length == 9
 
     def test_zero_row_select(self, inf, ids):
         _, cache = inf.start(ids[:, :4])
-        empty = cache.select(np.array([], dtype=np.int64))
+        empty = cache.gather(np.array([], dtype=np.int64))
         assert empty.batch == 0
         assert empty.length == 4

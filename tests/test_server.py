@@ -15,7 +15,9 @@ import time
 
 import pytest
 
-from repro.generation import DCGenConfig, DCGenerator
+from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator
+from repro.models import PagPassGPT
+from repro.nn import GPT2Config
 from repro.runtime import chaos, signals
 from repro.server import (
     AdmissionController,
@@ -283,6 +285,41 @@ class TestLiveServer:
         assert status == 200
         expected = trained_pagpassgpt.generate(40, seed=11)
         assert data.decode("utf-8").splitlines() == expected
+
+    @pytest.mark.parametrize("kind", ["pagpassgpt", "passgpt"])
+    def test_ordered_job_matches_direct_enumeration(
+        self, server, kind, trained_passgpt, tmp_path
+    ):
+        """Ordered jobs run on both GPT checkpoint kinds: pattern-
+        conditioned for PagPassGPT, unconditional for PassGPT."""
+        if kind == "pagpassgpt":
+            # Two short patterns keep best-first enumeration under the
+            # server's default OrderedConfig() to well under a second.
+            model = PagPassGPT(
+                model_config=GPT2Config(vocab_size=135, block_size=32, dim=16,
+                                        n_layers=1, n_heads=2, dropout=0.0),
+                seed=0,
+            )
+            model._fitted = True
+            model.pattern_probs = {"N4": 0.6, "L2N2": 0.4}
+            root = OrderedGenerator.for_patterns
+        else:
+            model, root = trained_passgpt, OrderedGenerator.unconditional
+        path = tmp_path / f"{kind}.npz"
+        model.save(path)
+        _, port = server
+        status, obj, _ = chaos._http_json(
+            port, "POST", "/campaigns",
+            {"n": 30, "strategy": "ordered", "checkpoint": str(path)},
+        )
+        assert status == 202
+        job = _wait_terminal(port, obj["id"])
+        assert job["state"] == "done", job
+        status, data, _ = chaos._http_request(
+            port, "GET", f"/campaigns/{obj['id']}/guesses"
+        )
+        assert status == 200
+        assert data.decode("utf-8").splitlines() == root(model).generate(30)
 
     def test_score_round_trip(self, server):
         _, port = server
