@@ -25,9 +25,9 @@
 #    byte-for-byte against the uninterrupted stream, and its telemetry
 #    must pass `summarize --check`.
 # 6. Compiled-backend smoke (ISSUE 8): reruns the 2-worker campaign with
-#    `--backend compiled` and demands the byte-identical stream, then
-#    gates the compiled tiny bench.  Soft-skipped (with a visible
-#    notice) when no C compiler is on PATH.
+#    `--backend compiled` and demands the stream of the numpy reference
+#    run, then gates the compiled tiny bench.  Soft-skipped (with a
+#    visible notice) when no C compiler is on PATH.
 # 7. Observability smoke (ISSUE 10): a traced+profiled 2-worker campaign
 #    must stay byte-identical, pass `summarize --check`, and export to a
 #    single connected chrome-trace tree (`export --check`); the overhead
@@ -67,7 +67,10 @@ python -m repro.cli train --input "$SMOKE_DIR/cleaned.txt" --out "$SMOKE_DIR/mod
 GEN_ARGS=(generate --checkpoint "$SMOKE_DIR/model.npz" -n 1500
           --dcgen --threshold 32 --workers 2 --seed 5)
 
-python -m repro.cli "${GEN_ARGS[@]}" --out "$SMOKE_DIR/clean_run.txt"
+# The reference run pins the numpy kernels; every later run takes the
+# default backend (compiled wherever a C compiler exists), so each diff
+# against clean_run.txt also holds the C kernels to the numpy bytes.
+python -m repro.cli "${GEN_ARGS[@]}" --backend numpy --out "$SMOKE_DIR/clean_run.txt"
 
 # Interrupted run: crash after 3 journaled leaf batches...
 if REPRO_FAULT=crash:leaf_batch:3 \

@@ -72,6 +72,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` uses only basic indexing (ints, slices,
+    ``None``, ``Ellipsis``), which never selects a position twice."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, (bool, np.bool_)))
+        for item in items
+    )
+
+
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -227,7 +240,11 @@ class Tensor:
                 for parent, pgrad in node._backward_fn(node_grad):
                     key = id(parent)
                     if key in grads:
-                        grads[key] += pgrad
+                        # Out of place: one op may hand the same array to
+                        # two parents (``a + b`` passes ``g`` to both), or
+                        # a read-only one, so ``+=`` could change another
+                        # parent's gradient or fail.
+                        grads[key] = grads[key] + pgrad
                     else:
                         grads[key] = pgrad
 
@@ -478,9 +495,14 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
 
-        def backward(g: np.ndarray, a=self, idx=index) -> list:
+        def backward(g: np.ndarray, a=self, idx=index, basic=_is_basic_index(index)) -> list:
             grad = np.zeros_like(a.data)
-            np.add.at(grad, idx, g)
+            if basic:
+                # No position can repeat, so a plain add gives the bits
+                # of np.add.at at a fraction of its cost.
+                grad[idx] += g
+            else:
+                np.add.at(grad, idx, g)
             return [(a, grad)]
 
         return _op(out_data, (self,), backward)

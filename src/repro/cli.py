@@ -617,10 +617,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for free/D&C-GEN generation "
                         "(output is identical for any count)")
     p.add_argument("--backend", choices=("numpy", "compiled"), default=None,
-                   help="decode-step kernel backend (default: $REPRO_BACKEND "
-                        "or numpy); 'compiled' fuses the step into cached C "
-                        "kernels with byte-identical output, falling back to "
-                        "numpy if no C compiler is available")
+                   help="decode-step kernel backend (default: $REPRO_BACKEND, "
+                        "else compiled when a C compiler is available, else "
+                        "numpy); 'compiled' fuses the step into cached C "
+                        "kernels with byte-identical output")
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--top-k", type=int, default=0)
     p.add_argument("--top-p", type=float, default=1.0)

@@ -112,7 +112,7 @@ class PagPassGPT(PatternGuidedGuesser):
 
     @property
     def inference(self) -> GPT2Inference:
-        """Numpy inference engine over the current weights (lazily built)."""
+        """Inference engine over the current weights (lazily built)."""
         if self._inference is None:
             self.model.eval()
             self._inference = GPT2Inference(self.model)
@@ -279,67 +279,53 @@ class PagPassGPT(PatternGuidedGuesser):
         return [pw for guesses, _ in results for pw in guesses]
 
     def _free_batch_body(self, batch: int, rng: np.random.Generator) -> list[str]:
-        tokenizer = self.tokenizer
-        vocab = tokenizer.vocab
-        max_len = tokenizer.max_password_length
+        vocab = self.tokenizer.vocab
+        grammar = self.tokenizer.free_grammar
         # Every row starts from the same bare <BOS>: prime once, fan out.
         logits, cache = self.prompt_cache.expand(
             np.array([vocab.bos_id], dtype=np.int64), batch
         )
-
-        # Per-row decode state.
-        in_pattern = np.ones(batch, dtype=bool)
-        done = np.zeros(batch, dtype=bool)
-        used_len = np.zeros(batch, dtype=np.int64)  # pattern length so far
-        last_class = [""] * batch
-        char_classes: list[list[str]] = [[] for _ in range(batch)]
-        position = np.zeros(batch, dtype=np.int64)  # password cursor
-        passwords: list[list[str]] = [[] for _ in range(batch)]
-
-        vocab_size = len(vocab)
         max_steps = self.model_config.block_size - 1
+        none = len(grammar.classes)
+        rows = np.arange(batch)
+        columns = np.arange(max_steps + 1)
+
+        # Per-row decode state (see FreeGrammar for the table it indexes).
+        done = np.zeros(batch, dtype=bool)
+        in_pattern = np.ones(batch, dtype=bool)
+        last = np.full(batch, none, dtype=np.int64)  # class of the last pattern token
+        used = np.zeros(batch, dtype=np.int64)  # pattern length so far
+        cursor = np.zeros(batch, dtype=np.int64)  # password position
+        # Class code of every password position (``none`` past the
+        # pattern) and the drawn characters (``len(vocab)`` = not yet).
+        classes = np.full((batch, max_steps + 1), none, dtype=np.int64)
+        chars = np.full((batch, max_steps), len(vocab), dtype=np.int64)
+
         for _ in range(max_steps):
-            mask = np.zeros((batch, vocab_size), dtype=bool)
-            for row in range(batch):
-                if done[row]:
-                    mask[row, vocab.eos_id] = True
-                elif in_pattern[row]:
-                    remaining = max_len - used_len[row]
-                    for cls, by_len in tokenizer.pattern_token_id.items():
-                        if cls == last_class[row]:
-                            continue
-                        for length in range(1, remaining + 1):
-                            mask[row, by_len[length]] = True
-                    if used_len[row] > 0:
-                        mask[row, vocab.sep_id] = True
-                else:
-                    pos = position[row]
-                    classes = char_classes[row]
-                    if pos < len(classes):
-                        mask[row, tokenizer.class_char_ids[classes[pos]]] = True
-                    else:
-                        mask[row, vocab.eos_id] = True
-            chosen = sample_masked(logits, mask, rng, self.sampler)
-            for row, token_id in enumerate(chosen):
-                token_id = int(token_id)
-                if done[row]:
-                    continue
-                if token_id == vocab.eos_id:
-                    done[row] = True
-                elif token_id == vocab.sep_id:
-                    in_pattern[row] = False
-                elif in_pattern[row]:
-                    cls, length = tokenizer.pattern_token_info[token_id]
-                    used_len[row] += length
-                    last_class[row] = cls
-                    char_classes[row].extend(cls * length)
-                else:
-                    passwords[row].append(vocab.token_of(token_id))
-                    position[row] += 1
+            state = grammar.state(done, in_pattern, last, used, classes[rows, cursor])
+            chosen = sample_masked(logits, grammar.allowed[state], rng, self.sampler)
+            other = ~done & (chosen != vocab.eos_id) & (chosen != vocab.sep_id)
+            segment = other & in_pattern
+            char = other & ~in_pattern
+            done |= chosen == vocab.eos_id
+            in_pattern &= chosen != vocab.sep_id
+            if segment.any():
+                length = np.where(segment, grammar.token_length[chosen], 0)
+                if not length[segment].all():
+                    raise ValueError("free decoding drew a non-pattern token in the pattern phase")
+                code = grammar.token_class[chosen]
+                fill = (columns >= used[:, None]) & (columns < (used + length)[:, None])
+                classes = np.where(fill, code[:, None], classes)
+                used += length
+                last = np.where(segment, code, last)
+            if char.any():
+                chars[char, cursor[char]] = chosen[char]
+                cursor += char
             if done.all():
                 break
             logits = self.inference.step(chosen, cache)
-        return ["".join(chars) for chars in passwords]
+        token_strs = np.append(vocab.token_array, "")
+        return ["".join(row) for row in token_strs[chars[:, : cursor.max()]].tolist()]
 
 
 def execute_free_chunk(

@@ -10,11 +10,12 @@ Two implementations sit behind the same ``step()``/``KVCache`` surface:
   with numpy's own BLAS doing the matmuls so the output is bit-identical
   to the reference.
 
-Selection is by the ``REPRO_BACKEND`` environment variable (or the
-``backend=`` argument to ``GPT2Inference``); the CLI exposes it as
-``--backend``.  An unavailable compiled backend (no compiler, compile
-error, parity-canary failure) degrades to numpy with a warning — it
-never fails a campaign.
+The ``backend=`` argument to ``GPT2Inference`` (the CLI's
+``--backend``) wins, then the ``REPRO_BACKEND`` environment variable;
+by default ``compiled`` is used whenever a C compiler is on PATH and
+``numpy`` otherwise.  A compiled backend that cannot be built (compile
+error, missing BLAS symbols, parity-canary failure) degrades to numpy
+with a warning — it never fails a campaign.
 """
 
 from __future__ import annotations
@@ -61,8 +62,13 @@ BACKEND_NAMES = ("numpy", "compiled")
 
 
 def requested_backend(explicit: str | None = None) -> str:
-    """Resolve the backend request: explicit argument > env > ``numpy``."""
-    name = explicit or os.environ.get(BACKEND_ENV) or "numpy"
+    """Resolve the backend request: explicit argument > env > ``compiled``
+    when a C compiler is available, else ``numpy``."""
+    name = (
+        explicit
+        or os.environ.get(BACKEND_ENV)
+        or ("compiled" if compiler_available() else "numpy")
+    )
     if name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown backend {name!r} (expected one of {', '.join(BACKEND_NAMES)})"

@@ -204,14 +204,15 @@ class GPT2Inference:
     arrays are shared, not copied); rebuild it after further training
     steps.  All paths compute in float32.
 
-    ``backend`` selects the seq==1 decode kernel: ``"numpy"`` (default)
-    is the reference implementation below; ``"compiled"`` swaps
-    :meth:`step` for the fused C kernels in :mod:`repro.nn.backend`,
-    which reproduce the reference bit-for-bit (enforced by an init-time
-    parity canary; any failure degrades to numpy with a warning).  When
-    ``backend`` is None the ``REPRO_BACKEND`` environment variable
-    decides.  Priming (:meth:`start`/:meth:`extend`) always runs the
-    numpy path.
+    ``backend`` selects the seq==1 decode kernel: ``"numpy"`` is the
+    reference implementation below; ``"compiled"`` swaps :meth:`step`
+    for the fused C kernels in :mod:`repro.nn.backend`, which reproduce
+    the reference bit-for-bit (enforced by an init-time parity canary;
+    any failure degrades to numpy with a warning).  When ``backend`` is
+    None, :func:`repro.nn.backend.requested_backend` decides: the
+    ``REPRO_BACKEND`` environment variable, else ``"compiled"`` when a C
+    compiler is available.  Priming (:meth:`start`/:meth:`extend`)
+    always runs the numpy path.
     """
 
     def __init__(self, model: GPT2Model, backend: str | None = None) -> None:

@@ -24,7 +24,7 @@ from .patterns import (
 )
 from .extended import build_extended_tokenizer, extended_gpt2_config
 from .vocab import BOS, EOS, PAD, SEP, UNK, VOCAB, Vocabulary
-from .tokenizer import PasswordOnlyTokenizer, PasswordTokenizer
+from .tokenizer import FreeGrammar, PasswordOnlyTokenizer, PasswordTokenizer
 
 __all__ = [
     "CHAR_CLASSES",
@@ -54,6 +54,7 @@ __all__ = [
     "UNK",
     "VOCAB",
     "Vocabulary",
+    "FreeGrammar",
     "PasswordOnlyTokenizer",
     "PasswordTokenizer",
 ]

@@ -14,6 +14,8 @@ baseline's encoding (no pattern prefix): ``<BOS> || password || <EOS>``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +23,53 @@ import numpy as np
 from .charset import CLASS_MEMBERS
 from .patterns import MAX_PASSWORD_LENGTH, Pattern, extract_pattern
 from .vocab import VOCAB, Vocabulary
+
+
+@dataclass(frozen=True)
+class FreeGrammar:
+    """Allowed-token table of grammar-constrained free generation.
+
+    Free generation decodes ``pattern <SEP> password <EOS>`` after a bare
+    ``<BOS>``, and every batch row is in one of a few decode states;
+    ``allowed[state]`` is that state's boolean mask over the vocabulary:
+
+    * pattern phase, ``state = last * (max_len + 1) + used`` — ``last``
+      is the class code of the previous pattern token (``len(classes)``
+      before the first one) and ``used`` the pattern length so far: every
+      pattern token of another class that still fits in ``max_len``, plus
+      ``<SEP>`` once ``used > 0``;
+    * password phase, ``state = password + code`` — the characters of the
+      class at the cursor; ``code == len(classes)`` (cursor past the
+      pattern) allows only ``<EOS>``;
+    * ``state = done`` — only ``<EOS>``.
+
+    ``token_class`` / ``token_length`` give each token id's pattern
+    segment: its class code and run length (length 0 for tokens that are
+    not pattern tokens).
+    """
+
+    classes: tuple[str, ...]
+    allowed: np.ndarray
+    token_class: np.ndarray
+    token_length: np.ndarray
+    span: int  # max_len + 1
+    password: int
+    done: int
+
+    def state(
+        self,
+        done: np.ndarray,
+        in_pattern: np.ndarray,
+        last: np.ndarray,
+        used: np.ndarray,
+        cursor_class: np.ndarray,
+    ) -> np.ndarray:
+        """The table row of every batch row's decoder state."""
+        return np.where(
+            done,
+            self.done,
+            np.where(in_pattern, last * self.span + used, self.password + cursor_class),
+        )
 
 
 class PasswordTokenizer:
@@ -134,6 +183,35 @@ class PasswordTokenizer:
     # ------------------------------------------------------------------
     # Constraint helpers
     # ------------------------------------------------------------------
+    @cached_property
+    def free_grammar(self) -> FreeGrammar:
+        """The :class:`FreeGrammar` of this vocabulary, built on first use."""
+        vocab = self.vocab
+        classes = tuple(self.pattern_token_id)
+        none = len(classes)
+        span = self.max_password_length + 1
+        password = (none + 1) * span
+        allowed = np.zeros((password + none + 2, len(vocab)), dtype=bool)
+        for last in range(none + 1):
+            for used in range(span):
+                row = allowed[last * span + used]
+                row[vocab.sep_id] = used > 0
+                for code, cls in enumerate(classes):
+                    if code != last:
+                        for length in range(1, span - used):
+                            row[self.pattern_token_id[cls][length]] = True
+        for code, cls in enumerate(classes):
+            allowed[password + code, self.class_char_ids[cls]] = True
+        allowed[password + none :, vocab.eos_id] = True
+        token_class = np.full(len(vocab), none, dtype=np.int64)
+        token_length = np.zeros(len(vocab), dtype=np.int64)
+        for token_id, (cls, length) in self.pattern_token_info.items():
+            token_class[token_id] = classes.index(cls)
+            token_length[token_id] = length
+        return FreeGrammar(
+            classes, allowed, token_class, token_length, span, password, password + none + 1
+        )
+
     def allowed_ids_at(self, pattern: Pattern, position: int) -> np.ndarray:
         """Candidate token ids for password position ``position`` (0-based).
 

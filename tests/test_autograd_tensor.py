@@ -138,6 +138,35 @@ class TestShapes:
         assert np.allclose(emb.grad[1], [3.0, 3.0, 3.0])
         assert np.allclose(emb.grad[0], 0.0)
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            1,
+            np.int64(2),
+            -1,
+            slice(1, None),
+            (slice(None), 2),
+            (Ellipsis, slice(0, 3, 2)),
+            (None, 0, slice(None, 2)),
+            (np.array([0, 2]), slice(None)),
+            (np.array([1, 1, 0, 1]),),
+            np.array([[0, 0], [2, 0]]),
+            (slice(None), np.array([3, 3, 1])),
+            np.array([True, False, True]),
+        ],
+        ids=lambda index: repr(index).replace(" ", ""),
+    )
+    def test_getitem_backward_matches_add_at(self, index):
+        """Basic indices take a plain add, advanced ones np.add.at; both
+        must give the bits of the np.add.at reference, repeats included."""
+        x = t((3, 4))
+        out = x[index]
+        g = np.random.default_rng(1).normal(size=out.shape).astype(np.float32)
+        out.backward(g)
+        ref = np.zeros_like(x.data)
+        np.add.at(ref, index, g)
+        assert x.grad.tobytes() == ref.tobytes()
+
     def test_masked_fill(self):
         mask = np.array([[True, False], [False, True]])
         x = t((2, 2))
@@ -166,6 +195,19 @@ class TestGraphMechanics:
         y = x * 3.0 + x * 4.0  # dy/dx = 7
         y.backward()
         assert np.allclose(x.grad, [7.0])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1,)])
+    def test_gradient_shared_by_two_parents_is_not_aliased(self, shape):
+        """``h + x`` hands one gradient array to both parents; a later
+        accumulation into ``h`` must not leak into ``x``'s gradient (nor
+        write into the read-only array ``sum`` hands down)."""
+        x = Tensor(np.full(shape, 1.0, dtype=np.float32), requires_grad=True)
+        y = Tensor(np.full(shape, 2.0, dtype=np.float32), requires_grad=True)
+        h = x * y
+        out = (h + x) + h * 1
+        out.sum().backward()
+        assert np.all(x.grad == 5.0)  # d/dx (2xy + x) = 2y + 1
+        assert np.all(y.grad == 2.0)  # d/dy (2xy + x) = 2x
 
     def test_diamond_graph(self):
         x = Tensor(np.array([1.5], dtype=np.float32), requires_grad=True)

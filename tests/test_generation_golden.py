@@ -35,6 +35,14 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+@pytest.fixture(autouse=True)
+def _backend(monkeypatch):
+    """The module-level tests hold the numpy reference to the fixture
+    (compiled is the default wherever a C compiler exists);
+    :class:`TestCompiledBackendGolden` overrides this to cover compiled."""
+    monkeypatch.setenv("REPRO_BACKEND", "numpy")
+
+
 def _dcgen_stream(workers: int, gen_batch: int, journal=None, resume=False):
     model = build_model()
     dc = SPEC["dcgen"]
@@ -58,6 +66,7 @@ def test_dcgen_stream_byte_identical(golden, workers, gen_batch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_free_stream_byte_identical(golden, workers):
     model = build_model()
+    assert model.inference.backend_name == "numpy"
     stream = model.generate(SPEC["free"]["n"], seed=SPEC["free"]["seed"], workers=workers)
     assert stream == golden["free"]
     assert hashlib.sha256("\n".join(stream).encode()).hexdigest() == golden["free_sha256"]
@@ -155,7 +164,7 @@ class TestCompiledBackendGolden:
     """
 
     @pytest.fixture(autouse=True)
-    def _compiled_backend(self, monkeypatch):
+    def _backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -4,8 +4,66 @@ import numpy as np
 import pytest
 
 from repro.models import PagPassGPT, PagPassGPTDC, PassGPT, available_models, create_model
-from repro.generation import DCGenConfig
-from repro.tokenizer import Pattern, extract_pattern
+from repro.generation import DCGenConfig, SamplerConfig
+from repro.generation.sampler import sample_masked
+from repro.tokenizer import (
+    Pattern,
+    PasswordTokenizer,
+    build_extended_tokenizer,
+    extended_gpt2_config,
+    extract_pattern,
+)
+
+
+def _free_batch_reference(model, batch, rng):
+    """The per-row loop free decoding was first written as: the reference
+    the table-driven ``PagPassGPT._free_batch_body`` must reproduce."""
+    tokenizer = model.tokenizer
+    vocab = tokenizer.vocab
+    max_len = tokenizer.max_password_length
+    logits, cache = model.prompt_cache.expand(np.array([vocab.bos_id], dtype=np.int64), batch)
+    in_pattern = np.ones(batch, dtype=bool)
+    done = np.zeros(batch, dtype=bool)
+    used_len = np.zeros(batch, dtype=np.int64)
+    last_class = [""] * batch
+    char_classes = [[] for _ in range(batch)]
+    position = np.zeros(batch, dtype=np.int64)
+    passwords = [[] for _ in range(batch)]
+    for _ in range(model.model_config.block_size - 1):
+        mask = np.zeros((batch, len(vocab)), dtype=bool)
+        for row in range(batch):
+            if done[row]:
+                mask[row, vocab.eos_id] = True
+            elif in_pattern[row]:
+                for cls, by_len in tokenizer.pattern_token_id.items():
+                    if cls != last_class[row]:
+                        for length in range(1, max_len - used_len[row] + 1):
+                            mask[row, by_len[length]] = True
+                mask[row, vocab.sep_id] = used_len[row] > 0
+            elif position[row] < len(char_classes[row]):
+                mask[row, tokenizer.class_char_ids[char_classes[row][position[row]]]] = True
+            else:
+                mask[row, vocab.eos_id] = True
+        chosen = sample_masked(logits, mask, rng, model.sampler)
+        for row, token_id in enumerate(chosen.tolist()):
+            if done[row]:
+                continue
+            if token_id == vocab.eos_id:
+                done[row] = True
+            elif token_id == vocab.sep_id:
+                in_pattern[row] = False
+            elif in_pattern[row]:
+                cls, length = tokenizer.pattern_token_info[token_id]
+                used_len[row] += length
+                last_class[row] = cls
+                char_classes[row].extend(cls * length)
+            else:
+                passwords[row].append(vocab.token_of(token_id))
+                position[row] += 1
+        if done.all():
+            break
+        logits = model.inference.step(chosen, cache)
+    return ["".join(chars) for chars in passwords]
 
 
 class TestRegistry:
@@ -59,6 +117,32 @@ class TestPagPassGPTFree:
             # so it is a visible-ASCII string.
             if pw:
                 extract_pattern(pw)  # must not raise
+
+    @pytest.mark.parametrize("max_len", [12, 16])
+    @pytest.mark.parametrize(
+        "sampler",
+        [SamplerConfig(), SamplerConfig(temperature=0.7, top_k=20), SamplerConfig(top_p=0.9)],
+        ids=["plain", "top_k", "top_p"],
+    )
+    def test_table_decoder_matches_per_row_reference(self, max_len, sampler):
+        """Untrained weights keep every decode state reachable: patterns
+        of every shape, every class at the cursor, early and late <EOS>."""
+        tokenizer = (
+            PasswordTokenizer() if max_len == 12 else build_extended_tokenizer(max_len)
+        )
+        model = PagPassGPT(
+            model_config=extended_gpt2_config(tokenizer, dim=16, n_layers=1, n_heads=2),
+            sampler=sampler,
+            tokenizer=tokenizer,
+            seed=max_len,
+        )
+        model.model.eval()
+        for batch in (1, 9, 64):
+            for seed in range(2):
+                expected = _free_batch_reference(model, batch, np.random.default_rng(seed))
+                got = model._free_batch_body(batch, np.random.default_rng(seed))
+                assert got == expected
+                assert any(pw for pw in got)
 
     def test_pattern_probs_recorded(self, trained_pagpassgpt):
         assert trained_pagpassgpt.pattern_probs

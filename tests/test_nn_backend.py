@@ -19,6 +19,8 @@ Three layers of guarantees, mirroring how the backend is built:
 
 import ctypes
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -96,9 +98,21 @@ class TestGraph:
         with pytest.raises(ValueError):
             bk.requested_backend("metal")
 
-    def test_requested_backend_resolution(self, monkeypatch):
+    def test_requested_backend_resolution(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(bk.BACKEND_ENV, raising=False)
+        if bk.compiler_available():
+            assert bk.requested_backend() == "compiled"
+        # A missing compiler under the default is not a fallback: numpy is
+        # picked quietly, without the warning or the fallback counter.
+        monkeypatch.setenv("CC", "/nonexistent-compiler")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "empty"))
+        monkeypatch.setattr(inference_mod, "_BACKEND_FALLBACK_EMITTED", False)
+        registry = get_registry()
+        before = dict(registry.values()).get("backend.fallbacks", 0)
         assert bk.requested_backend() == "numpy"
+        assert GPT2Inference(_tiny_model()).backend_name == "numpy"
+        assert dict(registry.values()).get("backend.fallbacks", 0) == before
+        assert "falling back" not in capsys.readouterr().err
         monkeypatch.setenv(bk.BACKEND_ENV, "compiled")
         assert bk.requested_backend() == "compiled"
         assert bk.requested_backend("numpy") == "numpy"  # explicit wins
@@ -295,6 +309,60 @@ class TestFusedParity:
         cache.length = cfg.block_size
         with pytest.raises(ValueError, match="cache overflow"):
             comp.step(np.array([0]), cache)
+
+
+@needs_cc
+class TestThreads:
+    def test_engines_on_threads_match_serial_runs(self):
+        """ctypes releases the GIL inside every kernel call, so engines
+        stepping on threads really interleave; each must still produce
+        the bytes of a serial run, logits and KV caches alike."""
+        model = _tiny_model(block_size=24)
+        cfg = model.config
+        n_threads, rollouts, batch = 4, 8, 8  # more threads than cores
+
+        def run(seed):
+            engine = GPT2Inference(model, backend="compiled")
+            assert engine.backend_name == "compiled"
+            rng = np.random.default_rng(seed)
+            out = []
+            for _ in range(rollouts):
+                cache = KVCache(
+                    cfg.n_layers, batch, cfg.n_heads, cfg.block_size, cfg.dim // cfg.n_heads
+                )
+                for _ in range(cfg.block_size):
+                    ids = rng.integers(0, cfg.vocab_size, size=batch)
+                    out.append(engine.step(ids, cache).tobytes())
+                out.extend(buf.tobytes() for buf in (*cache.keys, *cache.values))
+            return out
+
+        serial = [run(seed) for seed in range(n_threads)]
+        results, errors = [None] * n_threads, []
+        barrier = threading.Barrier(n_threads)
+
+        def worker(i):
+            try:
+                barrier.wait(timeout=30)
+                results[i] = run(i)
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "engine thread did not finish"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert results == serial
 
 
 # ----------------------------------------------------------------------
