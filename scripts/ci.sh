@@ -116,7 +116,9 @@ ORD_ARGS=(generate --checkpoint "$SMOKE_DIR/model.npz" -n 120
           --strategy ordered --beam-width 64 --max-frontier 5000
           --snapshot-every 20)
 
-python -m repro.cli "${ORD_ARGS[@]}" --out "$SMOKE_DIR/ordered_clean.txt" \
+# The reference runs on numpy, so the crashed and resumed runs below (on
+# the default, compiled, backend) are held to the numpy bytes.
+python -m repro.cli "${ORD_ARGS[@]}" --backend numpy --out "$SMOKE_DIR/ordered_clean.txt" \
     --telemetry "$SMOKE_DIR/ordered-tele"
 python -m repro.cli telemetry summarize "$SMOKE_DIR/ordered-tele" --check
 
@@ -249,7 +251,8 @@ python -m repro.cli top --url "http://127.0.0.1:$PORT" --once | grep -q "state: 
 
 # Ordered through the live server: the server runs ordered jobs with
 # OrderedConfig(), whose defaults match the CLI's ordered flags, so the
-# job's stream must equal a default-flag CLI run byte for byte.
+# job's stream (default backend) must equal a default-flag CLI run on
+# numpy byte for byte.
 python - "$PORT" "$SMOKE_DIR/ordered_server.txt" <<'PY'
 import json
 import sys
@@ -276,7 +279,7 @@ with open(out, "wb") as fh:
 print("ordered campaign through the live server: done")
 PY
 python -m repro.cli generate --checkpoint "$SMOKE_DIR/model.npz" -n 120 \
-    --strategy ordered --out "$SMOKE_DIR/ordered_cli.txt"
+    --strategy ordered --backend numpy --out "$SMOKE_DIR/ordered_cli.txt"
 diff "$SMOKE_DIR/ordered_cli.txt" "$SMOKE_DIR/ordered_server.txt"
 echo "ordered smoke: server ordered job == repro generate --strategy ordered"
 kill -TERM "$SERVER_PID"

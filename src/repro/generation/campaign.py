@@ -222,7 +222,8 @@ def run_strategy(
         return guesses, (
             f"ordered: {stats.rounds} rounds, {stats.pops} pops, "
             f"{stats.model_calls} model calls, {stats.truncated_nodes} frontier nodes "
-            f"truncated ({stats.truncated_mass:.3g} mass)"
+            f"truncated ({stats.truncated_mass:.3g} mass), "
+            f"{stats.exact_prefix} of {stats.emitted} guesses provably exact"
         )
     if strategy == "dcgen":
         if not guided:

@@ -31,8 +31,8 @@ pattern, or ``max_chars``).  Each round works on whole arrays:
   which is then cut to ``max_frontier``.
 
 Because a child's negative log-probability is never below its parent's,
-a complete node at the front of the frontier is provably the most
-probable unemitted password — the emitted stream is non-increasing in
+a complete node at the front of the frontier is the most probable
+password left in the frontier — the emitted stream is non-increasing in
 probability and duplicate-free (distinct nodes are distinct strings).
 
 Two prompt modes share the machinery:
@@ -79,11 +79,25 @@ stream but can drop reachable strings, so it is accounted, never
 silent: :attr:`OrderedStats.truncated_nodes` / ``truncated_mass`` (one
 numpy pairwise sum per prune) and a ``frontier_truncated`` telemetry
 event report exactly what was given up.
+
+Exactness
+---------
+
+Without pruning the stream is the model's true top-n: every guess is
+the most probable password not yet emitted.  With pruning that holds
+only for guesses at least as probable as every dropped node (a dropped
+node's descendants are never more probable than the node itself), and
+:attr:`OrderedStats.exact_prefix` counts them; past that prefix the
+stream is monotone but may skip more probable passwords that were
+pruned.  ``truncated_best_neg`` records the most probable dropped score
+and is journaled with the rest of the stats, so a resumed run reports
+the same prefix.
 """
 
 from __future__ import annotations
 
 import base64
+import bisect
 import functools
 import hashlib
 import math
@@ -149,6 +163,11 @@ class OrderedStats:
     emitted: int = 0
     truncated_nodes: int = 0
     truncated_mass: float = 0.0  # probability mass of pruned nodes
+    #: Lowest negative log-probability among pruned nodes (None: none pruned).
+    truncated_best_neg: Optional[float] = None
+    #: Leading emitted guesses at least as probable as every pruned node:
+    #: the provably exact top of the stream.
+    exact_prefix: int = 0
     snapshots: int = 0
     exhausted: bool = False  # frontier emptied before the budget was met
 
@@ -158,7 +177,19 @@ class OrderedStats:
     @classmethod
     def from_dict(cls, data: dict) -> "OrderedStats":
         known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        stats = cls(**{k: v for k, v in data.items() if k in known})
+        if stats.truncated_nodes and "truncated_best_neg" not in data:
+            # Written before the field existed: nothing bounds what was
+            # dropped except p <= 1, so no guess counts as exact.
+            stats.truncated_best_neg = 0.0
+        return stats
+
+    def count_exact(self, emitted: Sequence[tuple[str, float]]) -> int:
+        """How many leading ``(password, log-prob)`` pairs of a stream are
+        at least as probable as every pruned node."""
+        if self.truncated_best_neg is None:
+            return len(emitted)
+        return bisect.bisect_right(emitted, self.truncated_best_neg, key=lambda e: -e[1])
 
 
 @dataclass(frozen=True)
@@ -379,14 +410,17 @@ class OrderedGenerator:
         progress: Optional[Callable[[int, int], None]] = None,
         budget: Optional[Budget] = None,
     ) -> list[str]:
-        """The ``n`` most probable unemitted passwords, most probable first.
+        """Up to ``n`` passwords in non-increasing model probability.
 
-        Fully deterministic — no sampling, no rng, no worker dependence;
-        the only approximation is ``max_frontier`` pruning, which is
-        reported in :attr:`stats`.  ``journal`` / ``resume`` give the
-        same crash-safety contract as D&C-GEN: frontier snapshots are
-        journaled every ``snapshot_every`` rounds and a resumed run
-        emits the byte-identical stream of an uninterrupted one.
+        Without pruning these are the ``n`` most probable passwords.  A
+        ``max_frontier`` cap that prunes keeps the order but may skip
+        pruned passwords: only the first :attr:`OrderedStats.exact_prefix`
+        guesses of :attr:`stats` are guaranteed to be the most probable.
+        Fully deterministic — no sampling, no rng, no worker dependence.
+        ``journal`` / ``resume`` give the same crash-safety contract as
+        D&C-GEN: frontier snapshots are journaled every
+        ``snapshot_every`` rounds and a resumed run emits the
+        byte-identical stream of an uninterrupted one.
         ``progress(emitted, n)`` fires once per round.  ``budget`` (a
         :class:`~repro.runtime.Budget`) is polled at every round
         boundary; on a trip the un-snapshotted delta is flushed to the
@@ -409,7 +443,10 @@ class OrderedGenerator:
         The scores are cumulative log-probabilities under the
         constrained renormalised next-token distribution (plus the
         pattern prior in pattern mode) and are non-increasing along the
-        returned list — the property the test harness asserts.
+        returned list — the property the test harness asserts.  The
+        first :attr:`OrderedStats.exact_prefix` entries are the true
+        top of the distribution; the rest are exact only if nothing was
+        pruned.
         """
         if n <= 0:
             return []
@@ -504,6 +541,7 @@ class OrderedGenerator:
                     frontier = frontier.take(slice(take, None))
                 stats.rounds += 1
                 stats.emitted = len(emitted)
+                stats.exact_prefix = stats.count_exact(emitted)
                 registry.counter("ordered.pops").inc(stats.pops - pops0)
                 span.set(
                     pops=stats.pops - pops0,
@@ -541,6 +579,7 @@ class OrderedGenerator:
                 "frontier_exhausted", emitted=len(emitted), requested=int(n)
             )
         stats.emitted = len(emitted)
+        stats.exact_prefix = stats.count_exact(emitted)
         if journal is not None and delta:
             self._snapshot(journal, snapshot_id, frontier, seq, delta)
         return emitted[:n]
@@ -657,8 +696,12 @@ class OrderedGenerator:
             return frontier.take(order)
         dropped = len(order) - cap
         mass = float(np.exp(-frontier.neg[order[cap:]]).sum())
-        self.stats.truncated_nodes += dropped
-        self.stats.truncated_mass += mass
+        best = float(frontier.neg[order[cap]])
+        stats = self.stats
+        stats.truncated_nodes += dropped
+        stats.truncated_mass += mass
+        if stats.truncated_best_neg is None or best < stats.truncated_best_neg:
+            stats.truncated_best_neg = best
         telemetry.get_registry().counter("ordered.truncated").inc(dropped)
         telemetry.emit(
             "frontier_truncated",

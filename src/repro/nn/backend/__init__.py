@@ -1,14 +1,17 @@
-"""Pluggable decode-step backends for :class:`~repro.nn.inference.GPT2Inference`.
+"""Pluggable cached-forward backends for :class:`~repro.nn.inference.GPT2Inference`.
 
-Two implementations sit behind the same ``step()``/``KVCache`` surface:
+Two implementations sit behind the same ``step()``/``start()``/
+``extend()`` and ``KVCache`` surface:
 
-* ``numpy`` — the reference kernel in :mod:`repro.nn.inference`; always
-  available, defines correctness.
-* ``compiled`` — the fused C kernels in :mod:`.compiled`: the decode
-  step rendered from an explicit op graph (:mod:`.graph` →
-  :mod:`.cstyle`), compiled once with ``cc`` and loaded via ``ctypes``,
-  with numpy's own BLAS doing the matmuls so the output is bit-identical
-  to the reference.
+* ``numpy`` — the reference kernels in :mod:`repro.nn.inference`
+  (``_step_numpy``, ``_prefill_numpy``); always available, define
+  correctness.
+* ``compiled`` — the fused C kernels in :mod:`.compiled`: one cached
+  forward step over ``seq`` new tokens per row, rendered from an explicit
+  op graph (:mod:`.graph` → :mod:`.cstyle`), compiled once with ``cc``
+  and loaded via ``ctypes``, with numpy's own BLAS doing the matmuls in
+  numpy's own call shapes so the output is bit-identical to the
+  reference.  The decode step and the prefill run the same segments.
 
 The ``backend=`` argument to ``GPT2Inference`` (the CLI's
 ``--backend``) wins, then the ``REPRO_BACKEND`` environment variable;

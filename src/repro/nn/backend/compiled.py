@@ -1,21 +1,25 @@
-"""Compiled decode-step backend: render → cc → ctypes → verify.
+"""Compiled forward backend: render → cc → ctypes → verify.
 
 One :class:`CompiledStepBackend` serves one ``GPT2Inference`` instance.
 Construction renders the fused C source for the model's
 :class:`~.graph.StepShape`, compiles it once (or reuses a cached shared
 library — in-memory per process, on-disk under ``~/.cache/repro-kernels``
 keyed by source digest), binds the model's weight pointers into the
-context struct, and then runs a **parity canary**: a few decode steps at
-batch 2 and batch 1 compared bit-for-bit against the numpy reference,
-including the KV-cache contents.  Any mismatch, missing compiler, or
-compile error raises :class:`BackendUnavailable` — the caller falls back
-to numpy and the campaign continues.
+context struct, and then runs a **parity canary**: at batch 2 and batch
+1, prefills of several shapes (a prompt from an empty cache, a one-token
+and a two-token ``extend``) followed by decode steps, each compared
+bit-for-bit against the numpy reference, including the KV-cache
+contents.  Any mismatch, missing compiler, or compile error raises
+:class:`BackendUnavailable` — the caller falls back to numpy and the
+campaign continues.
 
-``step()`` is a drop-in for the numpy single-token kernel: same
-``(ids, KVCache) -> logits`` contract, same cache mutation, bit-identical
-output.  ``supports()`` is the cheap per-call guard (contiguity, dtype,
-capacity, position bounds); anything outside the guard silently takes
-the numpy path for that call.
+``step()`` and ``prefill()`` are drop-ins for the numpy kernels
+(``_step_numpy`` and ``_prefill_numpy``): same ``(ids, KVCache) ->
+logits`` contract, same cache mutation, bit-identical output.  Both run
+the same fused segments.  ``supports()`` is the cheap per-call guard
+(contiguity, dtype, buffer length, position bounds); anything outside
+the guard silently takes the numpy path for that call.  Token ids are
+checked by the caller before either kernel runs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -69,6 +74,25 @@ _FLAG_SETS: Tuple[Tuple[str, ...], ...] = (
 _LIB_CACHE: Dict[str, ctypes.CDLL] = {}
 
 _COMPILE_SECONDS = 0.0
+
+
+class _ThreadScratch(threading.local):
+    """Grow-only kernel scratch buffers, one set per thread.
+
+    Every engine on a thread shares the set: engines on one thread never
+    run kernels at the same time, and each kernel writes every scratch
+    element it reads, so sharing changes no result.  A process that
+    builds an engine per model load then holds one set per thread, not
+    one per engine.  Growth installs a new dict, so an engine can tell
+    by identity whether its context still points at the current set.
+    """
+
+    def __init__(self) -> None:
+        empty = np.empty(0, dtype=np.float32)
+        self.buffers: Dict[str, np.ndarray] = {name: empty for name in CTX_SCRATCH_PTRS}
+
+
+_SCRATCH = _ThreadScratch()
 
 
 class BackendUnavailable(RuntimeError):
@@ -189,7 +213,7 @@ def _as_f32_contiguous(arr: np.ndarray, keep: List[np.ndarray]) -> np.ndarray:
 
 
 class CompiledStepBackend:
-    """ctypes driver for the fused decode-step kernels."""
+    """ctypes driver for the fused forward-step kernels (step and prefill)."""
 
     name = "compiled"
 
@@ -218,6 +242,7 @@ class CompiledStepBackend:
 
         self._keep: List[np.ndarray] = []  # pins every array the ctx points into
         self._ctx = self._bind_weights(inference, head_arr)
+        self._bound: Optional[Dict[str, np.ndarray]] = None  # scratch the ctx points at
         self._schedule = self._build_schedule()
         self._verify_against_reference(inference)
 
@@ -269,40 +294,65 @@ class CompiledStepBackend:
         schedule: List[Tuple[str, Any]] = []
         for item in fuse_segments(build_step_graph(self.shape)):
             if isinstance(item, Segment):
-                schedule.append(("seg", getattr(self._lib, item.name)))
+                segment = getattr(self._lib, item.name)
+                # (ctx, batch, seq, start, cap, mrows)
+                segment.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 5
+                segment.restype = None
+                schedule.append(("seg", segment))
             else:
                 schedule.append((item.func, item.buf))
         return schedule
 
-    def _make_scratch(self, batch: int) -> Dict[str, Any]:
+    def _reserve(self, batch: int, seq: int, stop: int) -> Dict[str, np.ndarray]:
+        """This thread's scratch, grown to fit ``seq`` new tokens per row
+        attending over ``stop`` positions, with the context pointed at it.
+        """
         shape = self.shape
+        rows = batch * seq
         sizes = {
-            "x": batch * shape.dim,
-            "h": batch * shape.dim,
-            "qkv": batch * 3 * shape.dim,
-            "scores": batch * shape.n_heads * shape.block_size,
-            "att": batch * shape.dim,
-            "ff": batch * shape.ff_dim,
-            "t": batch * shape.ff_dim,
+            "x": rows * shape.dim,
+            "h": rows * shape.dim,
+            "qkv": rows * 3 * shape.dim,
+            "scores": rows * shape.n_heads * stop,
+            "att": rows * shape.dim,
+            "ff": rows * shape.ff_dim,
+            "t": rows * shape.ff_dim,
+            "logits": batch * self._vocab,
         }
-        scratch: Dict[str, Any] = {
-            name: np.empty(size, dtype=np.float32) for name, size in sizes.items()
-        }
-        scratch["logits"] = np.empty((batch, self._vocab), dtype=np.float32)
-        scratch["batch"] = batch
+        scratch = _SCRATCH.buffers
+        if any(scratch[name].size < size for name, size in sizes.items()):
+            scratch = {
+                name: buf if buf.size >= sizes[name] else np.empty(sizes[name], dtype=np.float32)
+                for name, buf in scratch.items()
+            }
+            _SCRATCH.buffers = scratch
+        if self._bound is not scratch:
+            for name, buf in scratch.items():
+                setattr(self._ctx, name, buf.ctypes.data)
+            self._bound = scratch  # also keeps the buffers alive while pointed at
         return scratch
 
     # -- per-call guard -------------------------------------------------
 
     def supports(self, ids: np.ndarray, cache: Any) -> bool:
-        """True when this call is inside the kernel's validated domain."""
+        """True when this call is inside the kernel's validated domain.
+
+        ``ids`` is ``(batch,)`` for a decode step and ``(batch, seq)``
+        for a prefill.  Every KV buffer must be C-contiguous float32 and
+        hold all ``stop`` positions the call touches (a ``trimmed()``
+        cache keeps ``capacity`` at the block size, so the buffer length
+        is what counts).  A prefill ending at ``stop == 1`` stays on
+        numpy: there numpy leaves the sgemm/sgemv paths.
+        """
         shape = self.shape
         keys = getattr(cache, "keys", None)
         values = getattr(cache, "values", None)
         if keys is None or values is None or len(keys) != shape.n_layers:
             return False
         batch = ids.shape[0]
-        if batch < 1 or cache.length >= self._block:
+        seq = ids.shape[1] if ids.ndim == 2 else 1
+        stop = cache.length + seq
+        if batch < 1 or seq < 1 or stop > self._block or (ids.ndim == 2 and stop < 2):
             return False
         for buf in (*keys, *values):
             if (
@@ -311,7 +361,7 @@ class CompiledStepBackend:
                 or buf.ndim != 4
                 or buf.shape[0] != batch
                 or buf.shape[1] != shape.n_heads
-                or buf.shape[2] <= cache.length
+                or buf.shape[2] < stop
                 or buf.shape[3] != shape.head_dim
             ):
                 return False
@@ -320,36 +370,35 @@ class CompiledStepBackend:
     # -- execution ------------------------------------------------------
 
     def step(self, next_ids: np.ndarray, cache: Any) -> np.ndarray:
-        """Run one fused decode step; mirrors the numpy kernel exactly."""
+        """Run one fused decode step; mirrors ``_step_numpy`` exactly."""
         ids = np.ascontiguousarray(np.asarray(next_ids).reshape(-1), dtype=np.int64)
-        batch = ids.shape[0]
-        if ids.size and (ids.min() < 0 or ids.max() >= self._vocab):
-            raise IndexError("token id out of range")
-        pos = cache.length
-        stop = pos + 1
-        cap = cache.keys[0].shape[2]
+        # numpy's step multiplies 2-D activations: one BLAS call per product.
+        return self._run(ids, cache, batch=ids.shape[0], seq=1, mrows=ids.shape[0])
 
-        scratch = getattr(cache, "_compiled_scratch", None)
-        if scratch is None or scratch["batch"] != batch:
-            scratch = self._make_scratch(batch)
-            cache._compiled_scratch = scratch
+    def prefill(self, ids: np.ndarray, cache: Any) -> np.ndarray:
+        """Feed ``(batch, seq)`` tokens; mirrors ``_prefill_numpy`` exactly."""
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        batch, seq = ids.shape
+        # numpy's prefill multiplies 3-D activations: one call per batch row.
+        return self._run(ids, cache, batch=batch, seq=seq, mrows=seq)
 
+    def _run(self, ids: np.ndarray, cache: Any, batch: int, seq: int, mrows: int) -> np.ndarray:
+        """Walk the segment/host-op schedule for ``seq`` new tokens per row."""
+        start = cache.length
+        stop = start + seq
+        scratch = self._reserve(batch, seq, stop)
         ctx = self._ctx
         ctx.ids = ids.ctypes.data
-        for name in CTX_SCRATCH_PTRS:
-            setattr(ctx, name, scratch[name].ctypes.data)
         for layer in range(self.shape.n_layers):
             ctx.keys[layer] = cache.keys[layer].ctypes.data
             ctx.values[layer] = cache.values[layer].ctypes.data
 
-        c_batch = ctypes.c_int64(batch)
-        c_pos = ctypes.c_int64(pos)
-        c_cap = ctypes.c_int64(cap)
-        n_scores = batch * self.shape.n_heads * stop
-        n_ff = batch * self.shape.ff_dim
+        args = (self._ctx_ref, batch, seq, start, cache.keys[0].shape[2], mrows)
+        n_scores = batch * seq * self.shape.n_heads * stop
+        n_ff = batch * seq * self.shape.ff_dim
         for kind, payload in self._schedule:
             if kind == "seg":
-                payload(self._ctx_ref, c_batch, c_pos, c_cap)
+                payload(*args)
             elif kind == "exp":
                 flat = scratch["scores"][:n_scores]
                 np.exp(flat, out=flat)
@@ -357,29 +406,44 @@ class CompiledStepBackend:
                 flat = scratch["t"][:n_ff]
                 np.tanh(flat, out=flat)
         cache.length = stop
-        return scratch["logits"].copy()
+        return scratch["logits"][: batch * self._vocab].reshape(batch, self._vocab).copy()
 
     # -- init-time parity canary ----------------------------------------
 
     def _verify_against_reference(self, inference: Any) -> None:
-        """A few steps, bit-compared against numpy — logits and caches."""
+        """Prefills then steps, bit-compared against numpy — logits and caches.
+
+        From an empty cache: a prompt of up to three tokens (sgemm rows,
+        causal mask), a one-token extend (sgemv rows, one query per
+        slice), a two-token extend at ``start > 0``, then two decode
+        steps — each where the block size leaves room.
+        """
         from ..inference import KVCache
 
         shape = self.shape
         rng = np.random.default_rng(0)
         for batch in (2, 1):
-            steps = max(1, min(self._block - 1, 5))
             ref_cache = KVCache(shape.n_layers, batch, shape.n_heads, self._block, shape.head_dim)
             got_cache = KVCache(shape.n_layers, batch, shape.n_heads, self._block, shape.head_dim)
-            for _ in range(steps):
-                ids = rng.integers(0, self._vocab, size=batch, dtype=np.int64)
-                ref = inference._step_numpy(ids, ref_cache)
+            for seq in (3, 1, 2, None, None):  # prefill lengths; None is a step
+                step = seq is None
+                stop = ref_cache.length + (seq or 1)
+                if stop > self._block or (not step and stop < 2):
+                    continue  # no room, or numpy's own path (never the kernel's)
+                size = (batch,) if step else (batch, seq)
+                ids = rng.integers(0, self._vocab, size=size, dtype=np.int64)
                 if not self.supports(ids, got_cache):
                     raise BackendUnavailable("parity canary: kernel rejected canonical cache")
-                got = self.step(ids, got_cache)
+                if step:
+                    ref = inference._step_numpy(ids, ref_cache)
+                    got = self.step(ids, got_cache)
+                else:
+                    ref = inference._prefill_numpy(ids, ref_cache)
+                    got = self.prefill(ids, got_cache)
                 if ref.tobytes() != got.tobytes():
+                    kind = "step" if step else f"prefill seq={seq}"
                     raise BackendUnavailable(
-                        f"parity canary failed: logits differ at batch={batch}"
+                        f"parity canary failed: logits differ at batch={batch}, {kind}"
                     )
             for layer in range(shape.n_layers):
                 if (

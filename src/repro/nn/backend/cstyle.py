@@ -1,22 +1,31 @@
-"""C-source renderer for the fused decode-step kernels.
+"""C-source renderer for the fused forward-step kernels.
 
 Turns the op graph from :mod:`.graph` into one translation unit with a
-``repro_seg<i>`` function per fused segment.  Design constraints, all in
-service of the byte-identity contract with the numpy reference kernel:
+``repro_seg<i>`` function per fused segment; the decode step and the
+prefill (``start``/``extend``) run the same segments with different
+runtime arguments.  Design constraints, all in service of the
+byte-identity contract with the numpy reference kernels:
 
 * **Matmuls are delegated to numpy's own BLAS.**  The generated code
   never links a BLAS; it receives ``cblas_sgemm``/``cblas_sgemv``
   function pointers at runtime (``repro_set_blas``), resolved by
   :mod:`.blas` from the OpenBLAS shared object numpy itself bundles.
-  Calling the same kernels numpy calls makes the large matmuls
-  bit-identical by construction, at full BLAS speed.
-* **Attention q·Kᵀ / scores·V use inline kernels** (``gemvt`` /
-  ``gemvn``) that replicate the exact FMA/accumulation structure of the
-  OpenBLAS sgemv microkernels — per-slice library calls dominate the
-  profile at large batch.  The inline path is only emitted for the
-  head-dim/seq-len domain it was validated on; outside it the code
-  falls back to per-slice ``cblas_sgemv`` calls (the same calls numpy
-  issues).
+  Calling the same kernels numpy calls, with the same shapes, makes the
+  large matmuls bit-identical by construction, at full BLAS speed.
+  numpy's dispatch is replayed exactly: a 2-D ``(rows, K) @ (K, N)``
+  product (the step) is one call over all rows, a 3-D one (the prefill)
+  one call per batch row, and a one-row call is ``sgemv``, not
+  ``sgemm``.
+* **Attention q·Kᵀ / scores·V run per (row, head) slice.**  With one
+  query per slice (``seq == 1``) numpy issues ``sgemv``, which inline
+  kernels (``gemvt`` / ``gemvn``) replicate with the exact
+  FMA/accumulation structure of the OpenBLAS sgemv microkernels —
+  per-slice library calls dominate the profile at large batch.  The
+  inline path is only emitted for the head-dim/seq-len domain it was
+  validated on; outside it the code issues per-slice ``cblas_sgemv``
+  calls (the same calls numpy issues).  Several queries per slice take
+  per-slice ``cblas_sgemm`` calls, as numpy does, and the causal mask
+  is numpy's ``np.where`` written as an explicit ``-1e9`` fill.
 * **Reductions replicate numpy's pairwise summation** (``np_sum``):
   8-lane strided partials with the ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
   combine, recursive halving above 128 elements.
@@ -28,8 +37,10 @@ service of the byte-identity contract with the numpy reference kernel:
 * Compiled with ``-ffp-contract=off`` so the only FMAs are the explicit
   ``fmaf()`` calls mirroring the BLAS microkernel structure.
 
-The KV-cache row stride (``cap``) is a runtime argument, not a compile
-constant: ``KVCache.gather``/``trimmed`` produce buffers whose capacity
+The batch, ``seq``, ``start``, the KV-cache row stride (``cap``) and
+the rows per dense BLAS call (``mrows``) are runtime arguments, not
+compile constants: one library serves every batch and prompt length,
+and ``KVCache.gather``/``trimmed`` produce buffers whose capacity
 differs from ``block_size``.
 """
 
@@ -56,7 +67,7 @@ __all__ = [
 ]
 
 # Bump when emitted C changes in any way — part of the cache digest.
-RENDERER_VERSION = "1"
+RENDERER_VERSION = "2"
 
 # Domain on which the inline attention kernels were validated bitwise
 # against numpy's stacked matmul (423/423 shape/seq combinations).
@@ -205,10 +216,13 @@ static float sum_dim(const float*restrict a){
 }
 """
 
+# ``stride`` is the distance between source rows (the final layernorm
+# reads only the last new position of each batch row).
 _LAYER_NORM = """\
-static void layer_norm(const float* x, const float* w, const float* b, float* out, int64_t rows){
+static void layer_norm(const float* x, int64_t stride, const float* w, const float* b,
+                       float* out, int64_t rows){
   for(int64_t r=0;r<rows;r++){
-    const float* xr=x+r*DIM; float* o=out+r*DIM;
+    const float* xr=x+r*stride; float* o=out+r*DIM;
     float d[DIM], sq[DIM];
     float mu=sum_dim(xr)/(float)DIM;
     for(int i=0;i<DIM;i++){ d[i]=xr[i]-mu; sq[i]=d[i]*d[i]; }
@@ -219,12 +233,18 @@ static void layer_norm(const float* x, const float* w, const float* b, float* ou
 }
 """
 
-# A @ B (row-major).  M==1 takes the sgemv path — that is what numpy
+# A @ B (row-major), one BLAS call per ``mrows``-row block: numpy's
+# matmul issues one call for a 2-D operand and one per batch row for a
+# 3-D one.  A one-row block takes the sgemv path — that is what numpy
 # itself does for a (1,K)@(K,N) matmul, and the two round differently.
 _MM = """\
-static void mm(const float* A, const float* B, float* C, int64_t M, int64_t K, int64_t N){
-  if(M==1) SGEMV(101,112,K,N,1.0f,B,N,A,1,0.0f,C,1);
-  else     SGEMM(101,111,111,M,N,K,1.0f,A,K,B,N,0.0f,C,N);
+static void mm(const float* A, const float* B, float* C, int64_t rows, int64_t mrows,
+               int64_t K, int64_t N){
+  for(int64_t r=0;r<rows;r+=mrows){
+    const float* a=A+r*K; float* o=C+r*N;
+    if(mrows==1) SGEMV(101,112,K,N,1.0f,B,N,a,1,0.0f,o,1);
+    else         SGEMM(101,111,111,mrows,N,K,1.0f,a,K,B,N,0.0f,o,N);
+  }
 }
 static void mm_t(const float* A, const float* Bt, float* C, int64_t M, int64_t K, int64_t N){
   if(M==1) SGEMV(101,111,N,K,1.0f,Bt,K,A,1,0.0f,C,1);
@@ -273,9 +293,9 @@ def _wref(op: Op, attr: str) -> str:
 
 def _emit_embed(op: Op, shape: StepShape) -> str:
     return """\
-  for(int64_t r=0;r<batch;r++){
+  for(int64_t r=0;r<rows;r++){
     const float* te=c->token_emb+c->ids[r]*DIM;
-    const float* pe=c->pos_emb+pos*DIM;
+    const float* pe=c->pos_emb+(start+r%seq)*DIM;
     float* xr=c->x+r*DIM;
     for(int i=0;i<DIM;i++) xr[i]=te[i]+pe[i];
   }
@@ -284,19 +304,22 @@ def _emit_embed(op: Op, shape: StepShape) -> str:
 
 def _emit_layernorm(op: Op, shape: StepShape) -> str:
     src, out = op.attr("src"), op.attr("out")
-    return f"  layer_norm(c->{src}, {_wref(op, 'w')}, {_wref(op, 'b')}, c->{out}, batch);\n"
+    w, b = _wref(op, "w"), _wref(op, "b")
+    if op.attr("last"):
+        return f"  layer_norm(c->{src}+(seq-1)*DIM, seq*DIM, {w}, {b}, c->{out}, batch);\n"
+    return f"  layer_norm(c->{src}, DIM, {w}, {b}, c->{out}, rows);\n"
 
 
 def _emit_matmul(op: Op, shape: StepShape) -> str:
     a, out = op.attr("a"), op.attr("out")
     k, n = op.attr("k"), op.attr("n")
-    return f"  mm(c->{a}, {_wref(op, 'w')}, c->{out}, batch, {k}, {n});\n"
+    return f"  mm(c->{a}, {_wref(op, 'w')}, c->{out}, rows, mrows, {k}, {n});\n"
 
 
 def _emit_bias_add(op: Op, shape: StepShape) -> str:
     buf, n = op.attr("buf"), op.attr("n")
     return f"""\
-  for(int64_t r=0;r<batch;r++){{
+  for(int64_t r=0;r<rows;r++){{
     float* p=c->{buf}+r*{n}; const float* bb={_wref(op, 'b')};
     for(int i=0;i<{n};i++) p[i]+=bb[i];
   }}
@@ -306,10 +329,11 @@ def _emit_bias_add(op: Op, shape: StepShape) -> str:
 def _emit_cache_write(op: Op, shape: StepShape) -> str:
     layer = op.layer
     return f"""\
-  for(int64_t r=0;r<batch;r++){{
+  for(int64_t r=0;r<rows;r++){{
+    int64_t b=r/seq, p=start+r%seq;
     for(int hh=0;hh<NH;hh++){{
-      float* kdst=c->keys[{layer}]+(((r*NH)+hh)*cap+pos)*HD;
-      float* vdst=c->values[{layer}]+(((r*NH)+hh)*cap+pos)*HD;
+      float* kdst=c->keys[{layer}]+(((b*NH)+hh)*cap+p)*HD;
+      float* vdst=c->values[{layer}]+(((b*NH)+hh)*cap+p)*HD;
       const float* ksrc=c->qkv+r*3*DIM+DIM+hh*HD;
       const float* vsrc=c->qkv+r*3*DIM+2*DIM+hh*HD;
       memcpy(kdst,ksrc,HD*sizeof(float));
@@ -320,22 +344,31 @@ def _emit_cache_write(op: Op, shape: StepShape) -> str:
 
 
 def _emit_attn_scores(op: Op, shape: StepShape) -> str:
+    # Query i of a slice sees positions [0, start+i]; later ones take
+    # numpy's np.where fill before the max shift.
     layer = op.layer
-    blas = "SGEMV(101,111,stop,HD,1.0f,K,HD,q,1,0.0f,s,1);"
+    blas = "SGEMV(101,111,stop,HD,1.0f,K,HD,q,1,0.0f,sb,1);"
     if shape.head_dim in INLINE_HEAD_DIMS:
-        dot = f"if(stop<={INLINE_MAX_STOP}) gemvt(q,K,s,stop,HD);\n      else {blas}"
+        dot = f"if(stop<={INLINE_MAX_STOP}) gemvt(q,K,sb,stop,HD);\n        else {blas}"
     else:
         dot = blas
     return f"""\
-  for(int64_t r=0;r<batch;r++){{
+  for(int64_t b=0;b<batch;b++){{
     for(int hh=0;hh<NH;hh++){{
-      const float* q=c->qkv+r*3*DIM+hh*HD;
-      const float* K=c->keys[{layer}]+((r*NH)+hh)*cap*HD;
-      float* s=c->scores+((r*NH)+hh)*stop;
-      {dot}
-      float m=s[0]/KSCALE; s[0]=m;
-      for(int64_t j=1;j<stop;j++){{ s[j]/=KSCALE; if(s[j]>m) m=s[j]; }}
-      for(int64_t j=0;j<stop;j++) s[j]-=m;
+      const float* K=c->keys[{layer}]+((b*NH)+hh)*cap*HD;
+      float* sb=c->scores+((b*NH)+hh)*seq*stop;
+      if(seq==1){{
+        const float* q=c->qkv+b*3*DIM+hh*HD;
+        {dot}
+      }}
+      else SGEMM(101,111,112,seq,stop,HD,1.0f,c->qkv+b*seq*3*DIM+hh*HD,3*DIM,K,HD,0.0f,sb,stop);
+      for(int64_t i=0;i<seq;i++){{
+        float* s=sb+i*stop; int64_t vis=start+i+1;
+        float m=s[0]/KSCALE; s[0]=m;
+        for(int64_t j=1;j<vis;j++){{ s[j]/=KSCALE; if(s[j]>m) m=s[j]; }}
+        for(int64_t j=vis;j<stop;j++){{ s[j]=NEG_FILL; if(s[j]>m) m=s[j]; }}
+        for(int64_t j=0;j<stop;j++) s[j]-=m;
+      }}
     }}
   }}
 """
@@ -343,30 +376,33 @@ def _emit_attn_scores(op: Op, shape: StepShape) -> str:
 
 def _emit_softmax_norm(op: Op, shape: StepShape) -> str:
     return """\
-  for(int64_t r=0;r<batch;r++){
-    for(int hh=0;hh<NH;hh++){
-      float* s=c->scores+((r*NH)+hh)*stop;
-      float ssum=np_sum(s,stop);
-      for(int64_t j=0;j<stop;j++) s[j]/=ssum;
-    }
+  for(int64_t r=0;r<batch*NH*seq;r++){
+    float* s=c->scores+r*stop;
+    float ssum=np_sum(s,stop);
+    for(int64_t j=0;j<stop;j++) s[j]/=ssum;
   }
 """
 
 
 def _emit_attn_mix(op: Op, shape: StepShape) -> str:
+    # Writes each slice straight into its columns of the (rows, DIM)
+    # layout numpy gets from att.transpose(0, 2, 1, 3).reshape.
     layer = op.layer
-    blas = "SGEMV(101,112,stop,HD,1.0f,V,HD,s,1,0.0f,o,1);"
+    blas = "SGEMV(101,112,stop,HD,1.0f,V,HD,sb,1,0.0f,o,1);"
     if shape.head_dim in INLINE_HEAD_DIMS:
-        mix = f"if(stop<={INLINE_MAX_STOP}) gemvn(s,V,o,stop,HD);\n      else {blas}"
+        mix = f"if(stop<={INLINE_MAX_STOP}) gemvn(sb,V,o,stop,HD);\n        else {blas}"
     else:
         mix = blas
     return f"""\
-  for(int64_t r=0;r<batch;r++){{
+  for(int64_t b=0;b<batch;b++){{
     for(int hh=0;hh<NH;hh++){{
-      const float* s=c->scores+((r*NH)+hh)*stop;
-      const float* V=c->values[{layer}]+((r*NH)+hh)*cap*HD;
-      float* o=c->att+(r*NH+hh)*HD;
-      {mix}
+      const float* sb=c->scores+((b*NH)+hh)*seq*stop;
+      const float* V=c->values[{layer}]+((b*NH)+hh)*cap*HD;
+      float* o=c->att+b*seq*DIM+hh*HD;
+      if(seq==1){{
+        {mix}
+      }}
+      else SGEMM(101,111,111,seq,HD,stop,1.0f,sb,stop,V,HD,0.0f,o,DIM);
     }}
   }}
 """
@@ -376,7 +412,7 @@ def _emit_residual_add(op: Op, shape: StepShape) -> str:
     # Two separate loops on purpose: the reference does x += h then
     # x += bias as distinct numpy ops.
     return f"""\
-  for(int64_t r=0;r<batch;r++){{
+  for(int64_t r=0;r<rows;r++){{
     float* xr=c->x+r*DIM; const float* hr=c->h+r*DIM; const float* pb={_wref(op, 'b')};
     for(int i=0;i<DIM;i++) xr[i]+=hr[i];
     for(int i=0;i<DIM;i++) xr[i]+=pb[i];
@@ -386,22 +422,23 @@ def _emit_residual_add(op: Op, shape: StepShape) -> str:
 
 def _emit_gelu_inner(op: Op, shape: StepShape) -> str:
     return """\
-  { int64_t n=batch*FFDIM;
+  { int64_t n=rows*FFDIM;
     for(int64_t i=0;i<n;i++){ float v=c->ff[i]; c->t[i]=GELU_C*(v+GELU_K*((v*v)*v)); } }
 """
 
 
 def _emit_gelu_outer(op: Op, shape: StepShape) -> str:
     return """\
-  { int64_t n=batch*FFDIM;
+  { int64_t n=rows*FFDIM;
     for(int64_t i=0;i<n;i++) c->t[i]=(0.5f*c->ff[i])*(1.0f+c->t[i]); }
 """
 
 
 def _emit_head(op: Op, shape: StepShape) -> str:
+    # The final activations are 2-D (batch, DIM): one call over all rows.
     return """\
   if(c->head_trans) mm_t(c->h, c->lm_head, c->logits, batch, DIM, VOCAB);
-  else              mm(c->h, c->lm_head, c->logits, batch, DIM, VOCAB);
+  else              mm(c->h, c->lm_head, c->logits, batch, batch, DIM, VOCAB);
 """
 
 
@@ -422,7 +459,7 @@ _EMITTERS = {
 
 
 def render_step_source(shape: StepShape, blas_int64: bool) -> str:
-    """Render the full decode-step translation unit for ``shape``."""
+    """Render the forward-step translation unit (step and prefill) for ``shape``."""
     from .. import inference as _inf  # GELU constant lives with the reference
 
     shape.validate()
@@ -440,6 +477,7 @@ def render_step_source(shape: StepShape, blas_int64: bool) -> str:
 #define KSCALE {_f32(shape.kscale)}
 #define GELU_C {_f32(_inf._GELU_C)}
 #define GELU_K {_f32(0.044715)}
+#define NEG_FILL {_f32(_inf._NEG_INF)}
 """
     )
     if shape.head_dim in INLINE_HEAD_DIMS:
@@ -456,9 +494,10 @@ def render_step_source(shape: StepShape, blas_int64: bool) -> str:
             continue
         body = "".join(_EMITTERS[op.kind](op, shape) for op in item.ops)
         parts.append(
-            f"void {item.name}(Ctx* c, int64_t batch, int64_t pos, int64_t cap){{\n"
-            "  int64_t stop=pos+1;\n"
-            "  (void)stop; (void)cap;\n" + body + "}\n"
+            f"void {item.name}(Ctx* c, int64_t batch, int64_t seq, int64_t start,"
+            " int64_t cap, int64_t mrows){\n"
+            "  int64_t stop=start+seq, rows=batch*seq;\n"
+            "  (void)stop; (void)cap; (void)rows; (void)mrows;\n" + body + "}\n"
         )
     return "\n".join(parts)
 

@@ -1,14 +1,23 @@
-"""Explicit op graph for one cached decode step.
+"""Explicit op graph for one cached forward step over ``seq`` new tokens.
 
-The numpy reference kernel (``GPT2Inference._step_numpy``) is a fixed
-sequence of small dense ops on tiny tensors.  This module writes that
-sequence down as data: :func:`build_step_graph` produces the per-layer op
-list for a given :class:`StepShape`, and :func:`fuse_segments` splits it
-into maximal runs of C-compilable ops separated by *host ops* — the two
-transcendentals (``exp`` inside softmax, ``tanh`` inside GELU) that must
-be evaluated by numpy itself so the compiled path reproduces the
-reference bit-for-bit (libm's ``expf``/``tanhf`` round differently from
-numpy's SIMD kernels).
+The numpy reference kernels (``GPT2Inference._step_numpy`` for one token
+per row, ``GPT2Inference._prefill_numpy`` for a prompt or an ``extend``)
+are the same fixed sequence of small dense ops on tiny tensors.  This
+module writes that sequence down as data: :func:`build_step_graph`
+produces the per-layer op list for a given :class:`StepShape`, and
+:func:`fuse_segments` splits it into maximal runs of C-compilable ops
+separated by *host ops* — the two transcendentals (``exp`` inside
+softmax, ``tanh`` inside GELU) that must be evaluated by numpy itself so
+the compiled path reproduces the reference bit-for-bit (libm's
+``expf``/``tanhf`` round differently from numpy's SIMD kernels).
+
+One graph serves both kernels.  The batch, the number of new tokens per
+row (``seq``), the first new position (``start``), the KV row stride
+(``cap``) and the rows per dense BLAS call (``mrows``) are runtime
+arguments of every segment: a decode step is the graph at ``seq == 1``
+with each dense product issued as one call over all rows (numpy's 2-D
+matmul), a prefill issues one call per batch row (numpy's 3-D matmul)
+and masks future positions causally.
 
 The graph is deliberately concrete: buffer names refer to the fixed
 scratch layout shared between the renderer (:mod:`.cstyle`) and the
@@ -37,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepShape:
-    """Compile-time shape key for one decode-step kernel.
+    """Compile-time shape key for one kernel library (step and prefill).
 
     Two models with equal ``StepShape`` share a compiled library (the
     weight *values* are passed at runtime through the context struct).
@@ -93,7 +102,7 @@ HOST_KINDS: Dict[str, str] = {"host_exp": "scores", "host_tanh": "t"}
 
 @dataclass(frozen=True)
 class Op:
-    """One primitive in the decode-step graph.
+    """One primitive in the forward-step graph.
 
     ``kind`` selects the emitter in :mod:`.cstyle`; ``layer`` is the
     transformer block index (``None`` for the embed/final ops); ``attrs``
@@ -124,7 +133,7 @@ class HostOp:
     """A fusion boundary: numpy applies ``func`` to flat buffer ``buf``."""
 
     func: str  # "exp" | "tanh"
-    buf: str  # scratch name; active length depends on batch/stop
+    buf: str  # scratch name; active length depends on batch/seq/stop
 
 
 @dataclass
@@ -140,12 +149,16 @@ class Segment:
 
 
 def build_step_graph(shape: StepShape) -> List[Op]:
-    """The full op list for one decode step, mirroring the numpy kernel.
+    """The full op list for one cached forward step, mirroring numpy.
 
-    Order and operand grouping follow ``GPT2Inference._step_numpy``
-    exactly — any reordering (e.g. folding a bias add into a matmul
-    epilogue) changes float32 rounding and breaks the byte-identity
-    contract, so the graph is the reference ordering made explicit.
+    Order and operand grouping follow ``GPT2Inference._step_numpy`` and
+    ``GPT2Inference._prefill_numpy`` exactly — any reordering (e.g.
+    folding a bias add into a matmul epilogue) changes float32 rounding
+    and breaks the byte-identity contract, so the graph is the reference
+    ordering made explicit.  ``attn_scores`` covers ``q·Kᵀ``, the scale,
+    the causal ``-1e9`` fill and the max shift; the final ``layernorm``
+    (``last``) reads only each row's last new position, as the reference
+    does before the LM head.
     """
     shape.validate()
     dim, ff = shape.dim, shape.ff_dim
@@ -173,7 +186,7 @@ def build_step_graph(shape: StepShape) -> List[Op]:
                 _op("residual_add", layer, buf="x", src="h", b="fcp_b", n=dim),
             ]
         )
-    ops.append(_op("layernorm", None, src="x", out="h", w="lnf_w", b="lnf_b"))
+    ops.append(_op("layernorm", None, src="x", out="h", w="lnf_w", b="lnf_b", last=True))
     ops.append(_op("head"))
     return ops
 

@@ -1,4 +1,4 @@
-"""Fast numpy-only inference path for :class:`GPT2Model` with a KV cache.
+"""Fast inference path for :class:`GPT2Model` with a KV cache.
 
 Generation (especially D&C-GEN, which queries thousands of next-token
 distributions) dominates runtime, so this module re-implements the GPT-2
@@ -18,6 +18,11 @@ Fast-path design (inference fast-path v2):
   lone query attends to everything cached), avoids the 5-D
   reshape/transpose round-trip of the general path, and reuses
   per-cache scratch buffers for the QKV/attention/MLP matmuls.
+* **compiled kernels** (:mod:`repro.nn.backend`) — where a C compiler
+  exists, both the decode step and priming (:meth:`GPT2Inference.start`
+  / :meth:`GPT2Inference.extend`) run fused C kernels that reproduce
+  the numpy reference kernels here (``_step_numpy``, ``_prefill_numpy``)
+  bit-for-bit; calls outside the kernels' validated domain run numpy.
 * **prompt deduplication** (:class:`PromptCache` +
   :meth:`KVCache.gather`) — a shared prompt is primed once, stored
   trimmed to its filled region, and fanned out to any batch width with
@@ -204,15 +209,19 @@ class GPT2Inference:
     arrays are shared, not copied); rebuild it after further training
     steps.  All paths compute in float32.
 
-    ``backend`` selects the seq==1 decode kernel: ``"numpy"`` is the
-    reference implementation below; ``"compiled"`` swaps :meth:`step`
-    for the fused C kernels in :mod:`repro.nn.backend`, which reproduce
-    the reference bit-for-bit (enforced by an init-time parity canary;
-    any failure degrades to numpy with a warning).  When ``backend`` is
-    None, :func:`repro.nn.backend.requested_backend` decides: the
+    ``backend`` selects the cached-forward kernels: ``"numpy"`` is the
+    reference implementation below; ``"compiled"`` runs :meth:`step`,
+    :meth:`start` and :meth:`extend` on the fused C kernels in
+    :mod:`repro.nn.backend`, which reproduce the reference bit-for-bit
+    (enforced by an init-time parity canary; any failure degrades to
+    numpy with a warning).  When ``backend`` is None,
+    :func:`repro.nn.backend.requested_backend` decides: the
     ``REPRO_BACKEND`` environment variable, else ``"compiled"`` when a C
-    compiler is available.  Priming (:meth:`start`/:meth:`extend`)
-    always runs the numpy path.
+    compiler is available.
+
+    Token ids outside ``[0, vocab_size)`` raise :class:`IndexError` from
+    :meth:`start`, :meth:`extend` and :meth:`step` on either backend,
+    before the cache is touched.
     """
 
     def __init__(self, model: GPT2Model, backend: str | None = None) -> None:
@@ -243,6 +252,7 @@ class GPT2Inference:
             )
             for b in model.blocks
         ]
+        self._vocab = int(self.token_emb.shape[0])
         # float32 scalar: dividing by a float64 scalar would upcast the
         # whole activation chain to float64 under NEP-50 promotion.
         self._kscale = np.float32(np.sqrt(cfg.dim // cfg.n_heads))
@@ -360,6 +370,7 @@ class GPT2Inference:
             raise ValueError(
                 f"cache overflow: {cache.length + 1} > block size {cfg.block_size}"
             )
+        self._check_ids(ids)
         self.counters.calls += 1
         self.counters.step_calls += 1
         self.counters.step_rows += batch
@@ -367,6 +378,12 @@ class GPT2Inference:
         if backend is not None and backend.supports(ids, cache):
             return backend.step(ids, cache)
         return self._step_numpy(ids, cache)
+
+    def _check_ids(self, ids: np.ndarray) -> None:
+        """Refuse ids numpy would wrap (negative) or the kernels would
+        read past ``token_emb`` with."""
+        if ids.size and (ids.min() < 0 or ids.max() >= self._vocab):
+            raise IndexError(f"token id out of range [0, {self._vocab})")
 
     def _step_numpy(self, ids: np.ndarray, cache: KVCache) -> np.ndarray:
         """Reference seq==1 kernel (counter-free; ids already flattened)."""
@@ -412,15 +429,28 @@ class GPT2Inference:
         return _layer_norm(x, self.ln_f_w, self.ln_f_b) @ self.lm_head
 
     def _forward_cached(self, ids: np.ndarray, cache: KVCache) -> np.ndarray:
+        """Feed ``(batch, seq)`` ids into ``cache``: the compiled prefill
+        when the backend supports the call, else the numpy reference."""
+        cfg = self.config
+        batch, seq = ids.shape
+        stop = cache.length + seq
+        if stop > cfg.block_size:
+            raise ValueError(f"cache overflow: {stop} > block size {cfg.block_size}")
+        self._check_ids(ids)
+        self.counters.calls += 1
+        self.counters.prime_calls += 1
+        self.counters.prime_positions += batch * seq
+        backend = self._compiled
+        if backend is not None and backend.supports(ids, cache):
+            return backend.prefill(ids, cache)
+        return self._prefill_numpy(ids, cache)
+
+    def _prefill_numpy(self, ids: np.ndarray, cache: KVCache) -> np.ndarray:
+        """Reference prefill kernel (counter-free; ids already checked)."""
         cfg = self.config
         batch, seq = ids.shape
         start = cache.length
         stop = start + seq
-        if stop > cfg.block_size:
-            raise ValueError(f"cache overflow: {stop} > block size {cfg.block_size}")
-        self.counters.calls += 1
-        self.counters.prime_calls += 1
-        self.counters.prime_positions += batch * seq
         head_dim = cfg.dim // cfg.n_heads
         x = self.token_emb[ids] + self.pos_emb[start:stop]
         # causal mask restricted to the new queries attending over [0, stop)

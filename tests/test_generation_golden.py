@@ -9,6 +9,7 @@ means an "optimisation" changed what the generators sample.
 
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator, plan_digest
 from repro.nn.backend import compiler_available
+from repro.nn.inference import KVCache
 from repro.runtime import faults
 from repro.runtime.faults import InjectedFault
 
@@ -121,6 +123,10 @@ def test_ordered_counters_pinned():
     ) == (361, 11734, 11492, 853, 120, 268823)
     assert not stats.exhausted
     assert stats.truncated_mass == pytest.approx(0.9885961863170567, rel=1e-12)
+    # A pruned prefix (p 7.4e-5) beats the first guess (p 1.78e-5), so no
+    # emitted guess is provably among the true top 120.
+    assert math.exp(-stats.truncated_best_neg) == pytest.approx(7.404439885394527e-05, rel=1e-9)
+    assert stats.exact_prefix == 0
 
 
 @pytest.mark.parametrize("snapshot_every", [2, 5])
@@ -157,8 +163,9 @@ def test_fixture_self_consistent(golden):
 class TestCompiledBackendGolden:
     """The compiled decode backend is held to the same fixture bytes.
 
-    ``REPRO_BACKEND=compiled`` swaps the seq==1 decode kernel for the
-    fused C path (``repro.nn.backend``); every strategy must still emit
+    ``REPRO_BACKEND=compiled`` swaps the decode step and the prefill
+    (``start``/``extend``) for the fused C path (``repro.nn.backend``);
+    every strategy must still emit
     the identical golden stream, serial and multi-process (forked
     workers inherit the loaded kernel library copy-on-write).
     """
@@ -186,3 +193,44 @@ class TestCompiledBackendGolden:
     def test_ordered_stream_byte_identical(self, golden):
         stream = generate_ordered_stream(snapshot_every=4)
         assert stream == golden["ordered"]
+
+
+def _fill_headroom(cache):
+    for buf in (*cache.keys, *cache.values):
+        buf[:, :, cache.length :] = np.nan
+    return cache
+
+
+@pytest.fixture
+def nan_headroom(monkeypatch):
+    """Every KV buffer holds NaN past ``length`` after ``__init__``,
+    ``gather`` and ``trimmed``: a kernel that read past the filled region
+    would turn the golden streams to garbage."""
+    init, gather, trimmed = KVCache.__init__, KVCache.gather, KVCache.trimmed
+
+    def nan_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        _fill_headroom(self)
+
+    monkeypatch.setattr(KVCache, "__init__", nan_init)
+    monkeypatch.setattr(KVCache, "gather", lambda self, idx: _fill_headroom(gather(self, idx)))
+    monkeypatch.setattr(KVCache, "trimmed", lambda self: _fill_headroom(trimmed(self)))
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["numpy", pytest.param("compiled", marks=pytest.mark.skipif(
+        not compiler_available(), reason="no C compiler available"))],
+)
+@pytest.mark.parametrize("kind", ["dcgen", "free", "ordered"])
+def test_kv_headroom_is_never_read(golden, nan_headroom, monkeypatch, backend, kind):
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    inference = build_model().inference
+    assert inference.backend_name == backend  # the canary passes on NaN headroom too
+    cache = inference.start(np.array([[1, 2]]))[1]
+    assert np.isnan(cache.keys[0][:, :, 2:]).all()  # the fixture is live
+    if kind == "ordered":
+        stream = generate_ordered_stream()
+    else:
+        stream = generate_campaign(kind)
+    assert stream == golden[kind]

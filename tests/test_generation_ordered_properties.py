@@ -13,7 +13,8 @@ check that contract from the outside:
   modes the emitted log-probs never increase and no password repeats;
 * **truncation accounting** — a frontier cap small enough to prune must
   show up in :class:`OrderedStats` and the metrics registry, never
-  silently;
+  silently, and ``exact_prefix`` must count only guesses that really are
+  the true top of the space;
 * **journaling** — an unconditional campaign crashed at a frontier
   snapshot resumes into the uninterrupted stream, and a journal in an
   older snapshot layout is refused by its header, never misread.
@@ -22,6 +23,7 @@ check that contract from the outside:
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -43,6 +45,10 @@ from repro.tokenizer.patterns import Pattern
 
 #: Small enough to brute-force exhaustively: 52*10 + 10*10 = 620 strings.
 TINY_PATTERNS = {"L1N1": 0.6, "N2": 0.4}
+
+#: Prunes on the tiny model yet leaves a non-empty exact prefix of the
+#: first 80 guesses (54 of them).
+PRUNING = OrderedConfig(beam_width=16, max_frontier=100, snapshot_every=1)
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +116,27 @@ class TestBruteForceEquivalence:
         )
         stream = gen.generate_scored(k)
         assert gen.stats.truncated_nodes == 0  # exactness needs no pruning
+        assert gen.stats.exact_prefix == k
         assert [pw for pw, _ in stream] == [pw for pw, _ in ranked[:k]]
         # The reference path (one full-forward attention pass) and the
         # enumerator's KV extend path accumulate float32 rounding in
         # different orders, so scores agree to ~1e-7, not bitwise.
         for (pw, got), (_, want) in zip(stream, ranked):
             assert got == pytest.approx(want, abs=1e-6), pw
+
+    def test_exact_prefix_is_true_topk_under_pruning(self, tiny_model):
+        """Pruning can break the stream's exactness; the reported exact
+        prefix is still the true top of the space."""
+        truth = brute_force_scores(tiny_model)
+        ranked = [pw for pw, _ in sorted(truth.items(), key=lambda item: -item[1])]
+        gen = OrderedGenerator.for_patterns(tiny_model, config=PRUNING)
+        stream = gen.generate(80)
+        stats = gen.stats
+        assert stats.truncated_nodes > 0
+        assert 0 < stats.exact_prefix < 80
+        assert stream[: stats.exact_prefix] == ranked[: stats.exact_prefix]
+        # Every guess past the prefix is less probable than a pruned node.
+        assert -truth[stream[stats.exact_prefix]] > stats.truncated_best_neg
 
     def test_exhaustive_stream_covers_whole_space(self, tiny_model):
         """Asking for more than exists yields every password exactly once."""
@@ -331,6 +352,52 @@ class TestJournaling:
         faults.reset()
         assert len(journal.read_text().splitlines()) == 1 + crash_after
         assert run(journal=journal, resume=True) == clean
+
+    def _crash_and_resume(self, tiny_model, journal, monkeypatch, crashed_stats=None):
+        """Crash a pruning campaign at its third snapshot, then resume it;
+        ``crashed_stats`` replaces the journaled stats dict."""
+        monkeypatch.setenv(faults.FAULT_ENV, "crash:frontier:3")
+        faults.reset()
+        with monkeypatch.context() as patch:
+            if crashed_stats is not None:
+                patch.setattr(OrderedStats, "as_dict", crashed_stats)
+            with pytest.raises(InjectedFault):
+                OrderedGenerator.for_patterns(tiny_model, config=PRUNING).generate(
+                    80, journal=journal
+                )
+        monkeypatch.delenv(faults.FAULT_ENV)
+        faults.reset()
+        gen = OrderedGenerator.for_patterns(tiny_model, config=PRUNING)
+        stream = gen.generate(80, journal=journal, resume=True)
+        return stream, gen.stats
+
+    def test_resume_reports_the_same_exact_prefix(self, tiny_model, tmp_path, monkeypatch):
+        clean = OrderedGenerator.for_patterns(tiny_model, config=PRUNING)
+        stream = clean.generate(80)
+        resumed, stats = self._crash_and_resume(tiny_model, tmp_path / "run.jsonl", monkeypatch)
+        assert resumed == stream
+        assert stats.truncated_nodes == clean.stats.truncated_nodes
+        assert stats.truncated_best_neg == clean.stats.truncated_best_neg
+        assert stats.exact_prefix == clean.stats.exact_prefix > 0
+
+    def test_snapshot_without_best_dropped_score_reports_zero(
+        self, tiny_model, tmp_path, monkeypatch
+    ):
+        """Snapshots journaled before the best pruned score was tracked
+        show truncation but cannot bound it: nothing counts as exact."""
+
+        def old_layout(stats):
+            data = asdict(stats)
+            del data["truncated_best_neg"], data["exact_prefix"]
+            return data
+
+        _, stats = self._crash_and_resume(
+            tiny_model, tmp_path / "run.jsonl", monkeypatch, crashed_stats=old_layout
+        )
+        assert stats.truncated_nodes > 0
+        assert stats.exact_prefix == 0
+        restored = OrderedStats.from_dict(old_layout(OrderedStats(emitted=5)))
+        assert restored.count_exact([("pw", -1.0)] * 5) == 5  # nothing pruned: all exact
 
     def test_heap_format_journal_is_refused(self, tiny_model, tmp_path):
         gen = OrderedGenerator.for_patterns(tiny_model)

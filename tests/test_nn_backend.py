@@ -6,11 +6,13 @@ Three layers of guarantees, mirroring how the backend is built:
   halves, softmax halves, the inline attention kernels, BLAS-delegated
   matmul) reproduces its numpy counterpart: bit-exact on the float32
   domains the step kernel actually uses, ≤1e-6 relative elsewhere.
-* **Fused** — full decode-step rollouts through ``CompiledStepBackend``
-  are bit-identical to ``GPT2Inference._step_numpy``, including the KV
-  cache contents, across model shapes that exercise both attention
-  paths (inline kernels and per-slice cblas) and both head layouts
-  (tied/transposed and untied).
+* **Fused** — full decode-step rollouts and prefills (``start`` then
+  ``extend`` up to the block size) through ``CompiledStepBackend`` are
+  bit-identical to ``GPT2Inference._step_numpy`` / ``_prefill_numpy``,
+  including the KV cache contents, across model shapes that exercise
+  both attention paths (inline kernels and per-slice cblas) and both
+  head layouts (tied/transposed and untied); out-of-range token ids
+  raise on both backends before the cache is touched.
 * **Infrastructure** — kernel-cache reuse across instances (in-memory
   and on-disk), and graceful numpy fallback when the compiler is
   masked: warning, ``backend.fallbacks`` counter, ``backend_fallback``
@@ -309,6 +311,136 @@ class TestFusedParity:
         cache.length = cfg.block_size
         with pytest.raises(ValueError, match="cache overflow"):
             comp.step(np.array([0]), cache)
+
+
+def _prefill_parity(model, batches):
+    """``start`` with prompts of 1-5 tokens, then ``extend`` by 1-5 tokens
+    until the block is full; every call's logits and the final KV bytes
+    must equal numpy, and every call ending past position 1 must run the
+    kernel (the guard sends ``stop == 1`` to numpy)."""
+    cfg = model.config
+    ref = GPT2Inference(model, backend="numpy")
+    comp = GPT2Inference(model, backend="compiled")
+    assert comp.backend_name == "compiled", "backend fell back during parity test"
+    kernel = comp._compiled.prefill
+    ran = []
+    comp._compiled.prefill = lambda ids, cache: ran.append(1) or kernel(ids, cache)
+    rng = np.random.default_rng(0)
+    calls = 0
+    for batch in batches:
+        for prompt in range(1, 6):
+            ids = rng.integers(0, cfg.vocab_size, size=(batch, prompt))
+            a, ref_cache = ref.start(ids)
+            b, got_cache = comp.start(ids)
+            assert a.tobytes() == b.tobytes(), (batch, prompt)
+            calls += prompt > 1
+            feed = 1
+            while ref_cache.length < cfg.block_size:
+                seq = min(feed, cfg.block_size - ref_cache.length)
+                ids = rng.integers(0, cfg.vocab_size, size=(batch, seq))
+                a, b = ref.extend(ids, ref_cache), comp.extend(ids, got_cache)
+                assert a.tobytes() == b.tobytes(), (batch, prompt, ref_cache.length, seq)
+                calls += 1
+                feed = feed % 5 + 1
+            assert got_cache.length == cfg.block_size
+            for layer in range(cfg.n_layers):
+                assert ref_cache.keys[layer].tobytes() == got_cache.keys[layer].tobytes()
+                assert ref_cache.values[layer].tobytes() == got_cache.values[layer].tobytes()
+    assert len(ran) == calls
+
+
+@needs_cc
+class TestPrefillParity:
+    def test_inline_attention_tied_head(self):
+        # head_dim 16 -> inline gemvt/gemvn at one query per slice
+        _prefill_parity(_tiny_model(dim=64, n_heads=4, vocab_size=135, block_size=32), [1, 2, 37])
+
+    def test_cblas_attention_untied_head(self):
+        # head_dim 8 -> per-slice cblas sgemv; untied (dim, vocab) head
+        _prefill_parity(
+            _tiny_model(dim=24, n_heads=3, vocab_size=50, tie_lm_head=False), [1, 2, 37]
+        )
+
+    def test_three_layer_odd_vocab(self):
+        _prefill_parity(_tiny_model(dim=96, n_heads=3, n_layers=3, vocab_size=99), [1, 2, 37])
+
+    def test_guard_sends_unsupported_calls_to_numpy(self):
+        """Outside the kernel's domain a call behaves exactly as numpy's."""
+        model = _tiny_model()
+        cfg = model.config
+        ref = GPT2Inference(model, backend="numpy")
+        comp = GPT2Inference(model, backend="compiled")
+        backend = comp._compiled
+        _, primed = ref.start(np.array([[1, 4, 9]]))
+        ids = np.array([[5, 6]])
+
+        def fortran(cache):
+            cache.keys[0] = np.asfortranarray(cache.keys[0])
+            return cache
+
+        def float64(cache):
+            cache.values[1] = cache.values[1].astype(np.float64)
+            return cache
+
+        for odd in (fortran, float64):
+            assert not backend.supports(ids, odd(primed.gather([0])))
+            want, got = odd(primed.gather([0])), odd(primed.gather([0]))
+            assert comp.extend(ids, got).tobytes() == ref.extend(ids, want).tobytes()
+            for a, b in zip((*want.keys, *want.values), (*got.keys, *got.values)):
+                assert a.tobytes() == b.tobytes()
+        # trimmed(): capacity stays block_size, the buffers hold 3 positions
+        short = primed.trimmed()
+        assert short.capacity == cfg.block_size and not backend.supports(ids, short)
+        with pytest.raises(ValueError):
+            comp.extend(ids, short)
+        empty = KVCache(cfg.n_layers, 1, cfg.n_heads, cfg.block_size, 16)
+        assert not backend.supports(np.array([[7]]), empty)  # stop == 1
+        assert backend.supports(ids, primed.gather([0]))
+
+    def test_broken_prefill_kernel_falls_back(self, tmp_path, monkeypatch, capsys):
+        """A prefill that ignores the causal mask passes the step canary
+        but not the prefill one: construction falls back to numpy."""
+        render = compiled_mod.render_step_source
+
+        def unmasked(shape, blas_int64):
+            source = render(shape, blas_int64)
+            assert "s[j]=NEG_FILL;" in source
+            return source.replace("s[j]=NEG_FILL;", "s[j]/=KSCALE;")
+
+        monkeypatch.setattr(compiled_mod, "render_step_source", unmasked)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.setattr(compiled_mod, "_LIB_CACHE", {})
+        monkeypatch.setattr(inference_mod, "_BACKEND_FALLBACK_EMITTED", False)
+        registry = get_registry()
+        before = dict(registry.values()).get("backend.fallbacks", 0)
+        inf = GPT2Inference(_tiny_model(), backend="compiled")
+        assert inf.backend_name == "numpy"
+        assert dict(registry.values()).get("backend.fallbacks", 0) == before + 1
+        assert list(tmp_path.glob("step-*.so")), "the broken kernel never compiled"
+        assert "logits differ at batch=2, prefill seq=3" in capsys.readouterr().err
+
+
+class TestTokenIds:
+    """Ids numpy would wrap (-1) or index past (vocab_size) raise on both
+    backends, and the cache is left exactly as it was."""
+
+    @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_cc)])
+    @pytest.mark.parametrize("bad", [-1, 61])
+    def test_out_of_range_ids_raise_before_the_cache_moves(self, backend, bad):
+        model = _tiny_model()
+        assert model.config.vocab_size == 61
+        inf = GPT2Inference(model, backend=backend)
+        assert inf.backend_name == backend
+        with pytest.raises(IndexError):
+            inf.start(np.array([[1, bad, 3], [4, 5, 6]]))
+        _, cache = inf.start(np.array([[1, 2, 3], [4, 5, 6]]))
+        kv = [buf.tobytes() for buf in (*cache.keys, *cache.values)]
+        with pytest.raises(IndexError):
+            inf.extend(np.array([[7, 8], [bad, 9]]), cache)
+        with pytest.raises(IndexError):
+            inf.step(np.array([bad, 3]), cache)
+        assert cache.length == 3
+        assert [buf.tobytes() for buf in (*cache.keys, *cache.values)] == kv
 
 
 @needs_cc
