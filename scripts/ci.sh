@@ -35,7 +35,8 @@
 #    BENCH_telemetry_overhead.json (stream-identity gated, wall-clock
 #    recorded only); a live `repro serve` is scraped for Prometheus
 #    exposition, rendered once by `repro top`, and runs one ordered
-#    campaign whose stream must equal the CLI's before its SIGTERM drain.
+#    campaign whose stream and provably exact count must equal the CLI's
+#    before its SIGTERM drain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -252,14 +253,15 @@ python -m repro.cli top --url "http://127.0.0.1:$PORT" --once | grep -q "state: 
 # Ordered through the live server: the server runs ordered jobs with
 # OrderedConfig(), whose defaults match the CLI's ordered flags, so the
 # job's stream (default backend) must equal a default-flag CLI run on
-# numpy byte for byte.
-python - "$PORT" "$SMOKE_DIR/ordered_server.txt" <<'PY'
+# numpy byte for byte, and the job's exact_prefix must equal the count
+# on that run's "k of n guesses provably exact" stats line.
+python - "$PORT" "$SMOKE_DIR/ordered_server.txt" "$SMOKE_DIR/ordered_server.exact" <<'PY'
 import json
 import sys
 import time
 from urllib.request import Request, urlopen
 
-base, out = f"http://127.0.0.1:{sys.argv[1]}", sys.argv[2]
+base, out, exact = f"http://127.0.0.1:{sys.argv[1]}", sys.argv[2], sys.argv[3]
 body = json.dumps({"strategy": "ordered", "n": 120}).encode()
 post = Request(f"{base}/campaigns", data=body, method="POST",
                headers={"Content-Type": "application/json"})
@@ -272,16 +274,25 @@ while job["state"] not in ("done", "failed", "interrupted"):
     with urlopen(f"{base}/campaigns/{job['id']}", timeout=10) as r:
         job = json.load(r)
 assert job["state"] == "done", job
+assert job["detail"]["emitted"] == 120, job
 with urlopen(f"{base}/campaigns/{job['id']}/guesses", timeout=10) as r:
     data = r.read()
 with open(out, "wb") as fh:
     fh.write(data)
+with open(exact, "w") as fh:
+    fh.write(f"{job['detail']['exact_prefix']}\n")
 print("ordered campaign through the live server: done")
 PY
 python -m repro.cli generate --checkpoint "$SMOKE_DIR/model.npz" -n 120 \
-    --strategy ordered --backend numpy --out "$SMOKE_DIR/ordered_cli.txt"
+    --strategy ordered --backend numpy --out "$SMOKE_DIR/ordered_cli.txt" 2>&1 \
+    | tee "$SMOKE_DIR/ordered_cli.log"
 diff "$SMOKE_DIR/ordered_cli.txt" "$SMOKE_DIR/ordered_server.txt"
-echo "ordered smoke: server ordered job == repro generate --strategy ordered"
+CLI_EXACT=$(sed -n 's/.* \([0-9][0-9]*\) of 120 guesses provably exact$/\1/p' \
+    "$SMOKE_DIR/ordered_cli.log")
+test -n "$CLI_EXACT"
+test "$CLI_EXACT" = "$(cat "$SMOKE_DIR/ordered_server.exact")"
+echo "ordered smoke: server ordered job == repro generate --strategy ordered" \
+    "(stream and $CLI_EXACT provably exact)"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 echo "observability smoke: prometheus scrape + repro top ok, drain clean"

@@ -296,7 +296,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             if strategy == "ordered":
                 ordered = OrderedConfig(beam_width=args.beam_width, max_frontier=args.max_frontier,
                                         snapshot_every=args.snapshot_every)
-            guesses, summary = run_strategy(
+            guesses, summary, _ = run_strategy(
                 model, strategy, args.n, seed=args.seed, workers=args.workers,
                 threshold=args.threshold, ordered=ordered,
                 journal=journal_path, resume=args.resume,

@@ -36,12 +36,15 @@ Progress = Callable[[int, int], None]
 @dataclass(frozen=True)
 class Plan:
     """A planned campaign: the journal ``header`` (run identity; the
-    runner adds ``kind``), the ``campaign_plan`` event ``fields``, and
-    the execute phase ``execute(journal, progress, budget)``."""
+    runner adds ``kind``), the ``campaign_plan`` event ``fields``, the
+    execute phase ``execute(journal, progress, budget)``, and optionally
+    ``report()``, the result attributes set on the ``campaign`` span
+    once ``execute`` returns."""
 
     header: dict
     fields: dict
     execute: Callable[[Optional[RunJournal], Optional[Progress], Optional[Budget]], Any]
+    report: Optional[Callable[[], dict]] = None
 
 
 def run(
@@ -62,18 +65,22 @@ def run(
     :class:`~repro.runtime.JournalError` on ``resume``) and closed when
     the run ends; an open :class:`RunJournal` stays the caller's.
     """
-    with telemetry.trace("campaign", kind=kind, requested=int(requested)):
+    with telemetry.trace("campaign", kind=kind, requested=int(requested)) as span:
         plan = prepare()
         telemetry.emit("campaign_plan", kind=kind, requested=int(requested), **plan.fields)
         if journal is None or isinstance(journal, RunJournal):
-            return plan.execute(journal, progress, budget)
-        header = telemetry.pin_trace({"kind": kind, **plan.header})
-        with RunJournal.attach(journal, header, resume=resume) as attached:
-            # A resumed run rejoins the original run's trace so its spans
-            # extend the first attempt's tree; a fresh run adopts its own
-            # pinned ref (a no-op).
-            telemetry.rejoin_trace(attached.header.get(RunJournal.TRACE_HEADER_KEY))
-            return plan.execute(attached, progress, budget)
+            result = plan.execute(journal, progress, budget)
+        else:
+            header = telemetry.pin_trace({"kind": kind, **plan.header})
+            with RunJournal.attach(journal, header, resume=resume) as attached:
+                # A resumed run rejoins the original run's trace so its
+                # spans extend the first attempt's tree; a fresh run
+                # adopts its own pinned ref (a no-op).
+                telemetry.rejoin_trace(attached.header.get(RunJournal.TRACE_HEADER_KEY))
+                result = plan.execute(attached, progress, budget)
+        if plan.report is not None:
+            span.set(**plan.report())
+        return result
 
 
 @dataclass(frozen=True)
@@ -199,9 +206,11 @@ def run_strategy(
     resume: bool = False,
     progress: Optional[Progress] = None,
     budget: Optional[Budget] = None,
-) -> tuple[list[str], str]:
-    """Run ``strategy`` on a loaded GPT model; returns the guesses and a
-    one-line stats summary (empty for ``sampled``).
+) -> tuple[list[str], str, dict]:
+    """Run ``strategy`` on a loaded GPT model; returns the guesses, a
+    one-line stats summary (empty for ``sampled``) and the result fields
+    a server job reports (``ordered``: ``emitted`` and ``exact_prefix``;
+    empty otherwise).
 
     ``sampled`` samples the model (PassGPT: one seeded stream, nothing
     journaled), ``dcgen`` runs D&C-GEN (PagPassGPT only) and ``ordered``
@@ -224,7 +233,7 @@ def run_strategy(
             f"{stats.model_calls} model calls, {stats.truncated_nodes} frontier nodes "
             f"truncated ({stats.truncated_mass:.3g} mass), "
             f"{stats.exact_prefix} of {stats.emitted} guesses provably exact"
-        )
+        ), stats.exactness()
     if strategy == "dcgen":
         if not guided:
             raise UnsupportedStrategy("strategy dcgen requires a PagPassGPT checkpoint")
@@ -234,9 +243,9 @@ def run_strategy(
         return guesses, (
             f"D&C-GEN: {stats.patterns_used} patterns, {stats.leaves} leaves, "
             f"{stats.divisions} divisions, {workers} worker(s)"
-        )
+        ), {}
     if strategy != "sampled":
         raise UnsupportedStrategy(f"unknown strategy {strategy!r}")
     if guided:
-        return model.generate(n, seed=seed, workers=workers, **lifecycle), ""
-    return model.generate(n, seed=seed), ""
+        return model.generate(n, seed=seed, workers=workers, **lifecycle), "", {}
+    return model.generate(n, seed=seed), "", {}

@@ -310,17 +310,23 @@ def execute_batch(
         )
 
         prompt_logits, prompt_kv = model.prompt_cache.lookup(first.prefix[:prompt_len])
+        # Caches hold exactly what they will be filled to: the extend
+        # ends at the leaf prefix, and the decode loop never steps past
+        # the pattern's last character.
+        decoded = prompt_len + pattern.length - 1
         calls = 0
         if done:
             # Extend the shared prompt by each leaf's decided characters
             # (unique rows only), then replicate to the full guess count.
-            unique_kv = prompt_kv.gather(np.zeros(len(batch.slices), dtype=np.intp))
+            unique_kv = prompt_kv.gather(
+                np.zeros(len(batch.slices), dtype=np.intp), prompt_len + done
+            )
             unique_logits = model.inference.extend(leaf_chars, unique_kv)
             calls += 1
-            cache = unique_kv.gather(expand)
+            cache = unique_kv.gather(expand, decoded)
             logits = unique_logits[expand]
         else:
-            cache = prompt_kv.gather(np.zeros(len(expand), dtype=np.intp))
+            cache = prompt_kv.gather(np.zeros(len(expand), dtype=np.intp), decoded)
             logits = np.repeat(prompt_logits, len(expand), axis=0)
 
         chosen_cols = np.empty((len(expand), n_positions), dtype=np.int64)
@@ -619,7 +625,7 @@ class DCGenerator:
             if depth == 0:
                 logits = np.repeat(prompt_logits, len(chunk), axis=0)
             else:
-                kv = prompt_kv.gather(np.zeros(len(chunk), dtype=np.intp))
+                kv = prompt_kv.gather(np.zeros(len(chunk), dtype=np.intp), rows.shape[1])
                 logits = self.model.inference.extend(chunk[:, prompt_len:], kv)
                 self.stats.model_calls += 1
             out[start : start + len(chunk)] = constrained_distribution(logits, allowed)

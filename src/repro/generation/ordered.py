@@ -91,7 +91,8 @@ node's descendants are never more probable than the node itself), and
 stream is monotone but may skip more probable passwords that were
 pruned.  ``truncated_best_neg`` records the most probable dropped score
 and is journaled with the rest of the stats, so a resumed run reports
-the same prefix.
+the same prefix.  The ``campaign`` span, the CLI stats line and a
+server job's result all carry ``exact_prefix`` next to ``emitted``.
 """
 
 from __future__ import annotations
@@ -190,6 +191,11 @@ class OrderedStats:
         if self.truncated_best_neg is None:
             return len(emitted)
         return bisect.bisect_right(emitted, self.truncated_best_neg, key=lambda e: -e[1])
+
+    def exactness(self) -> dict[str, int]:
+        """``emitted`` and ``exact_prefix``: what the ``campaign`` span
+        and a server job's result report."""
+        return {"emitted": int(self.emitted), "exact_prefix": int(self.exact_prefix)}
 
 
 @dataclass(frozen=True)
@@ -461,6 +467,7 @@ class OrderedGenerator:
                 fields={"rows": int(n), "prompts": len(self.prompts),
                         "backend": self.model.inference.backend_name, **shape},
                 execute=functools.partial(self._run, n),
+                report=lambda: self.stats.exactness(),
             )
 
         return campaign.run("ordered", n, prepare, journal, resume, progress, budget)
@@ -628,7 +635,10 @@ class OrderedGenerator:
             if depth == 0:
                 logits = np.repeat(prompt_logits, len(rows), axis=0)
             else:
-                kv = prompt_kv.gather(np.zeros(len(rows), dtype=np.intp))
+                # Sized to what the extend fills: the prompt plus ``depth``.
+                kv = prompt_kv.gather(
+                    np.zeros(len(rows), dtype=np.intp), prompt_kv.length + depth
+                )
                 chars = batch.chars[rows, :depth].astype(np.int64)
                 logits = self.model.inference.extend(chars, kv)
                 stats.model_calls += 1

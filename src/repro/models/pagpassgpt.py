@@ -207,10 +207,13 @@ class PagPassGPT(PatternGuidedGuesser):
         """
         prompt_len = pattern.num_segments + 2  # <BOS> pattern <SEP>
         done_chars = len(prefix_ids) - prompt_len
-        # All rows share the prefix: prime it once, fan out the KV state.
-        logits, cache = self.prompt_cache.expand(prefix_ids, batch)
-        token_strs = self.tokenizer.vocab.token_array
         n_positions = pattern.length - done_chars
+        # All rows share the prefix: prime it once, fan out the KV state,
+        # sized to the last position the loop below steps to.
+        logits, cache = self.prompt_cache.expand(
+            prefix_ids, batch, len(prefix_ids) + max(n_positions - 1, 0)
+        )
+        token_strs = self.tokenizer.vocab.token_array
         chosen_cols = np.empty((batch, n_positions), dtype=np.int64)
         for j, position in enumerate(range(done_chars, pattern.length)):
             allowed = self.tokenizer.allowed_ids_at(pattern, position)

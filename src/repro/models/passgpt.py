@@ -179,7 +179,8 @@ class PassGPT(PatternGuidedGuesser):
         token_strs = vocab.token_array
         for start in range(0, n, GEN_BATCH):
             batch = min(GEN_BATCH, n - start)
-            logits, cache = self.prompt_cache.expand(bos, batch)
+            # <BOS> plus every character but the last, which is never fed.
+            logits, cache = self.prompt_cache.expand(bos, batch, len(classes))
             chosen_cols = np.empty((batch, len(classes)), dtype=np.int64)
             for position, cls in enumerate(classes):
                 allowed = self.tokenizer.class_char_ids[cls]

@@ -7,9 +7,10 @@ library — in-memory per process, on-disk under ``~/.cache/repro-kernels``
 keyed by source digest), binds the model's weight pointers into the
 context struct, and then runs a **parity canary**: at batch 2 and batch
 1, prefills of several shapes (a prompt from an empty cache, a one-token
-and a two-token ``extend``) followed by decode steps, each compared
-bit-for-bit against the numpy reference, including the KV-cache
-contents.  Any mismatch, missing compiler, or compile error raises
+and a two-token ``extend``) followed by decode steps, then a prefill and
+a step into a cache right-sized to them, each compared bit-for-bit
+against the numpy reference, including the KV-cache contents.  Any
+mismatch, missing compiler, or compile error raises
 :class:`BackendUnavailable` — the caller falls back to numpy and the
 campaign continues.
 
@@ -341,7 +342,8 @@ class CompiledStepBackend:
         for a prefill.  Every KV buffer must be C-contiguous float32 and
         hold all ``stop`` positions the call touches (a ``trimmed()``
         cache keeps ``capacity`` at the block size, so the buffer length
-        is what counts).  A prefill ending at ``stop == 1`` stays on
+        is what counts; a right-sized gather holds exactly what its
+        caller fills).  A prefill ending at ``stop == 1`` stays on
         numpy: there numpy leaves the sgemm/sgemv paths.
         """
         shape = self.shape
@@ -413,22 +415,28 @@ class CompiledStepBackend:
     def _verify_against_reference(self, inference: Any) -> None:
         """Prefills then steps, bit-compared against numpy — logits and caches.
 
-        From an empty cache: a prompt of up to three tokens (sgemm rows,
-        causal mask), a one-token extend (sgemv rows, one query per
-        slice), a two-token extend at ``start > 0``, then two decode
-        steps — each where the block size leaves room.
+        From an empty block-size cache: a prompt of up to three tokens
+        (sgemm rows, causal mask), a one-token extend (sgemv rows, one
+        query per slice), a two-token extend at ``start > 0``, then two
+        decode steps — each where the block size leaves room.  Then a
+        three-token prompt and one step into caches of exactly four
+        positions, the right-sized buffers D&C-GEN and ordered decode
+        into, so a kernel that strides the KV buffers by the block size
+        instead of their length is refused.
         """
-        from ..inference import KVCache
-
         shape = self.shape
         rng = np.random.default_rng(0)
-        for batch in (2, 1):
-            ref_cache = KVCache(shape.n_layers, batch, shape.n_heads, self._block, shape.head_dim)
-            got_cache = KVCache(shape.n_layers, batch, shape.n_heads, self._block, shape.head_dim)
-            for seq in (3, 1, 2, None, None):  # prefill lengths; None is a step
+        full = (3, 1, 2, None, None)  # prefill lengths; None is a step
+        short = min(4, self._block)
+        replays = [(2, self._block, full), (1, self._block, full), (2, short, (3, None))]
+        for batch, cap, calls in replays:
+            ref_cache = self._canary_cache(batch, cap)
+            got_cache = self._canary_cache(batch, cap)
+            where = f"batch={batch}" if cap == self._block else f"batch={batch}, capacity {cap}"
+            for seq in calls:
                 step = seq is None
                 stop = ref_cache.length + (seq or 1)
-                if stop > self._block or (not step and stop < 2):
+                if stop > cap or (not step and stop < 2):
                     continue  # no room, or numpy's own path (never the kernel's)
                 size = (batch,) if step else (batch, seq)
                 ids = rng.integers(0, self._vocab, size=size, dtype=np.int64)
@@ -443,7 +451,7 @@ class CompiledStepBackend:
                 if ref.tobytes() != got.tobytes():
                     kind = "step" if step else f"prefill seq={seq}"
                     raise BackendUnavailable(
-                        f"parity canary failed: logits differ at batch={batch}, {kind}"
+                        f"parity canary failed: logits differ at {where}, {kind}"
                     )
             for layer in range(shape.n_layers):
                 if (
@@ -451,5 +459,20 @@ class CompiledStepBackend:
                     or ref_cache.values[layer].tobytes() != got_cache.values[layer].tobytes()
                 ):
                     raise BackendUnavailable(
-                        f"parity canary failed: KV cache differs at layer {layer}"
+                        f"parity canary failed: KV cache differs at {where}, layer {layer}"
                     )
+
+    def _canary_cache(self, batch: int, cap: int) -> Any:
+        """A zeroed ``cap``-position canary cache whose buffers are carved
+        from block-size arenas: a kernel that strides by the block size
+        then writes into memory the canary owns and fails the comparison
+        instead of corrupting the heap."""
+        from ..inference import KVCache
+
+        shape = self.shape
+        cache = KVCache(shape.n_layers, batch, shape.n_heads, cap, shape.head_dim)
+        arena = batch * shape.n_heads * self._block * shape.head_dim
+        for buffers in (cache.keys, cache.values):
+            for layer, buf in enumerate(buffers):
+                buffers[layer] = np.zeros(arena, dtype=np.float32)[: buf.size].reshape(buf.shape)
+        return cache

@@ -2,9 +2,9 @@
 
 Generation (especially D&C-GEN, which queries thousands of next-token
 distributions) dominates runtime, so this module re-implements the GPT-2
-forward pass in plain numpy with a pre-allocated key/value cache instead of
-walking the autograd graph.  Equivalence with the training path is
-enforced by tests (`tests/test_nn_inference.py`,
+forward pass in plain numpy over a key/value cache instead of walking
+the autograd graph.  Equivalence with the training path is enforced by
+tests (`tests/test_nn_inference.py`,
 `tests/test_nn_inference_fastpath.py`).
 
 Fast-path design (inference fast-path v2):
@@ -27,6 +27,10 @@ Fast-path design (inference fast-path v2):
   :meth:`KVCache.gather`) — a shared prompt is primed once, stored
   trimmed to its filled region, and fanned out to any batch width with
   a vectorised row gather instead of being recomputed per row.
+* **right-sized caches** — a gather allocates only the positions its
+  caller will fill (D&C-GEN and ordered pass their final length) and
+  copies only the filled region; nothing reads past ``length``, so the
+  headroom is never zeroed.
 * **instrumentation** (:class:`InferenceCounters`) — every forward
   records how many rows×positions it primed, which is the FLOPs proxy
   the throughput bench and CI use to detect de-dedup regressions.
@@ -134,13 +138,14 @@ class InferenceCounters:
 
 
 class KVCache:
-    """Pre-allocated per-layer key/value cache for a generation batch.
+    """Per-layer key/value cache for a generation batch.
 
     Invariant: positions ``[0, length)`` of every buffer are filled; the
-    remainder up to ``capacity`` is zeroed headroom for future decode
-    steps.  The row operation :meth:`gather` therefore copies only the
-    filled region while allocating full-capacity buffers, so a gathered
-    cache keeps the same remaining decode capacity as its source.
+    remainder up to the buffer length is headroom for future decode
+    steps, and no kernel reads it before writing it.  A fresh cache
+    holds zeroed ``block_size``-position buffers; :meth:`gather` sizes
+    its buffers to the ``capacity`` the caller will fill and leaves the
+    headroom uninitialised.
     """
 
     def __init__(self, n_layers: int, batch: int, n_heads: int, block_size: int, head_dim: int) -> None:
@@ -149,30 +154,38 @@ class KVCache:
         self.values = [np.zeros(shape, dtype=np.float32) for _ in range(n_layers)]
         self.length = 0
         self.batch = batch
-        #: Total positions each buffer can hold (the model's block size).
+        #: Positions a :meth:`gather` from this cache holds by default:
+        #: the model's block size, or the capacity a gather was given.
         self.capacity = block_size
         #: Per-layer scratch reused by the seq==1 decode kernel.
         self._scratch: dict | None = None
 
-    def gather(self, indices: np.ndarray) -> "KVCache":
+    def gather(self, indices: np.ndarray, capacity: int | None = None) -> "KVCache":
         """Return a new cache whose rows are ``self``'s rows at ``indices``.
 
         ``indices`` may repeat and reorder rows arbitrarily, which makes
         this the one primitive behind batch splitting, prompt fan-out and
-        D&C-GEN's unique-prefix → full-row expansion.  Only the filled
-        ``[0, length)`` region is copied; the result owns fresh
-        full-capacity buffers (storage is never shared with the source).
+        D&C-GEN's unique-prefix → full-row expansion.  The result owns
+        fresh buffers of ``capacity`` positions (default:
+        ``self.capacity``), never shared with the source; only the filled
+        ``[0, length)`` region is copied, and the headroom past it is
+        left uninitialised.  Callers that know how far they will decode
+        pass exactly that length, so a fan-out allocates and touches no
+        more than it fills.
         """
         indices = np.asarray(indices, dtype=np.intp)
+        capacity = self.capacity if capacity is None else int(capacity)
+        filled = self.length
+        if capacity < filled:
+            raise ValueError(f"capacity {capacity} < filled length {filled}")
         out = KVCache.__new__(KVCache)
         n = int(len(indices))
-        filled = self.length
         out.keys = []
         out.values = []
         for k, v in zip(self.keys, self.values):
-            heads, head_dim = k.shape[1], k.shape[3]
-            nk = np.zeros((n, heads, self.capacity, head_dim), dtype=np.float32)
-            nv = np.zeros((n, heads, self.capacity, head_dim), dtype=np.float32)
+            shape = (n, k.shape[1], capacity, k.shape[3])
+            nk = np.empty(shape, dtype=np.float32)
+            nv = np.empty(shape, dtype=np.float32)
             if filled:
                 nk[:, :, :filled] = k[indices, :, :filled]
                 nv[:, :, :filled] = v[indices, :, :filled]
@@ -180,16 +193,16 @@ class KVCache:
             out.values.append(nv)
         out.length = filled
         out.batch = n
-        out.capacity = self.capacity
+        out.capacity = capacity
         out._scratch = None
         return out
 
     def trimmed(self) -> "KVCache":
         """Compact deep copy holding only the filled ``[0, length)`` region.
 
-        Used by :class:`PromptCache` to store primed prompts densely;
-        :meth:`gather` on a trimmed cache restores full-capacity buffers,
-        so decode headroom is preserved across the round trip.
+        Used by :class:`PromptCache` to store primed prompts densely.
+        ``capacity`` is kept, so :meth:`gather` on a trimmed cache
+        allocates the source's capacity unless told otherwise.
         """
         out = KVCache.__new__(KVCache)
         filled = self.length
@@ -364,12 +377,8 @@ class GPT2Inference:
         matmuls write into scratch buffers kept on the cache.
         """
         ids = np.asarray(next_ids).reshape(-1)
-        cfg = self.config
         batch = ids.shape[0]
-        if cache.length + 1 > cfg.block_size:
-            raise ValueError(
-                f"cache overflow: {cache.length + 1} > block size {cfg.block_size}"
-            )
+        self._check_room(cache, cache.length + 1)
         self._check_ids(ids)
         self.counters.calls += 1
         self.counters.step_calls += 1
@@ -378,6 +387,16 @@ class GPT2Inference:
         if backend is not None and backend.supports(ids, cache):
             return backend.step(ids, cache)
         return self._step_numpy(ids, cache)
+
+    def _check_room(self, cache: KVCache, stop: int) -> None:
+        """Refuse a call that would write past the block size or past
+        the cache's buffers (a right-sized or trimmed cache holds fewer
+        than ``block_size`` positions)."""
+        if stop > self.config.block_size:
+            raise ValueError(f"cache overflow: {stop} > block size {self.config.block_size}")
+        held = cache.keys[0].shape[2]
+        if stop > held:
+            raise ValueError(f"cache overflow: {stop} > buffer length {held}")
 
     def _check_ids(self, ids: np.ndarray) -> None:
         """Refuse ids numpy would wrap (negative) or the kernels would
@@ -431,11 +450,8 @@ class GPT2Inference:
     def _forward_cached(self, ids: np.ndarray, cache: KVCache) -> np.ndarray:
         """Feed ``(batch, seq)`` ids into ``cache``: the compiled prefill
         when the backend supports the call, else the numpy reference."""
-        cfg = self.config
         batch, seq = ids.shape
-        stop = cache.length + seq
-        if stop > cfg.block_size:
-            raise ValueError(f"cache overflow: {stop} > block size {cfg.block_size}")
+        self._check_room(cache, cache.length + seq)
         self._check_ids(ids)
         self.counters.calls += 1
         self.counters.prime_calls += 1
@@ -542,15 +558,18 @@ class PromptCache:
             get_registry().counter("prompt_cache.evictions").inc()
         return entry
 
-    def expand(self, prompt_ids: np.ndarray, rows: int) -> tuple[np.ndarray, KVCache]:
+    def expand(
+        self, prompt_ids: np.ndarray, rows: int, capacity: int | None = None
+    ) -> tuple[np.ndarray, KVCache]:
         """Fan the primed prompt out to ``rows`` identical batch rows.
 
         Returns ``(logits, cache)`` with ``logits`` of shape
-        ``(rows, vocab)`` and a freshly-allocated full-capacity cache
-        that is safe to decode into.
+        ``(rows, vocab)`` and a freshly-allocated cache of ``capacity``
+        positions (default: the block size) that is safe to decode into;
+        see :meth:`KVCache.gather`.
         """
         logits, cache = self.lookup(prompt_ids)
         return (
             np.repeat(logits, rows, axis=0),
-            cache.gather(np.zeros(rows, dtype=np.intp)),
+            cache.gather(np.zeros(rows, dtype=np.intp), capacity),
         )

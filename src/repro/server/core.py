@@ -406,7 +406,7 @@ class CampaignServer:
                 context=telemetry.TraceContext.from_dict(job.trace),
             )
         try:
-            guesses, _ = run_strategy(
+            guesses, _, stats = run_strategy(
                 model, spec.strategy, spec.n, seed=spec.seed, workers=spec.workers,
                 threshold=spec.threshold, journal=journal, resume=resume,
                 progress=progress, budget=budget,
@@ -417,7 +417,7 @@ class CampaignServer:
         out = jobdir / GUESSES_FILE
         atomic_write_text(out, "\n".join(guesses) + "\n")
         journal.unlink(missing_ok=True)  # campaign finished; journal spent
-        return "done", {"guesses": len(guesses), "resumed": resume}
+        return "done", {"guesses": len(guesses), "resumed": resume, **stats}
 
     # ------------------------------------------------------------------
     # Introspection (``/status`` and ``/metrics``)

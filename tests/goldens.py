@@ -1,13 +1,15 @@
 """Golden-stream fixtures for the inference fast path.
 
-The D&C-GEN and free-generation guess streams are part of the repo's
-compatibility contract: perf work on the inference path (KV priming,
-decode kernels, batching) must never change a single sampled byte.  This
-module pins that contract to committed fixtures:
+The D&C-GEN, free-generation, ordered and pattern-guided guess streams
+are part of the repo's compatibility contract: perf work on the
+inference path (KV priming, decode kernels, batching, cache sizing) must
+never change a single sampled byte.  This module pins that contract to
+committed fixtures:
 
 * :func:`build_model` constructs the deterministic reference model
   (fixed-seed random weights — sampling equivalence must hold for any
-  next-token distribution, so training is unnecessary);
+  next-token distribution, so training is unnecessary), or the PassGPT
+  baseline on the same shape;
 * :func:`generate_streams` produces the reference streams through the
   *public* generation API only, so the exact same script reproduces the
   goldens at any commit;
@@ -49,28 +51,36 @@ SPEC = {
     "dcgen": {"total": 1500, "seed": 11, "threshold": 48},
     "free": {"n": 700, "seed": 13},
     "ordered": {"n": 120, "beam_width": 32, "max_frontier": 5000},
+    "guided": {"patterns": ["L4N2", "L3S1N2"], "n": 520, "seed": 17},
 }
 
+#: Models whose ``generate_with_pattern`` streams the fixture pins.
+GUIDED_MODELS = ("PagPassGPT", "PassGPT")
 
-def build_model():
-    """The fixed reference model: deterministic weights, hand-made S_p."""
-    from repro.models import PagPassGPT
+
+def build_model(kind: str = "PagPassGPT"):
+    """The fixed reference model: deterministic weights, hand-made S_p.
+
+    ``kind="PassGPT"`` builds the baseline on the same GPT shape (it has
+    no pattern distribution)."""
+    from repro.models import PagPassGPT, PassGPT
     from repro.nn import GPT2Config
 
     spec = SPEC["model"]
-    model = PagPassGPT(
-        model_config=GPT2Config(
-            vocab_size=135,
-            block_size=32,
-            dim=spec["dim"],
-            n_layers=spec["n_layers"],
-            n_heads=spec["n_heads"],
-            dropout=0.0,
-        ),
-        seed=spec["seed"],
+    config = GPT2Config(
+        vocab_size=135,
+        block_size=32,
+        dim=spec["dim"],
+        n_layers=spec["n_layers"],
+        n_heads=spec["n_heads"],
+        dropout=0.0,
+    )
+    model = {"PagPassGPT": PagPassGPT, "PassGPT": PassGPT}[kind](
+        model_config=config, seed=spec["seed"]
     )
     model._fitted = True
-    model.pattern_probs = dict(SPEC["pattern_probs"])
+    if kind == "PagPassGPT":
+        model.pattern_probs = dict(SPEC["pattern_probs"])
     return model
 
 
@@ -99,6 +109,22 @@ def generate_ordered_stream(snapshot_every: int = 4, journal=None, resume=False)
         build_model(), config=ordered_config(snapshot_every)
     )
     return gen.generate(SPEC["ordered"]["n"], journal=journal, resume=resume)
+
+
+def generate_guided_streams() -> dict:
+    """``generate_with_pattern`` streams keyed ``"<model>/<pattern>"``:
+    two ``GEN_BATCH`` batches per pattern, via the public API."""
+    from repro.tokenizer import Pattern
+
+    guided = SPEC["guided"]
+    streams = {}
+    for kind in GUIDED_MODELS:
+        model = build_model(kind)
+        for pattern in guided["patterns"]:
+            streams[f"{kind}/{pattern}"] = model.generate_with_pattern(
+                Pattern.parse(pattern), guided["n"], seed=guided["seed"]
+            )
+    return streams
 
 
 def generate_campaign(kind: str, journal=None, resume=False) -> list[str]:
@@ -161,6 +187,7 @@ def generate_streams(workers: int = 1, gen_batch: int | None = None) -> dict:
         "free_sha256": hashlib.sha256("\n".join(free_stream).encode()).hexdigest(),
         "ordered": ordered_stream,
         "ordered_sha256": hashlib.sha256("\n".join(ordered_stream).encode()).hexdigest(),
+        "guided": generate_guided_streams(),
     }
 
 
@@ -172,6 +199,8 @@ def main() -> None:
     print(f"  dcgen:   {len(streams['dcgen'])} guesses, sha {streams['dcgen_sha256'][:16]}")
     print(f"  free:    {len(streams['free'])} guesses, sha {streams['free_sha256'][:16]}")
     print(f"  ordered: {len(streams['ordered'])} guesses, sha {streams['ordered_sha256'][:16]}")
+    for key, stream in streams["guided"].items():
+        print(f"  guided {key}: {len(stream)} guesses")
     print(f"  plan digest: {streams['plan_digest']}")
 
 

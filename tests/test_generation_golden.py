@@ -3,8 +3,9 @@
 The committed fixture ``tests/golden/streams.json`` was produced by
 ``tests/goldens.py`` *before* the inference fast path landed; these tests
 assert the current code reproduces it exactly — for serial and parallel
-execution, several batch widths, and journaled resume.  A failure here
-means an "optimisation" changed what the generators sample.
+execution, several batch widths, journaled resume, and the
+pattern-guided streams of both GPT models.  A failure here means an
+"optimisation" changed what the generators sample.
 """
 
 import hashlib
@@ -16,20 +17,24 @@ import numpy as np
 import pytest
 
 from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator, plan_digest
-from repro.nn.backend import compiler_available
-from repro.nn.inference import KVCache
+from repro.nn.backend import CompiledStepBackend, compiler_available
+from repro.nn.inference import GPT2Inference, KVCache
 from repro.runtime import faults
 from repro.runtime.faults import InjectedFault
 
 from tests.goldens import (
     CRASH_JOURNALS,
     GOLDEN_PATH,
+    GUIDED_MODELS,
     SPEC,
     build_model,
     generate_campaign,
+    generate_guided_streams,
     generate_ordered_stream,
     ordered_config,
 )
+
+needs_cc = pytest.mark.skipif(not compiler_available(), reason="no C compiler available")
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +157,21 @@ def test_ordered_crash_resume_byte_identical(golden, snapshot_every, tmp_path, m
     assert resumed == golden["ordered"]
 
 
+def test_guided_streams_byte_identical(golden):
+    """``generate_with_pattern`` of both GPT models, two batches each."""
+    assert generate_guided_streams() == golden["guided"]
+
+
 def test_fixture_self_consistent(golden):
     assert golden["spec"] == SPEC  # fixture was built from the current spec
     for key in ("dcgen", "free", "ordered"):
         digest = hashlib.sha256("\n".join(golden[key]).encode()).hexdigest()
         assert digest == golden[f"{key}_sha256"]
+    guided = SPEC["guided"]
+    assert sorted(golden["guided"]) == sorted(
+        f"{kind}/{pattern}" for kind in GUIDED_MODELS for pattern in guided["patterns"]
+    )
+    assert {len(stream) for stream in golden["guided"].values()} == {guided["n"]}
 
 
 @pytest.mark.skipif(not compiler_available(), reason="no C compiler available")
@@ -194,6 +209,10 @@ class TestCompiledBackendGolden:
         stream = generate_ordered_stream(snapshot_every=4)
         assert stream == golden["ordered"]
 
+    def test_guided_streams_byte_identical(self, golden):
+        assert build_model("PassGPT").inference.backend_name == "compiled", "backend fell back"
+        assert generate_guided_streams() == golden["guided"]
+
 
 def _fill_headroom(cache):
     for buf in (*cache.keys, *cache.values):
@@ -212,25 +231,73 @@ def nan_headroom(monkeypatch):
         init(self, *args, **kwargs)
         _fill_headroom(self)
 
+    def nan_gather(self, indices, capacity=None):
+        return _fill_headroom(gather(self, indices, capacity))
+
     monkeypatch.setattr(KVCache, "__init__", nan_init)
-    monkeypatch.setattr(KVCache, "gather", lambda self, idx: _fill_headroom(gather(self, idx)))
+    monkeypatch.setattr(KVCache, "gather", nan_gather)
     monkeypatch.setattr(KVCache, "trimmed", lambda self: _fill_headroom(trimmed(self)))
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["numpy", pytest.param("compiled", marks=pytest.mark.skipif(
-        not compiler_available(), reason="no C compiler available"))],
-)
-@pytest.mark.parametrize("kind", ["dcgen", "free", "ordered"])
+def _run_golden(kind: str):
+    """The serial golden run of ``kind`` via the public API."""
+    if kind == "ordered":
+        return generate_ordered_stream()
+    if kind == "guided":
+        return generate_guided_streams()
+    return generate_campaign(kind)
+
+
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_cc)])
+@pytest.mark.parametrize("kind", ["dcgen", "free", "ordered", "guided"])
 def test_kv_headroom_is_never_read(golden, nan_headroom, monkeypatch, backend, kind):
     monkeypatch.setenv("REPRO_BACKEND", backend)
     inference = build_model().inference
     assert inference.backend_name == backend  # the canary passes on NaN headroom too
     cache = inference.start(np.array([[1, 2]]))[1]
     assert np.isnan(cache.keys[0][:, :, 2:]).all()  # the fixture is live
-    if kind == "ordered":
-        stream = generate_ordered_stream()
-    else:
-        stream = generate_campaign(kind)
-    assert stream == golden[kind]
+    assert _run_golden(kind) == golden[kind]
+
+
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_cc)])
+@pytest.mark.parametrize("kind", ["dcgen", "ordered", "guided"])
+def test_gathered_caches_end_exactly_full(golden, monkeypatch, backend, kind):
+    """Every cache D&C-GEN, ordered and pattern-guided generation gather
+    is sized to what they fill: after its last kernel call, ``length``
+    equals the buffer length.  A capacity formula one too small
+    overflows; one too large fails here."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    probes = []
+    gather = KVCache.gather
+
+    def probed_gather(self, indices, capacity=None):
+        out = gather(self, indices, capacity)
+        out.probe = {"buffer": out.keys[0].shape[2], "length": out.length,
+                     "calls": 0, "kernel_calls": 0}
+        probes.append(out.probe)
+        return out
+
+    def counted(method, counter):
+        def call(self, ids, cache):
+            logits = method(self, ids, cache)
+            probe = getattr(cache, "probe", None)
+            if probe is not None:
+                probe[counter] += 1
+                probe["length"] = cache.length
+            return logits
+
+        return call
+
+    monkeypatch.setattr(KVCache, "gather", probed_gather)
+    for name in ("extend", "step"):
+        monkeypatch.setattr(GPT2Inference, name, counted(getattr(GPT2Inference, name), "calls"))
+    if backend == "compiled":
+        for name in ("prefill", "step"):
+            kernel = getattr(CompiledStepBackend, name)
+            monkeypatch.setattr(CompiledStepBackend, name, counted(kernel, "kernel_calls"))
+    assert _run_golden(kind) == golden[kind]
+    assert any(probe["calls"] for probe in probes)
+    for probe in probes:
+        assert probe["length"] == probe["buffer"], probe
+        if backend == "compiled":  # right-sized caches stay on the kernels
+            assert probe["kernel_calls"] == probe["calls"], probe

@@ -138,6 +138,21 @@ class TestBruteForceEquivalence:
         # Every guess past the prefix is less probable than a pruned node.
         assert -truth[stream[stats.exact_prefix]] > stats.truncated_best_neg
 
+    def test_campaign_span_reports_exact_prefix(self, tiny_model, tmp_path):
+        gen = OrderedGenerator.for_patterns(tiny_model, config=PRUNING)
+        with telemetry.session(tmp_path, run_id="ordered"):
+            gen.generate(80)
+        spans = [
+            event["fields"]
+            for event in telemetry.read_events(tmp_path / "telemetry.jsonl")
+            if event["event"] == "span" and event["fields"]["name"] == "campaign"
+        ]
+        assert len(spans) == 1
+        attrs = spans[0]["attrs"]
+        assert attrs["kind"] == "ordered"
+        assert attrs["emitted"] == gen.stats.emitted == 80
+        assert attrs["exact_prefix"] == gen.stats.exact_prefix > 0
+
     def test_exhaustive_stream_covers_whole_space(self, tiny_model):
         """Asking for more than exists yields every password exactly once."""
         truth = brute_force_scores(tiny_model)

@@ -11,8 +11,10 @@ Three layers of guarantees, mirroring how the backend is built:
   bit-identical to ``GPT2Inference._step_numpy`` / ``_prefill_numpy``,
   including the KV cache contents, across model shapes that exercise
   both attention paths (inline kernels and per-slice cblas) and both
-  head layouts (tied/transposed and untied); out-of-range token ids
-  raise on both backends before the cache is touched.
+  head layouts (tied/transposed and untied); out-of-range token ids,
+  and calls that would run past a short (right-sized or trimmed) KV
+  buffer, raise on both backends before the cache is touched; a kernel
+  that strides the KV buffers by the block size fails the canary.
 * **Infrastructure** — kernel-cache reuse across instances (in-memory
   and on-disk), and graceful numpy fallback when the compiler is
   masked: warning, ``backend.fallbacks`` counter, ``backend_fallback``
@@ -240,6 +242,20 @@ class TestPerOp:
 # ----------------------------------------------------------------------
 
 
+def _nan_headroom(cache):
+    """NaN past ``length``: a gather that copied headroom, or a kernel
+    that read it, would carry NaN into what the tests compare."""
+    for buf in (*cache.keys, *cache.values):
+        buf[:, :, cache.length :] = np.nan
+    return cache
+
+
+def _filled(buf, cache):
+    """The bytes of ``buf``'s filled positions (gathered headroom is
+    uninitialised, so whole-buffer bytes are not comparable)."""
+    return buf[:, :, : cache.length].tobytes()
+
+
 def _rollout_parity(model, batches, steps=None):
     cfg = model.config
     ref = GPT2Inference(model)
@@ -282,13 +298,14 @@ class TestFusedParity:
         comp = GPT2Inference(model, backend="compiled")
         assert comp.backend_name == "compiled"
         _, primed = ref.start(np.array([[1, 4, 9]]))
+        _nan_headroom(primed)
         fan_ref = primed.gather(np.zeros(6, dtype=np.intp))
         fan_got = primed.gather(np.zeros(6, dtype=np.intp))
         ids = np.arange(6) % model.config.vocab_size
         a = ref.step(ids, fan_ref)
         b = comp.step(ids, fan_got)
         assert a.tobytes() == b.tobytes()
-        assert fan_ref.keys[0].tobytes() == fan_got.keys[0].tobytes()
+        assert _filled(fan_ref.keys[0], fan_ref) == _filled(fan_got.keys[0], fan_got)
 
     def test_numpy_and_compiled_engines_share_weights(self):
         """The backend pins contiguous views, never stale copies."""
@@ -372,6 +389,7 @@ class TestPrefillParity:
         comp = GPT2Inference(model, backend="compiled")
         backend = comp._compiled
         _, primed = ref.start(np.array([[1, 4, 9]]))
+        _nan_headroom(primed)
         ids = np.array([[5, 6]])
 
         def fortran(cache):
@@ -387,11 +405,11 @@ class TestPrefillParity:
             want, got = odd(primed.gather([0])), odd(primed.gather([0]))
             assert comp.extend(ids, got).tobytes() == ref.extend(ids, want).tobytes()
             for a, b in zip((*want.keys, *want.values), (*got.keys, *got.values)):
-                assert a.tobytes() == b.tobytes()
+                assert _filled(a, want) == _filled(b, got)
         # trimmed(): capacity stays block_size, the buffers hold 3 positions
         short = primed.trimmed()
         assert short.capacity == cfg.block_size and not backend.supports(ids, short)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cache overflow"):
             comp.extend(ids, short)
         empty = KVCache(cfg.n_layers, 1, cfg.n_heads, cfg.block_size, 16)
         assert not backend.supports(np.array([[7]]), empty)  # stop == 1
@@ -418,6 +436,56 @@ class TestPrefillParity:
         assert dict(registry.values()).get("backend.fallbacks", 0) == before + 1
         assert list(tmp_path.glob("step-*.so")), "the broken kernel never compiled"
         assert "logits differ at batch=2, prefill seq=3" in capsys.readouterr().err
+
+    def test_kernel_striding_by_block_size_falls_back(self, tmp_path, monkeypatch, capsys):
+        """A kernel that strides the KV buffers by the block size instead
+        of their length passes every block-size replay but not the
+        right-sized one, whose buffers it lays out wrongly (its reads
+        follow its own writes, so the logits still agree): construction
+        falls back to numpy."""
+        render = compiled_mod.render_step_source
+
+        def block_stride(shape, blas_int64):
+            source = render(shape, blas_int64)
+            # per layer: the K and V cache writes, the scores, the mix
+            assert source.count("*cap") == 4 * shape.n_layers
+            return source.replace("*cap", f"*{shape.block_size}")
+
+        monkeypatch.setattr(compiled_mod, "render_step_source", block_stride)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.setattr(compiled_mod, "_LIB_CACHE", {})
+        monkeypatch.setattr(inference_mod, "_BACKEND_FALLBACK_EMITTED", False)
+        registry = get_registry()
+        before = dict(registry.values()).get("backend.fallbacks", 0)
+        inf = GPT2Inference(_tiny_model(), backend="compiled")
+        assert inf.backend_name == "numpy"
+        assert dict(registry.values()).get("backend.fallbacks", 0) == before + 1
+        assert list(tmp_path.glob("step-*.so")), "the broken kernel never compiled"
+        assert "KV cache differs at batch=2, capacity 4, layer 0" in capsys.readouterr().err
+
+
+class TestShortBuffers:
+    """A call that would run past a cache's buffers -- a right-sized
+    gather or a ``trimmed()`` cache, both shorter than the block size --
+    raises the typed overflow error before any counter or byte moves."""
+
+    @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_cc)])
+    @pytest.mark.parametrize("short", ["gather", "trimmed"])
+    def test_overflow_raises_before_anything_moves(self, backend, short):
+        inf = GPT2Inference(_tiny_model(), backend=backend)
+        assert inf.backend_name == backend
+        _, primed = inf.start(np.array([[1, 2, 3], [4, 5, 6]]))
+        cache = primed.gather([1, 0], capacity=3) if short == "gather" else primed.trimmed()
+        assert cache.keys[0].shape[2] == cache.length == 3
+        counters = inf.counters.as_dict()
+        kv = [buf.tobytes() for buf in (*cache.keys, *cache.values)]
+        with pytest.raises(ValueError, match="cache overflow: 4 > buffer length 3"):
+            inf.step(np.array([7, 8]), cache)
+        with pytest.raises(ValueError, match="cache overflow: 5 > buffer length 3"):
+            inf.extend(np.array([[7, 8], [9, 10]]), cache)
+        assert inf.counters.as_dict() == counters
+        assert cache.length == 3
+        assert [buf.tobytes() for buf in (*cache.keys, *cache.values)] == kv
 
 
 class TestTokenIds:

@@ -175,14 +175,30 @@ class TestGather:
         model, ids = model_and_ids
         inf = GPT2Inference(model)
         _, cache = inf.start(ids[:, :5])
+        for buf in (*cache.keys, *cache.values):
+            buf[:, :, 5:] = np.nan  # headroom: never copied, never compared
         compact = cache.trimmed()
         assert compact.keys[0].shape[2] == 5  # dense: filled region only
         assert compact.capacity == cache.capacity
         restored = compact.gather(np.arange(cache.batch))
         assert restored.keys[0].shape == cache.keys[0].shape
-        for layer in range(len(cache.keys)):
-            np.testing.assert_array_equal(restored.keys[layer], cache.keys[layer])
-            np.testing.assert_array_equal(restored.values[layer], cache.values[layer])
+        for got, want in zip((*restored.keys, *restored.values), (*cache.keys, *cache.values)):
+            np.testing.assert_array_equal(got[:, :, :5], want[:, :, :5])
+
+    def test_gather_to_capacity(self, model_and_ids):
+        """A gather holds the capacity it is asked for: exactly what the
+        caller fills, and no position more."""
+        model, ids = model_and_ids
+        inf = GPT2Inference(model)
+        _, cache = inf.start(ids[:, :5])
+        sub = cache.trimmed().gather(np.array([1, 1, 0]), capacity=7)
+        assert sub.keys[0].shape[2] == sub.capacity == 7 and sub.length == 5
+        np.testing.assert_array_equal(sub.keys[1][:, :, :5], cache.keys[1][[1, 1, 0], :, :5])
+        want = inf.extend(ids[[1, 1, 0], 5:7], cache.gather(np.array([1, 1, 0])))
+        np.testing.assert_array_equal(inf.extend(ids[[1, 1, 0], 5:7], sub), want)
+        assert sub.length == 7  # filled exactly
+        with pytest.raises(ValueError, match="capacity 4 < filled length 5"):
+            cache.gather(np.array([0]), capacity=4)
 
     def test_zero_row_gather(self, model_and_ids):
         model, ids = model_and_ids

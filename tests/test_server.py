@@ -307,7 +307,7 @@ class TestLiveServer:
             model, root = trained_passgpt, OrderedGenerator.unconditional
         path = tmp_path / f"{kind}.npz"
         model.save(path)
-        _, port = server
+        runner, port = server
         status, obj, _ = chaos._http_json(
             port, "POST", "/campaigns",
             {"n": 30, "strategy": "ordered", "checkpoint": str(path)},
@@ -319,7 +319,16 @@ class TestLiveServer:
             port, "GET", f"/campaigns/{obj['id']}/guesses"
         )
         assert status == 200
-        assert data.decode("utf-8").splitlines() == root(model).generate(30)
+        direct = root(model)
+        assert data.decode("utf-8").splitlines() == direct.generate(30)
+        exactness = {"emitted": 30, "exact_prefix": direct.stats.exact_prefix}
+        assert {key: job["detail"][key] for key in exactness} == exactness
+        # The detail is journaled with the terminal state: a restarted
+        # server reports it too.
+        runner.drain(timeout=120.0)
+        store = JobStore(tmp_path / "state")
+        assert {key: store.jobs[obj["id"]].detail[key] for key in exactness} == exactness
+        store.close()
 
     def test_score_round_trip(self, server):
         _, port = server
