@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: full test suite + perf, parallel-generation and
+# CI entry point: full test suite + parallel-generation and
 # crash-resume smokes.
 #
-# 1. Runs the tier-1 suite (unit/property/integration tests).
-# 1b. Perf smoke: generation throughput bench on a tiny model, emitting
-#    the BENCH_throughput.json artifact.  Gates only on deterministic
-#    counters (model calls / primed positions vs the planned budget —
-#    catching de-dedup regressions), never on wall-clock.
+# 1. Runs the tier-1 suite (unit/property/integration tests), which also
+#    holds the deterministic perf gates (model calls / primed positions
+#    vs the planned budget) and the compiled-vs-numpy golden streams.
 # 2. Smokes bench_table4_trawling at tiny scale with 2 worker processes
 #    and only the GPT model rows, exercising the multiprocess D&C-GEN
 #    backend end-to-end (~30 s warm; the first run trains the tiny
@@ -26,28 +24,23 @@
 #    must pass `summarize --check`.
 # 6. Compiled-backend smoke (ISSUE 8): reruns the 2-worker campaign with
 #    `--backend compiled` and demands the stream of the numpy reference
-#    run, then gates the compiled tiny bench.  Soft-skipped (with a
-#    visible notice) when no C compiler is on PATH.
-# 7. Observability smoke (ISSUE 10): a traced+profiled 2-worker campaign
-#    must stay byte-identical, pass `summarize --check`, and export to a
-#    single connected chrome-trace tree (`export --check`); the overhead
-#    bench records traced-vs-untraced cost into
-#    BENCH_telemetry_overhead.json (stream-identity gated, wall-clock
-#    recorded only); a live `repro serve` is scraped for Prometheus
-#    exposition, rendered once by `repro top`, and runs one ordered
-#    campaign whose stream and provably exact count must equal the CLI's
-#    before its SIGTERM drain.
+#    run.  Soft-skipped (with a visible notice) when no C compiler is on
+#    PATH.
+# 7. Chaos sweep and server soak: one seeded case schedule, run as CLI
+#    crash/resume legs and as requests to a live server under a worker
+#    crash and a SIGTERM drain, each held to the numpy reference bytes.
+# 8. Observability smoke: a traced+profiled 2-worker campaign must stay
+#    byte-identical, pass `summarize --check`, and export to a single
+#    connected chrome-trace tree (`export --check`); a live `repro serve`
+#    is scraped for Prometheus exposition, rendered once by `repro top`,
+#    and runs one ordered campaign whose stream and provably exact count
+#    must equal the CLI's before its SIGTERM drain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH=src
 
 python -m pytest -x -q
-
-# Perf smoke (deterministic): fails if D&C-GEN's physical model-call or
-# primed-position counts exceed the planned execute budget.
-python benchmarks/bench_throughput.py --scale tiny --check
-test -s BENCH_throughput.json
 
 REPRO_BENCH_SCALE=tiny \
 REPRO_BENCH_WORKERS=2 \
@@ -141,18 +134,16 @@ echo "ordered smoke: crashed+resumed best-first stream is byte-identical"
 
 # ----------------------------------------------------------------------
 # Compiled-backend smoke (ISSUE 8): the fused C decode kernels must emit
-# the byte-identical stream, and the compiled bench gates must hold
-# (backend really active, stream == numpy reference).  Soft-skip when
-# the container has no C compiler — the numpy fallback path is already
-# covered by the suite above.
+# the byte-identical stream.  Soft-skip when the container has no C
+# compiler — the numpy fallback path is already covered by the suite
+# above.
 # ----------------------------------------------------------------------
 if command -v "${CC:-cc}" > /dev/null; then
     python -m repro.cli "${GEN_ARGS[@]}" --backend compiled \
         --out "$SMOKE_DIR/compiled_run.txt" --telemetry "$SMOKE_DIR/compiled-tele"
     diff "$SMOKE_DIR/clean_run.txt" "$SMOKE_DIR/compiled_run.txt"
     python -m repro.cli telemetry summarize "$SMOKE_DIR/compiled-tele" --check
-    python benchmarks/bench_throughput.py --scale tiny --check --backend compiled
-    echo "compiled smoke: C backend stream is byte-identical and bench gates pass"
+    echo "compiled smoke: C backend stream is byte-identical"
 else
     echo "compiled smoke: SKIPPED — no C compiler ('${CC:-cc}') on PATH" >&2
 fi
@@ -170,16 +161,20 @@ test -s "$SMOKE_DIR/chaos/chaos-report.json"
 echo "chaos smoke: seeded fault schedule holds the byte-identical-resume invariant"
 
 # ----------------------------------------------------------------------
-# Server soak smoke (ISSUE 9): guessing as a service under chaos.  A
-# fixed-seed soak drives a live campaign server with concurrent client
-# threads, one armed worker-crash fault, and a SIGTERM drain mid-run;
-# a recovered server over the same state dir must finish every accepted
-# request with a byte-identical stream (zero lost, zero duplicated) and
-# a clean per-job `telemetry summarize --check`, or a typed failure.
+# Server soak smoke: guessing as a service under chaos.  The same case
+# schedule, one request per case, drives a live campaign server with
+# concurrent client threads, a worker crash armed in the first case that
+# reaches the pool (the soak fails if it never fires), and a SIGTERM
+# drain mid-run; a recovered server over the same state dir must finish
+# every accepted request with the numpy reference bytes (zero lost, zero
+# duplicated) and a clean per-job `telemetry summarize --check`, or a
+# typed failure.  Ordered cases stay out: a server job runs
+# OrderedConfig(), far slower than the sweep's ordered flags.
 # ----------------------------------------------------------------------
 python -m repro.cli chaos --server --workdir "$SMOKE_DIR/soak" \
     --checkpoint "$SMOKE_DIR/model.npz" \
-    --seed 0 --requests 4 --clients 2 -n 200
+    --seed 0 --per-strategy 1 --strategies dcgen,sampled --workers 1,2 \
+    --clients 2 -n 200
 test -s "$SMOKE_DIR/soak/soak-report.json"
 echo "server soak smoke: accepted requests survive crash+drain byte-identically"
 
@@ -211,15 +206,6 @@ python -m repro.cli telemetry export "$SMOKE_DIR/obs-tele" \
     --format chrome-trace --out "$SMOKE_DIR/trace.json" --check
 test -s "$SMOKE_DIR/trace.json"
 echo "observability smoke: traced+profiled campaign byte-identical, trace tree connected"
-
-# Overhead bench: records traced / traced+profiled cost next to the
-# untraced baseline and hard-gates on stream identity.  Wall-clock
-# overhead is recorded, not gated, at tiny scale (too noisy for CI);
-# the committed standard-scale artifact carries the <=5% result.
-python benchmarks/bench_telemetry_overhead.py --scale tiny --repeats 2 \
-    --out "$SMOKE_DIR/BENCH_telemetry_overhead.json"
-test -s "$SMOKE_DIR/BENCH_telemetry_overhead.json"
-echo "observability smoke: telemetry overhead recorded, streams identical"
 
 # Prometheus exposition + repro top against a live server.  The
 # ephemeral port is parsed from the serve banner; the scrape uses

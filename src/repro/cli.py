@@ -407,7 +407,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Seeded random fault sweep; exit 1 if any resume invariant breaks."""
+    """Seeded chaos sweep or server soak; exit 1 if any invariant breaks."""
     from .runtime import chaos
 
     workdir = Path(args.workdir)
@@ -431,31 +431,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             if code != 0:
                 print("error: chaos model training failed", file=sys.stderr)
                 return EXIT_FAILURE
-    if args.server:
-        report = chaos.run_server_soak(
-            checkpoint,
-            workdir / "server-soak",
-            base_seed=args.seed,
-            n_requests=args.requests,
-            clients=args.clients,
-            n=args.n if args.n is not None else 250,
-            log=lambda msg: print(msg, file=sys.stderr),
-        )
-        report_path = workdir / "soak-report.json"
-        atomic_write_text(report_path, json.dumps(report.to_dict(), indent=2) + "\n")
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(f"server soak: {len(report.outcomes)} request(s), "
-                  f"{len(report.failures)} failure(s); report at {report_path}")
-            for failure in report.failures:
-                print(f"  FAIL {failure}")
-        return EXIT_OK if report.ok else EXIT_FAILURE
     strategies = [s for s in args.strategies.split(",") if s]
     workers_list = [int(w) for w in args.workers.split(",") if w]
-    report = chaos.run_chaos(
-        checkpoint,
-        workdir / "cases",
+    schedule = dict(
         base_seed=args.seed,
         strategies=strategies,
         workers_list=workers_list,
@@ -463,25 +441,35 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         n=args.n,
         log=lambda msg: print(msg, file=sys.stderr),
     )
-    report_path = workdir / "chaos-report.json"
+    if args.server:
+        surface = "server soak"
+        report = chaos.run_server_soak(
+            checkpoint, workdir / "server-soak", clients=args.clients, **schedule
+        )
+        report_path = workdir / "soak-report.json"
+    else:
+        surface = "chaos"
+        report = chaos.run_chaos(checkpoint, workdir / "cases", **schedule)
+        report_path = workdir / "chaos-report.json"
     atomic_write_text(report_path, json.dumps(report.to_dict(), indent=2) + "\n")
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(f"chaos: {len(report.cases)} case(s), "
+        print(f"{surface}: {len(report.cases)} case(s), "
               f"{len(report.failures)} failure(s); report at {report_path}")
-        for r in report.failures:
-            print(f"  FAIL {r.case.describe()}: {r.failure}")
+        for failure in report.failures:
+            print(f"  FAIL {failure}")
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the campaign server until a graceful drain completes.
 
-    Exit codes follow the drain reason: a SIGTERM/SIGINT drain or a
-    programmatic drain request is the *intended* shutdown and exits 0;
-    an expired server-wide ``--deadline`` exits 3.  Corrupt state
-    (checkpoint or server journal) exits 2 before serving starts.
+    Exit codes follow the drain reason: a SIGTERM/SIGINT drain is the
+    *intended* shutdown and exits 0 (running jobs checkpoint at their
+    next durable boundary); an expired server-wide ``--deadline`` exits
+    3.  Corrupt state (checkpoint or server journal) exits 2 before
+    serving starts.
     """
     import asyncio
 
@@ -716,12 +704,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the full chaos report as JSON on stdout")
     p.add_argument("--server", action="store_true",
-                   help="soak the campaign server instead: concurrent "
-                        "clients, an injected worker crash, a SIGTERM "
-                        "drain mid-run, then verify every accepted "
+                   help="run the cases as requests to a live campaign "
+                        "server instead (ordered cases are left out): "
+                        "concurrent clients, an injected worker crash, a "
+                        "SIGTERM drain mid-run, then verify every accepted "
                         "request resumed byte-identically")
-    p.add_argument("--requests", type=int, default=5,
-                   help="(--server) campaign requests to submit")
     p.add_argument("--clients", type=int, default=2,
                    help="(--server) concurrent client threads / tenants")
     p.set_defaults(fn=cmd_chaos)
@@ -755,8 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "drains the server (exit 3) when it expires")
     p.add_argument("--job-telemetry", action="store_true",
                    help="record a per-job telemetry session under each "
-                        "job directory (forces --fleet 1: sessions are "
-                        "process-global)")
+                        "job directory (forces --fleet 1: the counters a "
+                        "session reports are process-global)")
     p.add_argument("--profile", default=None, metavar="FILE",
                    help="sample the server's wall-clock while it runs and "
                         "write folded flamegraph stacks to FILE on drain")

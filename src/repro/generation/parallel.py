@@ -41,9 +41,9 @@ callbacks fire in the parent as each task completes, which is where the
 run journal (:mod:`repro.runtime.journal`) persists progress.
 
 Fault injection (:mod:`repro.runtime.faults`): every worker task passes
-through ``maybe_fail("worker", index)``; the legacy
-``REPRO_PARALLEL_TEST_CRASH`` variable still makes every worker raise
-before its first task.
+through ``maybe_fail("worker", index)``, so ``REPRO_FAULT=crash:worker``
+(no count, no state dir) fails every worker task — and never the serial
+fallback, which runs the task body directly.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ from ..runtime import RetryPolicy, maybe_fail, signals, supervised_map
 
 if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
     from ..models.pagpassgpt import PagPassGPT
-
-#: Environment variable that makes every worker crash before its first
-#: task.  Used by the equivalence harness to test graceful fallback.
-CRASH_ENV = "REPRO_PARALLEL_TEST_CRASH"
-
 
 @dataclass
 class _WorkerContext:
@@ -143,8 +138,6 @@ def _run_task(index: int) -> tuple[int, bool, object]:
     task index rather than lose the whole map.
     """
     try:
-        if os.environ.get(CRASH_ENV):
-            raise RuntimeError(f"worker crash injected via {CRASH_ENV}")
         maybe_fail("worker", index)
         ctx = _CTX
         assert ctx is not None, "worker context not initialised"

@@ -3,36 +3,35 @@
 The fault-tolerance tests exercise hand-picked fault sites; this module
 generalises them into a *property*: for a seeded random schedule of
 faults — process crashes, wedged workers, torn journal tails, disk
-exhaustion, SIGTERM — injected at random sites and counts, across every
-generation strategy and worker count, an interrupted-then-resumed
-campaign must produce a guess stream **byte-identical** to an
-undisturbed golden run, with ``telemetry summarize --check`` holding on
-the resumed leg.  ``repro chaos`` runs the harness from the CLI and the
-CI smoke pins a fixed seed.
+exhaustion, SIGTERM — across every generation strategy and worker
+count, an interrupted-then-resumed campaign must produce a guess stream
+**byte-identical** to an undisturbed reference run, with ``telemetry
+summarize --check`` holding on the resumed leg.
 
-Each :class:`ChaosCase` is three in-process CLI legs (the same
-``cli.main`` the operator runs, so signal handling, exit codes, and
-telemetry behave exactly as in production):
+One case model serves two surfaces.  Every :class:`ChaosCase` of
+:func:`build_schedule` is judged against one cached reference run
+(numpy backend, one worker) by one verdict into one :class:`CaseResult`
+of one :class:`ChaosReport`.  Fault and resume legs take the default
+backend and the case's worker count, so each case also holds the C
+kernels and the pool to the numpy serial stream.
 
-1. **golden** — undisturbed run, captures the expected output bytes;
-2. **chaos** — same campaign with a one-shot fault directive armed (and,
-   for ``corrupt`` cases, the surviving journal's tail torn afterwards,
-   then ``verify --repair`` run over it — an unrepairable journal is
-   deleted, which is the documented operator flow);
-3. **resume** — fault cleared, ``--resume`` into a fresh telemetry dir;
-   must exit 0, match the golden bytes, and pass ``summarize --check``.
+* :func:`run_chaos` runs each case as in-process CLI legs (the same
+  ``cli.main`` the operator runs): the campaign with its one-shot fault
+  armed, then ``--resume`` with the fault cleared.
+* :func:`run_server_soak` runs each case as one request to a live
+  ``CampaignServer`` under a worker crash and a SIGTERM drain; a fresh
+  server over the same state directory must finish every request.
 
 Faults fire via the :mod:`repro.runtime.faults` environment directives
-with a state directory, so every directive is one-shot — exactly one
-disturbance per schedule, at a seeded random site/count.  Hangs are
-shortened via ``REPRO_FAULT_HANG_SECONDS`` and paired with a short
-``REPRO_TASK_TIMEOUT`` watchdog so a chaos run takes seconds, not
-minutes.
+with a state directory, so every directive is one-shot.  Hangs are
+shortened and paired with a short ``REPRO_TASK_TIMEOUT`` watchdog so a
+case takes seconds, not minutes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import http.client
 import json
 import os
@@ -40,6 +39,7 @@ import random
 import signal as _stdlib_signal
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -59,6 +59,17 @@ DEFAULT_N = {"sampled": 1200, "dcgen": 800, "ordered": 200}
 #: 3 deadline/budget, 4 signal.
 _ACCEPTABLE_CHAOS_EXITS = {0, 1, 3, 4}
 
+#: The parent-side durable boundary each strategy journals at.
+_SITE = {"sampled": "free_chunk", "dcgen": "leaf_batch", "ordered": "frontier"}
+
+#: Injected hangs sleep this long, against a watchdog of ``_TASK_TIMEOUT``.
+_HANG_SECONDS = 0.5
+_TASK_TIMEOUT = 2.0
+
+#: The server soak's one fault: the first pool task of the first
+#: campaign that reaches the pool crashes once (its retry succeeds).
+SOAK_FAULT = "crash:worker:0"
+
 
 @dataclass(frozen=True)
 class ChaosCase:
@@ -68,7 +79,7 @@ class ChaosCase:
     strategy: str  # sampled | dcgen | ordered
     workers: int
     seed: int  # campaign seed (feeds --seed)
-    fault: str  # REPRO_FAULT directive, or "corrupt_tail" (harness-applied)
+    fault: str  # REPRO_FAULT directive, "corrupt_tail" (harness-applied), or "none"
 
     def describe(self) -> str:
         return (
@@ -79,11 +90,17 @@ class ChaosCase:
 
 @dataclass
 class CaseResult:
+    """Verdict for one case on either surface."""
+
     case: ChaosCase
-    chaos_outcome: str = ""  # "exit:N" or "raise:ExcName"
-    resume_exit: Optional[int] = None
-    identical: bool = False
-    check_ok: bool = False
+    #: How the faulted leg ended: ``exit:N`` / ``raise:Exc`` for a CLI
+    #: leg, ``job:<state>`` for a request when the soak's phase 1 drained.
+    chaos_outcome: str = ""
+    #: How the resume leg ended, in the same notation (empty when the
+    #: faulted leg already completed and there was nothing to resume).
+    resume_outcome: str = ""
+    identical: Optional[bool] = None  # None until the stream is compared
+    check_ok: Optional[bool] = None  # None when no resumed session was checked
     repair_exit: Optional[int] = None
     failure: Optional[str] = None  # None = invariant held
 
@@ -92,32 +109,29 @@ class CaseResult:
         return self.failure is None
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case.case_id,
-            "strategy": self.case.strategy,
-            "workers": self.case.workers,
-            "seed": self.case.seed,
-            "fault": self.case.fault,
-            "chaos_outcome": self.chaos_outcome,
-            "repair_exit": self.repair_exit,
-            "resume_exit": self.resume_exit,
-            "identical": self.identical,
-            "check_ok": self.check_ok,
-            "failure": self.failure,
-        }
+        out = dataclasses.asdict(self)
+        return {**out.pop("case"), **out}
 
 
 @dataclass
 class ChaosReport:
+    """What ``repro chaos`` writes to its JSON report, for either surface."""
+
     cases: list[CaseResult] = field(default_factory=list)
+    #: One drain summary per server lifetime (server soak only).
+    drains: list[dict] = field(default_factory=list)
+    #: Failures of the run as a whole rather than of one case.
+    harness_failures: list[str] = field(default_factory=list)
 
     @property
-    def failures(self) -> list[CaseResult]:
-        return [r for r in self.cases if not r.ok]
+    def failures(self) -> list[str]:
+        return self.harness_failures + [
+            f"{r.case.describe()}: {r.failure}" for r in self.cases if not r.ok
+        ]
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return bool(self.cases) and not self.failures
 
     def to_dict(self) -> dict:
         return {
@@ -125,6 +139,8 @@ class ChaosReport:
             "failed": len(self.failures),
             "ok": self.ok,
             "cases": [r.to_dict() for r in self.cases],
+            "drains": self.drains,
+            "failures": self.failures,
         }
 
 
@@ -137,7 +153,7 @@ def _fault_menu(strategy: str, workers: int) -> list[str]:
     path (``workers > 1``).  ``corrupt_tail`` is applied by the harness
     to the journal a crash leaves behind.
     """
-    site = {"sampled": "free_chunk", "dcgen": "leaf_batch", "ordered": "frontier"}[strategy]
+    site = _SITE[strategy]
     menu = [
         f"crash:{site}:K",
         f"signal:{site}:K",
@@ -184,28 +200,35 @@ def build_schedule(
     return cases
 
 
-class _env:
-    """Set environment variables for a block, restoring them after."""
+def _setenv(values: dict) -> None:
+    for key, value in values.items():
+        if value is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = value
 
-    def __init__(self, **values: Optional[str]) -> None:
-        self.values = values
-        self.saved: dict[str, Optional[str]] = {}
 
-    def __enter__(self) -> "_env":
-        for key, value in self.values.items():
-            self.saved[key] = os.environ.get(key)
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        return self
+@contextmanager
+def _environ(**values: Optional[str]):
+    """Set (``None``: unset) environment variables for a block."""
+    saved = {key: os.environ.get(key) for key in values}
+    _setenv(values)
+    try:
+        yield
+    finally:
+        _setenv(saved)
 
-    def __exit__(self, *exc) -> None:
-        for key, old in self.saved.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
+
+def _armed(fault: Optional[str], state_dir: Optional[Path] = None):
+    """The environment of one leg: ``fault`` armed one-shot under
+    ``state_dir``, or every fault cleared when ``fault`` is ``None``.
+    The task watchdog is short either way, so a hang costs seconds."""
+    return _environ(**{
+        FAULT_ENV: fault,
+        FAULT_STATE_ENV: None if fault is None else str(state_dir),
+        HANG_SECONDS_ENV: None if fault is None else str(_HANG_SECONDS),
+        TASK_TIMEOUT_ENV: str(_TASK_TIMEOUT),
+    })
 
 
 def _run_cli(argv: list[str]) -> tuple[Optional[int], Optional[BaseException]]:
@@ -227,14 +250,68 @@ def _run_cli(argv: list[str]) -> tuple[Optional[int], Optional[BaseException]]:
         signals.reset()
 
 
+def _outcome(code: Optional[int], exc: Optional[BaseException]) -> str:
+    return f"raise:{type(exc).__name__}" if exc is not None else f"exit:{code}"
+
+
+def _generate_argv(checkpoint, case: ChaosCase, n: int) -> list[str]:
+    """The case's campaign as ``repro generate`` flags (no workers)."""
+    argv = [
+        "generate", "--checkpoint", str(checkpoint), "-n", str(n),
+        "--seed", str(case.seed), "--strategy", case.strategy,
+    ]
+    if case.strategy == "dcgen":
+        argv += ["--threshold", "32"]
+    if case.strategy == "ordered":
+        argv += ["--beam-width", "8", "--max-frontier", "4000", "--snapshot-every", "2"]
+    return argv
+
+
+def _reference(checkpoint, workdir: Path, case: ChaosCase, n: int, cache: dict) -> bytes:
+    """The undisturbed stream of a case's campaign on the numpy backend
+    with one worker, cached per ``(strategy, seed, n)``: backend and
+    worker count must never change the bytes, so one run serves every
+    case of that campaign."""
+    from ..nn.backend import BACKEND_ENV  # lazy: nn imports runtime
+
+    key = (case.strategy, case.seed, n)
+    if key not in cache:
+        out = workdir / "reference-{}-{}-{}.txt".format(*key)
+        with _environ(**{BACKEND_ENV: "numpy"}):
+            code, exc = _run_cli(
+                _generate_argv(checkpoint, case, n) + ["--workers", "1", "--out", str(out)]
+            )
+        if exc is not None or code != 0:
+            raise RuntimeError(f"reference run failed: {_outcome(code, exc)}")
+        cache[key] = out.read_bytes()
+    return cache[key]
+
+
+def _verdict(result: CaseResult, out: bytes, reference: bytes, tele: Optional[Path]) -> None:
+    """The one acceptance bar: bytes equal to the reference, then
+    ``telemetry summarize --check`` over the resumed session ``tele``
+    (``None`` when the faulted leg itself completed untraced)."""
+    result.identical = out == reference
+    if not result.identical:
+        result.failure = (
+            f"guess stream differs from the numpy reference run "
+            f"({len(out)} vs {len(reference)} bytes)"
+        )
+        return
+    if tele is None:
+        return
+    code, exc = _run_cli(["telemetry", "summarize", str(tele), "--check"])
+    result.check_ok = exc is None and code == 0
+    if not result.check_ok:
+        result.failure = "telemetry summarize --check failed on the resumed session"
+
+
 def run_case(
     case: ChaosCase,
     checkpoint: str | Path,
     workdir: Path,
     n: Optional[int] = None,
-    hang_seconds: float = 0.5,
-    task_timeout: float = 2.0,
-    golden_cache: Optional[dict] = None,
+    reference_cache: Optional[dict] = None,
 ) -> CaseResult:
     """Execute one chaos case end to end; never raises for a held/failed
     invariant (the verdict lives in the returned :class:`CaseResult`)."""
@@ -242,65 +319,32 @@ def run_case(
     n = n if n is not None else DEFAULT_N[case.strategy]
     casedir = workdir / f"case-{case.case_id}"
     casedir.mkdir(parents=True, exist_ok=True)
+    try:
+        reference = _reference(
+            checkpoint, workdir, case, n, {} if reference_cache is None else reference_cache
+        )
+    except RuntimeError as exc:
+        result.failure = str(exc)
+        return result
 
-    common = [
-        "generate", "--checkpoint", str(checkpoint), "-n", str(n),
-        "--seed", str(case.seed), "--strategy", case.strategy,
-        "--workers", str(case.workers),
-    ]
-    if case.strategy == "dcgen":
-        common += ["--threshold", "32"]
-    if case.strategy == "ordered":
-        common += ["--beam-width", "8", "--max-frontier", "4000", "--snapshot-every", "2"]
-
-    # Leg 1: golden run (cached per campaign shape — the fault draw does
-    # not change what the undisturbed output should be).
-    golden_key = (case.strategy, case.workers, case.seed, n)
-    golden_bytes = (golden_cache or {}).get(golden_key)
-    if golden_bytes is None:
-        golden_out = casedir / "golden.txt"
-        code, exc = _run_cli(common + ["--out", str(golden_out)])
-        if exc is not None or code != 0:
-            result.failure = f"golden run failed: exit={code} exc={exc!r}"
-            return result
-        golden_bytes = golden_out.read_bytes()
-        if golden_cache is not None:
-            golden_cache[golden_key] = golden_bytes
-
-    # Leg 2: the same campaign with one fault armed.
+    # The faulted leg.  ``corrupt_tail`` crashes at a deterministic site
+    # first, then tears the tail of the journal the crash leaves behind.
     out = casedir / "out.txt"
     journal = casedir / "run.journal.jsonl"
-    state_dir = casedir / "fault-state"
-    directive = None if case.fault == "corrupt_tail" else case.fault
-    if case.fault == "corrupt_tail":
-        # Tear the tail of whatever journal a crash leaves behind: crash
-        # first (deterministic site), then corrupt the file.
-        site = {"sampled": "free_chunk", "dcgen": "leaf_batch", "ordered": "frontier"}[
-            case.strategy
-        ]
-        directive = f"crash:{site}:1"
-    with _env(**{
-        FAULT_ENV: directive,
-        FAULT_STATE_ENV: str(state_dir),
-        HANG_SECONDS_ENV: str(hang_seconds),
-        TASK_TIMEOUT_ENV: str(task_timeout),
-    }):
-        code, exc = _run_cli(
-            common + ["--out", str(out), "--journal", str(journal)]
-        )
-    result.chaos_outcome = f"raise:{type(exc).__name__}" if exc is not None else f"exit:{code}"
+    leg = _generate_argv(checkpoint, case, n) + [
+        "--workers", str(case.workers), "--out", str(out), "--journal", str(journal),
+    ]
+    fault = f"crash:{_SITE[case.strategy]}:1" if case.fault == "corrupt_tail" else case.fault
+    with _armed(fault, casedir / "fault-state"):
+        code, exc = _run_cli(leg)
+    result.chaos_outcome = _outcome(code, exc)
     if exc is None and code not in _ACCEPTABLE_CHAOS_EXITS:
         result.failure = f"chaos leg ended with unexpected exit code {code}"
         return result
-
-    completed_clean = exc is None and code == 0  # e.g. a survived hang
-    if completed_clean:
-        # Nothing to resume; the disturbed run itself must match golden.
-        result.resume_exit = 0
-        result.identical = out.read_bytes() == golden_bytes
-        result.check_ok = True
-        if not result.identical:
-            result.failure = "survived-fault output differs from golden run"
+    if exc is None and code == 0:
+        # Survived (e.g. a hang): nothing to resume; the disturbed run
+        # itself must match the reference.
+        _verdict(result, out.read_bytes(), reference, None)
         return result
 
     if case.fault == "corrupt_tail" and journal.exists():
@@ -311,35 +355,29 @@ def run_case(
             # operator flow is to discard the journal and rerun.
             journal.unlink()
 
-    # Leg 3: resume with the fault cleared; fresh telemetry dir so the
+    # The resume leg, fault cleared, into a fresh telemetry dir so the
     # summarize --check accounting covers exactly the resumed process.
     tele = casedir / "tele-resume"
-    with _env(**{
-        FAULT_ENV: None,
-        FAULT_STATE_ENV: None,
-        HANG_SECONDS_ENV: None,
-        TASK_TIMEOUT_ENV: str(task_timeout),
-    }):
-        code, exc = _run_cli(
-            common
-            + ["--out", str(out), "--journal", str(journal), "--resume",
-               "--telemetry", str(tele)]
-        )
-    result.resume_exit = code
+    with _armed(None):
+        code, exc = _run_cli(leg + ["--resume", "--telemetry", str(tele)])
+    result.resume_outcome = _outcome(code, exc)
     if exc is not None or code != 0:
-        result.failure = f"resume leg failed: exit={code} exc={exc!r}"
+        result.failure = f"resume leg failed: {result.resume_outcome} {exc or ''}".rstrip()
         return result
-
-    result.identical = out.read_bytes() == golden_bytes
-    check_code, _ = _run_cli(["telemetry", "summarize", str(tele), "--check"])
-    result.check_ok = check_code == 0
-    if not result.identical:
-        result.failure = "resumed output differs from golden run"
-    elif not result.check_ok:
-        result.failure = "telemetry summarize --check failed on the resume leg"
-    elif journal.exists():
+    _verdict(result, out.read_bytes(), reference, tele)
+    if result.ok and journal.exists():
         result.failure = "spent journal not cleaned up after successful resume"
     return result
+
+
+def _say(log: Optional[Callable[[str], None]], message: str) -> None:
+    if log is not None:
+        log(message)
+
+
+def _verdict_line(result: CaseResult) -> str:
+    verdict = "ok" if result.ok else f"FAIL ({result.failure})"
+    return f"  -> {result.chaos_outcome}, resume {result.resume_outcome or '-'}: {verdict}"
 
 
 def run_chaos(
@@ -358,101 +396,24 @@ def run_chaos(
     the acceptance sweep uses ≥ 20, the CI smoke 1-2.  ``n`` overrides
     the per-strategy guess budget (tests use tiny budgets).
     """
-    strategies = strategies or ["sampled", "dcgen", "ordered"]
-    workers_list = workers_list or [1, 2]
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    cases = build_schedule(base_seed, strategies, workers_list, per_strategy)
+    cases = build_schedule(
+        base_seed, strategies or list(DEFAULT_N), workers_list or [1, 2], per_strategy
+    )
     report = ChaosReport()
-    golden_cache: dict = {}
+    references: dict = {}
     for case in cases:
-        if log is not None:
-            log(case.describe())
-        result = run_case(
-            case, checkpoint, workdir, n=n, golden_cache=golden_cache
-        )
+        _say(log, case.describe())
+        result = run_case(case, checkpoint, workdir, n=n, reference_cache=references)
         report.cases.append(result)
-        if log is not None:
-            verdict = "ok" if result.ok else f"FAIL ({result.failure})"
-            log(f"  -> {result.chaos_outcome}, resume={result.resume_exit}: {verdict}")
+        _say(log, _verdict_line(result))
     return report
 
 
 # ----------------------------------------------------------------------
-# Server soak: chaos against a live campaign server
+# Server soak: the schedule's cases as requests to a live server
 # ----------------------------------------------------------------------
-#
-# The per-campaign chaos cases above prove the *engine* resumes exactly;
-# the soak proves the *service* does.  One seeded schedule: concurrent
-# clients submit campaigns to a live ``CampaignServer`` (retrying
-# through 429/503 backpressure), a worker-crash fault is armed, and a
-# SIGTERM drain lands mid-run.  A second server over the same state
-# directory must then recover every accepted request and finish it with
-# a guess stream byte-identical to an undisturbed reference run — zero
-# lost, zero duplicated — with ``telemetry summarize --check`` holding
-# on every completed request's per-job session.
-
-
-@dataclass
-class SoakOutcome:
-    """Verdict for one accepted request after the full soak."""
-
-    job_id: int
-    shape: dict
-    state: str = ""
-    detail: dict = field(default_factory=dict)
-    identical: Optional[bool] = None  # None until the stream is compared
-    check_ok: Optional[bool] = None
-    failure: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "shape": self.shape,
-            "state": self.state,
-            "detail": self.detail,
-            "identical": self.identical,
-            "check_ok": self.check_ok,
-            "ok": self.ok,
-            "failure": self.failure,
-        }
-
-
-@dataclass
-class SoakReport:
-    """What ``repro chaos --server`` writes to ``soak-report.json``."""
-
-    outcomes: list = field(default_factory=list)
-    #: 429/503 responses the clients retried through (backpressure is
-    #: expected under a tiny tenant-queue cap; losing a request is not).
-    rejections: int = 0
-    drains: list = field(default_factory=list)  # one summary per server life
-    harness_failures: list = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[str]:
-        out = list(self.harness_failures)
-        for outcome in self.outcomes:
-            if not outcome.ok:
-                out.append(f"request {outcome.job_id} ({outcome.shape}): {outcome.failure}")
-        return out
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.outcomes) and not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "rejections": self.rejections,
-            "drains": self.drains,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "failures": self.failures,
-        }
 
 
 class _ServerThread:
@@ -471,7 +432,7 @@ class _ServerThread:
     def _run(self) -> None:
         try:
             self.summary = asyncio.run(self.server.serve_forever())
-        except BaseException as exc:  # noqa: BLE001 — surfaced by start()/join()
+        except BaseException as exc:  # noqa: BLE001 — surfaced by start()/drain()
             self.error = exc
 
     def start(self, timeout: float = 60.0) -> int:
@@ -485,17 +446,20 @@ class _ServerThread:
             time.sleep(0.02)
         return int(self.server.port)
 
-    def join(self, timeout: float = 300.0) -> dict:
-        self.thread.join(timeout)
+    def drain(self, timeout: float = 300.0) -> dict:
+        """Drain the way SIGTERM does: running jobs checkpoint at their
+        next durable boundary.  The stop request is cleared after the
+        join so later legs in this process start clean."""
+        signals.request(_stdlib_signal.SIGTERM)
+        try:
+            self.thread.join(timeout)
+        finally:
+            signals.reset()
         if self.thread.is_alive():
             raise RuntimeError("server did not drain in time")
         if self.error is not None:
             raise self.error
         return self.summary or {}
-
-    def drain(self, timeout: float = 300.0) -> dict:
-        self.server.request_drain()
-        return self.join(timeout)
 
 
 def _http_request(port: int, method: str, path: str, payload=None, timeout=30.0):
@@ -517,115 +481,107 @@ def _http_json(port: int, method: str, path: str, payload=None):
     return status, json.loads(data.decode("utf-8") or "null"), retry_after
 
 
-def _soak_shapes(rng: random.Random, n_requests: int, n: int) -> list[dict]:
-    """Seeded request shapes; shape 0 hosts the worker-crash fault site."""
-    shapes = [
-        {"strategy": "dcgen", "workers": 2, "threshold": 32,
-         "n": n, "seed": rng.randrange(1_000_000)}
-    ]
-    menu = [("sampled", 1), ("sampled", 2), ("dcgen", 1)]
-    while len(shapes) < n_requests:
-        strategy, workers = menu[rng.randrange(len(menu))]
-        shape = {"strategy": strategy, "workers": workers,
-                 "n": n, "seed": rng.randrange(1_000_000)}
-        if strategy == "dcgen":
-            shape["threshold"] = 32
-        shapes.append(shape)
-    return shapes
+def _reaches_pool(case: ChaosCase, n: int) -> bool:
+    """Whether a campaign hands tasks to the worker pool: ``Tasks.run``
+    pools only with ``workers > 1`` and more than one task, and free
+    sampling has one task per ``GEN_BATCH`` rows (the soak's fault check
+    catches a D&C-GEN plan with a single leaf batch)."""
+    from ..generation.sampler import GEN_BATCH  # lazy: generation imports runtime
+
+    return case.workers > 1 and (case.strategy == "dcgen" or n > GEN_BATCH)
 
 
-def _soak_reference(checkpoint, workdir: Path, shape: dict, cache: dict) -> bytes:
-    """Undisturbed CLI run of one shape: the byte-exact expected stream."""
-    key = tuple(sorted(shape.items()))
-    if key in cache:
-        return cache[key]
-    out = workdir / f"reference-{len(cache)}.txt"
-    argv = [
-        "generate", "--checkpoint", str(checkpoint), "-n", str(shape["n"]),
-        "--seed", str(shape["seed"]), "--strategy", shape["strategy"],
-        "--workers", str(shape["workers"]), "--out", str(out),
-    ]
-    if shape["strategy"] == "dcgen":
-        argv += ["--threshold", str(shape["threshold"])]
-    code, exc = _run_cli(argv)
-    if exc is not None or code != 0:
-        raise RuntimeError(f"reference run failed for {shape}: exit={code} exc={exc!r}")
-    cache[key] = out.read_bytes()
-    return cache[key]
-
-
-def _soak_submit(port, assignments, accepted, rejections, errors, lock) -> None:
-    """One client thread: submit its requests, retrying through 429/503."""
-    for shape_index, payload in assignments:
+def _submit(port, tenant, cases, sizes, accepted, errors, lock) -> None:
+    """One client: submit each case's campaign as ``tenant``, retrying
+    through 429/503."""
+    for case in cases:
+        payload = {"tenant": tenant, "strategy": case.strategy, "workers": case.workers,
+                   "n": sizes[case.case_id], "seed": case.seed}
+        if case.strategy == "dcgen":
+            payload["threshold"] = 32  # as in _generate_argv
         for _attempt in range(50):
             try:
                 status, obj, retry_after = _http_json(port, "POST", "/campaigns", payload)
             except OSError as exc:
                 with lock:
-                    errors.append(f"submit failed for shape {shape_index}: {exc}")
+                    errors.append(f"submit failed for case {case.case_id}: {exc}")
                 return
             if status == 202:
                 with lock:
-                    accepted[int(obj["id"])] = shape_index
+                    accepted[int(obj["id"])] = case
                 break
             if status in (429, 503):
-                with lock:
-                    rejections[0] += 1
                 # Honour Retry-After, capped so the soak stays CI-sized.
                 time.sleep(min(float(retry_after or 1.0), 0.2))
                 continue
             with lock:
-                errors.append(f"unexpected status {status} for shape {shape_index}: {obj}")
+                errors.append(f"unexpected status {status} for case {case.case_id}: {obj}")
             return
         else:
             with lock:
-                errors.append(f"submission retries exhausted for shape {shape_index}")
+                errors.append(f"submission retries exhausted for case {case.case_id}")
+
+
+def _wait(port: int, settled: Callable[[dict], bool], path: str, timeout: float) -> bool:
+    """Poll ``GET path`` until ``settled(body)``; False on timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        _, body, _ = _http_json(port, "GET", path)
+        if settled(body):
+            return True
+        time.sleep(0.05)
+    return False
 
 
 def run_server_soak(
     checkpoint: str | Path,
     workdir: str | Path,
     base_seed: int = 0,
-    n_requests: int = 5,
+    strategies: Optional[list[str]] = None,
+    workers_list: Optional[list[int]] = None,
+    per_strategy: int = 2,
+    n: Optional[int] = None,
     clients: int = 2,
-    n: int = 250,
-    worker_fault: str = "crash:worker:0",
     log: Optional[Callable[[str], None]] = None,
-) -> SoakReport:
-    """Soak a live campaign server under faults, backpressure, and drain.
+) -> ChaosReport:
+    """Soak a live campaign server with one request per schedule case.
 
-    Phase 1 serves with ``worker_fault`` armed (one-shot) and a tiny
-    per-tenant queue cap, while ``clients`` threads submit ``n_requests``
-    seeded campaign shapes; once the first request completes, a SIGTERM
-    stop request drains the server mid-run.  Phase 2 starts a fresh
-    server over the same state directory, which must recover and finish
-    every accepted request.  Each request must end ``done`` with a
-    byte-identical stream and a clean ``summarize --check``, or as a
-    typed failure — never lost, never duplicated.
+    Ordered cases are left out: a server job runs ``OrderedConfig()``,
+    which no request can change.  The first case that reaches the worker
+    pool hosts :data:`SOAK_FAULT` and is submitted alone, so on the one
+    fleet slot it runs first; ``clients`` threads submit the rest under a
+    tiny per-tenant queue cap.  Once it ends the server drains as on
+    SIGTERM, and a fresh server over the same state directory must finish
+    every accepted request: ``done`` with the reference bytes, or a typed
+    failure.  A fault that never fires, or no case to host it, fails it.
     """
     from ..server import ServerConfig  # lazy: server imports runtime
 
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
-
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(base_seed)
-    clients = max(1, min(clients, n_requests))
-    shapes = _soak_shapes(rng, n_requests, n)
-    report = SoakReport()
-
-    say(f"server soak: {n_requests} request(s), {clients} client(s), "
-        f"fault {worker_fault}, seed {base_seed}")
-    reference_cache: dict = {}
-    references = [
-        _soak_reference(checkpoint, workdir, shape, reference_cache)
-        for shape in shapes
-    ]
-    say(f"  references: {len(reference_cache)} distinct shape(s)")
+    clients = max(1, clients)
+    strategies = [s for s in strategies or list(DEFAULT_N) if s != "ordered"]
+    cases = build_schedule(base_seed, strategies, workers_list or [1, 2], per_strategy)
+    sizes = {case.case_id: n if n is not None else DEFAULT_N[case.strategy] for case in cases}
+    report = ChaosReport()
+    host = next((c for c in cases if _reaches_pool(c, sizes[c.case_id])), None)
+    if host is None:
+        report.harness_failures.append(
+            "no case reaches the worker pool, so the soak's fault cannot fire"
+        )
+        return report
+    # Every request shares the server's environment, so the soak's one
+    # fault is the host's; the drain disturbs the rest.
+    cases = [dataclasses.replace(c, fault=SOAK_FAULT if c == host else "none") for c in cases]
+    host, others = cases[host.case_id], [c for c in cases if c.case_id != host.case_id]
+    _say(log, f"server soak: {len(cases)} request(s), {clients} client(s), "
+              f"fault {SOAK_FAULT} on case {host.case_id}, seed {base_seed}")
+    references: dict = {}
+    for case in cases:  # before the server starts: each sets the backend variable
+        _reference(checkpoint, workdir, case, sizes[case.case_id], references)
 
     state_dir = workdir / "state"
+    fault_state = workdir / "fault-state"
     config = dict(
         checkpoint=str(checkpoint),
         state_dir=str(state_dir),
@@ -638,83 +594,51 @@ def run_server_soak(
     )
 
     # ------------------------------------------------------------- phase 1
-    accepted: dict[int, int] = {}  # job id -> shape index
+    accepted: dict[int, ChaosCase] = {}  # job id -> case
     errors: list[str] = []
-    rejections = [0]
     lock = threading.Lock()
     runner = _ServerThread(ServerConfig(**config))
-    with _env(**{
-        FAULT_ENV: worker_fault,
-        FAULT_STATE_ENV: str(workdir / "fault-state"),
-        HANG_SECONDS_ENV: "0.5",
-        TASK_TIMEOUT_ENV: "2.0",
-    }):
+    with _armed(SOAK_FAULT, fault_state):
         try:
             port = runner.start()
-            say(f"  phase 1: serving on port {port}")
+            _say(log, f"  phase 1: serving on port {port}")
+            _submit(port, "tenant-0", [host], sizes, accepted, errors, lock)
             threads = []
             for client in range(clients):
-                assignments = [
-                    (i, {"tenant": f"tenant-{client}", **shapes[i]})
-                    for i in range(client, n_requests, clients)
-                ]
                 thread = threading.Thread(
-                    target=_soak_submit,
-                    args=(port, assignments, accepted, rejections, errors, lock),
-                    name=f"soak-client-{client}",
+                    target=_submit, name=f"soak-client-{client}",
+                    args=(port, f"tenant-{client}", others[client::clients], sizes,
+                          accepted, errors, lock),
                 )
                 thread.start()
                 threads.append(thread)
             for thread in threads:
                 thread.join(60.0)
-            # Drain mid-run: wait until the first request reaches a
-            # terminal state, then deliver the stop request SIGTERM sets.
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                try:
-                    _, status_obj, _ = _http_json(port, "GET", "/status")
-                except OSError:
-                    break
-                jobs = status_obj["jobs"]
-                if jobs["done"] + jobs["failed"] + jobs["interrupted"] >= 1:
-                    break
-                time.sleep(0.05)
-            signals.request(_stdlib_signal.SIGTERM)
-            summary = runner.join()
+            host_id = next((j for j, c in accepted.items() if c == host), None)
+            if host_id is not None:
+                _wait(port, lambda job: job["state"] in ("done", "failed", "interrupted"),
+                      f"/campaigns/{host_id}", 120.0)
+            summary = runner.drain()
             report.drains.append(summary)
-            say(f"  phase 1: drained ({summary.get('reason')}) "
-                f"jobs={summary.get('jobs')}")
+            _say(log, f"  phase 1: drained ({summary.get('reason')}) "
+                      f"jobs={summary.get('jobs')}")
         finally:
             faults.reset()
-            signals.reset()
-    report.rejections = rejections[0]
     report.harness_failures.extend(errors)
-    if len(accepted) != n_requests:
-        report.harness_failures.append(
-            f"accepted {len(accepted)} of {n_requests} submissions"
-        )
+    if len(accepted) != len(cases):
+        report.harness_failures.append(f"accepted {len(accepted)} of {len(cases)} submissions")
+    if not any(fault_state.glob("*.tripped")):
+        report.harness_failures.append(f"fault {SOAK_FAULT} never fired in phase 1")
+    phase1 = {job_id: job.state for job_id, job in runner.server.store.jobs.items()}
 
     # ------------------------------------------------------------- phase 2
-    with _env(**{
-        FAULT_ENV: None,
-        FAULT_STATE_ENV: None,
-        HANG_SECONDS_ENV: None,
-        TASK_TIMEOUT_ENV: "2.0",
-    }):
+    with _armed(None):
         runner = _ServerThread(ServerConfig(**config))
         try:
             port = runner.start()
-            say(f"  phase 2: recovered server on port {port}")
-            deadline = time.monotonic() + 300.0
-            settled = False
-            while time.monotonic() < deadline:
-                _, status_obj, _ = _http_json(port, "GET", "/status")
-                jobs = status_obj["jobs"]
-                if jobs["queued"] == 0 and jobs["running"] == 0:
-                    settled = True
-                    break
-                time.sleep(0.05)
-            if not settled:
+            _say(log, f"  phase 2: recovered server on port {port}")
+            if not _wait(port, lambda s: s["jobs"]["queued"] == s["jobs"]["running"] == 0,
+                         "/status", 300.0):
                 report.harness_failures.append(
                     "phase 2 timed out waiting for recovered jobs to settle"
                 )
@@ -738,55 +662,38 @@ def run_server_soak(
                 report.harness_failures.append(
                     f"journaled requests {journaled} != accepted {sorted(accepted)}"
                 )
-            for job_id, shape_index in sorted(accepted.items()):
-                outcome = _soak_verdict(
-                    port, state_dir, job_id, shapes[shape_index],
-                    references[shape_index],
-                )
-                report.outcomes.append(outcome)
-                say(f"  request {job_id}: {outcome.state} "
-                    f"{'ok' if outcome.ok else 'FAIL (' + str(outcome.failure) + ')'}")
+            for job_id, case in sorted(accepted.items()):
+                result = CaseResult(case, chaos_outcome=f"job:{phase1[job_id]}")
+                reference = _reference(checkpoint, workdir, case, sizes[case.case_id], references)
+                _job_verdict(port, state_dir, job_id, result, reference)
+                report.cases.append(result)
+                _say(log, f"  request {job_id} ({result.case.describe()})")
+                _say(log, _verdict_line(result))
             summary = runner.drain()
             report.drains.append(summary)
-            say(f"  phase 2: drained ({summary.get('reason')})")
+            _say(log, f"  phase 2: drained ({summary.get('reason')})")
         except BaseException as exc:
             report.harness_failures.append(f"phase 2 harness error: {exc!r}")
             try:
                 runner.drain(timeout=30.0)
             except BaseException:
                 pass
-        finally:
-            signals.reset()
     return report
 
 
-def _soak_verdict(port, state_dir: Path, job_id, shape, reference: bytes) -> SoakOutcome:
-    """Judge one recovered request against the soak's acceptance bar."""
-    outcome = SoakOutcome(job_id, shape)
+def _job_verdict(port, state_dir: Path, job_id: int, result: CaseResult, reference: bytes) -> None:
+    """Judge one recovered request by the shared verdict."""
     _, job, _ = _http_json(port, "GET", f"/campaigns/{job_id}")
-    outcome.state = job["state"]
-    outcome.detail = job.get("detail", {})
+    detail = job.get("detail", {})
+    result.resume_outcome = f"job:{job['state']}"
     if job["state"] == "done":
-        status, data, _ = _http_request(port, "GET", f"/campaigns/{job_id}/guesses")
-        outcome.identical = status == 200 and data == reference
-        if not outcome.identical:
-            outcome.failure = (
-                f"guess stream differs from the reference run "
-                f"(status {status}, {len(data)} vs {len(reference)} bytes)"
-            )
-            return outcome
-        tele = state_dir / "jobs" / f"{job_id:06d}" / "tele"
-        check_code, check_exc = _run_cli(
-            ["telemetry", "summarize", str(tele), "--check"]
-        )
-        outcome.check_ok = check_exc is None and check_code == 0
-        if not outcome.check_ok:
-            outcome.failure = "telemetry summarize --check failed for the job session"
-    elif job["state"] == "failed" and outcome.detail.get("error"):
-        pass  # a typed failure is an acceptable (reported) outcome
+        _, data, _ = _http_request(port, "GET", f"/campaigns/{job_id}/guesses")
+        _verdict(result, data, reference, state_dir / "jobs" / f"{job_id:06d}" / "tele")
+    elif job["state"] == "failed" and detail.get("error"):
+        # A typed failure is an acceptable (reported) outcome.
+        result.resume_outcome += f":{detail['error']}"
     else:
-        outcome.failure = (
-            f"request ended {job['state']!r} with detail {outcome.detail!r} "
+        result.failure = (
+            f"request ended {job['state']!r} with detail {detail!r} "
             f"instead of done or a typed failure"
         )
-    return outcome

@@ -78,8 +78,9 @@ class ServerConfig:
     #: Server-wide wall-clock budget; composes min-wins into every
     #: request.  When it expires the server drains itself (exit 3).
     deadline: Optional[float] = None
-    #: Per-job telemetry sessions (forces ``fleet = 1``: a telemetry
-    #: session is process-global, so traced jobs must serialize).
+    #: Per-job telemetry sessions (forces ``fleet = 1``: each session
+    #: belongs to its fleet thread, but the registry counters it reports
+    #: deltas of are process-global, so traced jobs must serialize).
     job_telemetry: bool = False
     poll_interval: float = 0.05
 
@@ -126,7 +127,6 @@ class CampaignServer:
         self.ready = threading.Event()
         self.draining = False
         self.drain_reason: Optional[str] = None
-        self._drain_requested = False
         self._started_at = time.monotonic()
         self._queue: asyncio.Queue[Job] = asyncio.Queue()
         #: Executions in flight on the loop (fleet + synchronous scores);
@@ -174,12 +174,13 @@ class CampaignServer:
         self.ready.set()
 
     async def serve_forever(self) -> dict:
-        """Run until SIGTERM/SIGINT, a drain request, or budget expiry.
+        """Run until a stop request (SIGTERM/SIGINT) or budget expiry.
 
         Returns a drain summary: ``{"reason", "jobs": counts}``.  The
         caller (``repro serve``) maps the reason onto the exit-code
-        table — ``signal``/``requested`` exit 0 (graceful drain is the
-        *intended* shutdown), ``deadline`` exits 3.
+        table — ``signal`` exits 0 (graceful drain is the *intended*
+        shutdown), ``deadline`` exits 3.  An embedder drains the server
+        the way SIGTERM does, with ``signals.request(SIGTERM)``.
         """
         if self._drain_event is None:  # allow callers to start() first
             await self.start()
@@ -187,8 +188,6 @@ class CampaignServer:
         while reason is None:
             if signals.requested() is not None:
                 reason = "signal"
-            elif self._drain_requested:
-                reason = "requested"
             elif self.budget is not None and self.budget.remaining() == 0.0:
                 reason = "deadline"
             else:
@@ -196,18 +195,15 @@ class CampaignServer:
         await self.drain(reason)
         return {"reason": reason, "jobs": self.store.counts()}
 
-    def request_drain(self) -> None:
-        """Programmatic drain trigger (tests, soak harness, embedders)."""
-        self._drain_requested = True
-
-    async def drain(self, reason: str = "requested") -> None:
-        """Stop admitting, finish/checkpoint in-flight work, shut down.
+    async def drain(self, reason: str) -> None:
+        """Stop admitting, checkpoint in-flight work, shut down.
 
         Queued jobs are *not* started: they stay journaled as ``queued``
-        and the next server process re-queues them.  Running jobs either
-        finish or — when a stop signal is pending — hit their merged
-        budget's signal check at the next durable boundary and
-        checkpoint as resumable ``interrupted``.
+        and the next server process re-queues them.  Running jobs stop
+        at their next durable boundary, where their merged budget sees
+        the pending stop request (``signal``: a resumable ``interrupted``
+        checkpoint) or the server's spent wall budget (``deadline``:
+        terminal).
         """
         if self.draining:
             return

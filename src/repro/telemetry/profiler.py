@@ -39,6 +39,7 @@ callers gate on that instead of crashing mid-campaign.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import signal
 import sys
@@ -171,8 +172,13 @@ class SamplingProfiler:
 
     def _start_keeper(self) -> None:
         self._keeper_stop = threading.Event()
+        # A new thread starts with an empty context (no session): run the
+        # keeper in a copy of ours, so it labels stacks with our open span.
         self._keeper = threading.Thread(
-            target=self._keep_gil_moving, name="profiler-gil-keeper", daemon=True
+            target=contextvars.copy_context().run,
+            args=(self._keep_gil_moving,),
+            name="profiler-gil-keeper",
+            daemon=True,
         )
         self._keeper.start()
 

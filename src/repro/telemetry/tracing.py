@@ -18,6 +18,10 @@ parent id, wall duration, merged attributes, and the non-zero registry
 counter deltas observed while it was open.  Spans nest via a per-session
 stack; with no active session :func:`trace` is a cheap no-op.
 
+The active session lives in a :class:`contextvars.ContextVar`, so only
+the thread that started it sees it: a server fleet slot's job session
+never collects the event loop's events and journal spans.
+
 Every session belongs to exactly one **trace** (see
 :mod:`~repro.telemetry.context`): span ids are minted from
 ``(pid, counter)`` so merged parent + worker streams never collide, and
@@ -37,6 +41,7 @@ a worker initializer).
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import os
 import time
@@ -203,8 +208,10 @@ class TelemetrySession:
             self.logger.close()
 
 
-#: The process's active session (``None`` when telemetry is off).
-_SESSION: Optional[TelemetrySession] = None
+#: The calling context's active session (``None`` when telemetry is off).
+_SESSION: contextvars.ContextVar[Optional[TelemetrySession]] = contextvars.ContextVar(
+    "repro_telemetry_session", default=None
+)
 
 
 def start_session(
@@ -215,7 +222,7 @@ def start_session(
     clock=time.time,
     context: Optional[TraceContext] = None,
 ) -> TelemetrySession:
-    """Activate a session for this process (replacing any current one).
+    """Activate a session for the calling context (replacing any current one).
 
     A forked worker inherits the parent's session object; its
     initializer calls this to replace it with a per-worker stream —
@@ -223,30 +230,31 @@ def start_session(
     joins an existing trace (worker under a parent campaign span, job
     session under a server request span) instead of minting a new one.
     """
-    global _SESSION
-    if _SESSION is not None and _SESSION.pid == os.getpid():
+    current = _SESSION.get()
+    if current is not None and current.pid == os.getpid():
         # Replacing an open same-process session: close it cleanly first.
-        _SESSION.close()
-    _SESSION = TelemetrySession(
+        current.close()
+    sess = TelemetrySession(
         directory, run_id=run_id, worker=worker, level=level, clock=clock, context=context
     )
-    return _SESSION
+    _SESSION.set(sess)
+    return sess
 
 
 def end_session(emit_snapshot: bool = True) -> None:
-    """Close and deactivate the process's session (no-op when none)."""
-    global _SESSION
-    if _SESSION is not None:
-        if _SESSION.pid == os.getpid():
-            _SESSION.close(emit_snapshot=emit_snapshot)
+    """Close and deactivate the calling context's session (no-op when none)."""
+    sess = _SESSION.get()
+    if sess is not None:
+        if sess.pid == os.getpid():
+            sess.close(emit_snapshot=emit_snapshot)
         # An inherited (forked) session is just dropped: writing a
         # snapshot into the parent's stream would corrupt its accounting.
-        _SESSION = None
+        _SESSION.set(None)
 
 
 def active() -> Optional[TelemetrySession]:
-    """The process's active session, or ``None``."""
-    return _SESSION
+    """The calling context's active session, or ``None``."""
+    return _SESSION.get()
 
 
 @contextmanager
@@ -261,7 +269,7 @@ def session(directory: Union[str, Path], **kwargs) -> Iterator[TelemetrySession]
 
 def trace_ref() -> Optional[dict]:
     """The active session's attach point, or ``None`` (see ``Session.trace_ref``)."""
-    sess = _SESSION
+    sess = _SESSION.get()
     return sess.trace_ref() if sess is not None else None
 
 
@@ -288,7 +296,7 @@ def rejoin_trace(stored: Optional[dict]) -> bool:
     no-op; on resume it re-roots the new session into the original
     run's trace.  Returns whether the session changed identity.
     """
-    sess = _SESSION
+    sess = _SESSION.get()
     if sess is None or not isinstance(stored, dict):
         return False
     trace_id = stored.get("trace_id")
@@ -300,7 +308,7 @@ def rejoin_trace(stored: Optional[dict]) -> bool:
 
 def emit(event: str, level: str = "info", **fields) -> None:
     """Emit an event on the active session; silently dropped when none."""
-    sess = _SESSION
+    sess = _SESSION.get()
     if sess is not None:
         sess.logger.emit(event, level=level, **fields)
 
@@ -308,7 +316,7 @@ def emit(event: str, level: str = "info", **fields) -> None:
 @contextmanager
 def trace(name: str, level: str = "info", **attrs) -> Iterator[Span]:
     """Time a block as a nested span with registry counter deltas."""
-    sess = _SESSION
+    sess = _SESSION.get()
     if sess is None:
         yield _NULL_SPAN
         return

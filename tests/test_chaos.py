@@ -3,7 +3,10 @@
 The full acceptance sweep (20+ schedules per strategy) runs via
 ``repro chaos``; these tests keep CI-sized shapes while exercising every
 leg of the harness — schedule determinism, crash/signal/disk-full/torn
-cases, and the survived-fault path.
+cases, and the survived-fault path.  Every case is held to the numpy
+serial reference stream, so a leg on the default (compiled) backend or
+on the pool checks those against it too.  The server soak's tests live
+in ``tests/test_server.py``.
 """
 
 import pytest
@@ -53,7 +56,7 @@ class TestRunCase:
         result = run_case(case, checkpoint, tmp_path, n=400)
         assert result.ok, result.failure
         assert result.chaos_outcome == "raise:InjectedFault"
-        assert result.resume_exit == 0
+        assert result.resume_outcome == "exit:0"
         assert result.identical and result.check_ok
 
     def test_sampled_signal_exits_4_and_resumes(self, checkpoint, tmp_path):
@@ -77,6 +80,14 @@ class TestRunCase:
         assert result.repair_exit in (0, 2)  # repaired, or discarded as unrepairable
         assert result.identical and result.check_ok
 
+    def test_pool_survives_worker_crash_with_the_reference_bytes(self, checkpoint, tmp_path):
+        case = ChaosCase(0, "dcgen", 2, seed=9, fault="crash:worker:1")
+        result = run_case(case, checkpoint, tmp_path, n=400)
+        assert result.ok, result.failure
+        assert result.chaos_outcome == "exit:0"  # the one-shot crash was retried
+        assert (tmp_path / "case-0" / "fault-state" / "crash-worker-1.tripped").exists()
+        assert result.identical
+
     def test_ordered_crash_resume(self, checkpoint, tmp_path):
         case = ChaosCase(0, "ordered", 1, seed=0, fault="crash:frontier:1")
         result = run_case(case, checkpoint, tmp_path, n=60)
@@ -96,7 +107,7 @@ class TestRunChaos:
             n=400,
         )
         assert len(report.cases) == 2
-        assert report.ok, [r.failure for r in report.failures]
+        assert report.ok, report.failures
         payload = report.to_dict()
         assert payload["total"] == 2 and payload["failed"] == 0
 

@@ -9,10 +9,19 @@ import numpy as np
 import pytest
 
 from repro.datasets import build_corpus
-from repro.generation import DCGenConfig, DCGenerator, remaining_search_space
+from repro.generation import (
+    DCGenConfig,
+    DCGenerator,
+    build_batches,
+    planned_execute_costs,
+    remaining_search_space,
+)
+from repro.generation.sampler import GEN_BATCH
 from repro.models import PagPassGPT
 from repro.nn import GPT2Config
 from repro.tokenizer import Pattern, extract_pattern
+
+from tests.goldens import SPEC, build_model
 
 
 @pytest.fixture(scope="module")
@@ -173,40 +182,44 @@ class TestDedupedPriming:
         # accounting) crept in.
         assert counters.calls == gen.stats.model_calls
 
-    def test_execute_counters_match_planned_costs(self, untrained_pag):
-        from repro.generation import build_batches, planned_execute_costs
+    @staticmethod
+    def planned_campaigns(untrained_pag):
+        """Cold models with their generators and planned leaf batches:
+        the module's untrained model, and the golden model at
+        ``SPEC["dcgen"]`` (the shape, S_p and threshold these gates were
+        first pinned on)."""
+        dc = SPEC["dcgen"]
+        for name, model, threshold, total, gen_batch in (
+            ("untrained", untrained_pag, 40, 600, 64),
+            ("golden", build_model(), dc["threshold"], dc["total"], GEN_BATCH),
+        ):
+            model.invalidate_inference()
+            gen = DCGenerator(model, DCGenConfig(threshold=threshold, gen_batch=gen_batch))
+            leaves = gen.plan(total)  # warms every pattern prompt
+            yield name, model, gen, leaves, build_batches(leaves, gen_batch)
 
-        model = untrained_pag
-        model.invalidate_inference()
-        gen = DCGenerator(model, DCGenConfig(threshold=40, gen_batch=64))
-        leaves = gen.plan(600)  # warms every pattern prompt
-        batches = build_batches(leaves, 64)
-        planned = planned_execute_costs(batches)
-        counters = model.inference.counters
-        counters.reset()
-        gen.tasks(batches, 1).run()
-        assert counters.calls == planned["model_calls"]
-        assert counters.prime_positions == planned["primed_positions"]
+    def test_execute_counters_match_planned_costs(self, untrained_pag):
+        for name, model, gen, _, batches in self.planned_campaigns(untrained_pag):
+            planned = planned_execute_costs(batches)
+            counters = model.inference.counters
+            counters.reset()
+            gen.tasks(batches, 1).run()
+            assert counters.calls == planned["model_calls"], name
+            assert counters.prime_positions == planned["primed_positions"], name
 
     def test_priming_flops_proxy_reduced_at_least_2x(self, untrained_pag):
         """The headline dedup win: primed rows x prefix length drops >=2x
         vs per-row priming (what execute_batch did before the fast path)."""
-        from repro.generation import build_batches, planned_execute_costs
-
-        model = untrained_pag
-        model.invalidate_inference()
-        gen = DCGenerator(model, DCGenConfig(threshold=40, gen_batch=64))
-        leaves = gen.plan(600)
-        batches = build_batches(leaves, 64)
-        legacy = sum(
-            batch.rows
-            * (batch.slices[0][0].prompt_len + batch.slices[0][0].done_chars)
-            for batch in batches
-            if Pattern.parse(batch.slices[0][0].pattern).length
-            > batch.slices[0][0].done_chars
-        )
-        prompts = {leaf.pattern: leaf.prompt_len for leaf in leaves}
-        deduped = planned_execute_costs(batches)["primed_positions"] + sum(
-            prompts.values()
-        )
-        assert legacy >= 2 * deduped
+        for name, _, _, leaves, batches in self.planned_campaigns(untrained_pag):
+            legacy = sum(
+                batch.rows
+                * (batch.slices[0][0].prompt_len + batch.slices[0][0].done_chars)
+                for batch in batches
+                if Pattern.parse(batch.slices[0][0].pattern).length
+                > batch.slices[0][0].done_chars
+            )
+            prompts = {leaf.pattern: leaf.prompt_len for leaf in leaves}
+            deduped = planned_execute_costs(batches)["primed_positions"] + sum(
+                prompts.values()
+            )
+            assert legacy >= 2 * deduped, name

@@ -25,7 +25,7 @@ from repro.generation import (
     free_chunks,
 )
 from repro.generation.dcgen import execute_batch
-from repro.generation.parallel import CRASH_ENV, run_pool
+from repro.generation.parallel import run_pool
 from repro.models import PagPassGPT
 from repro.models.pagpassgpt import execute_free_chunk
 from repro.nn import GPT2Config
@@ -195,18 +195,24 @@ class TestNoDoubleExecution:
 # ----------------------------------------------------------------------
 
 class TestCrashFallback:
-    def test_dcgen_falls_back_to_serial_with_warning(self, model, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def _every_worker_task_crashes(self, monkeypatch):
+        # No count and no state dir: every pool task fails on every
+        # attempt, while serial runs (and the serial fallback) never
+        # reach the site.
+        monkeypatch.setenv(FAULT_ENV, "crash:worker")
+        monkeypatch.delenv(FAULT_STATE_ENV, raising=False)
+
+    def test_dcgen_falls_back_to_serial_with_warning(self, model):
         serial_out, serial_stats = run(model, total=600)
-        monkeypatch.setenv(CRASH_ENV, "1")
         gen = DCGenerator(model, DCGenConfig(threshold=32, workers=2))
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             out = gen.generate(600, seed=7)
         assert out == serial_out
         assert gen.stats == serial_stats
 
-    def test_free_generation_falls_back_with_warning(self, model, monkeypatch):
+    def test_free_generation_falls_back_with_warning(self, model):
         serial = model.generate(1100, seed=2)
-        monkeypatch.setenv(CRASH_ENV, "1")
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             out = model.generate(1100, seed=2, workers=2)
         assert out == serial

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import json
 import re
-import signal as _signal
 import time
 
 import pytest
@@ -18,7 +17,7 @@ import pytest
 from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator
 from repro.models import PagPassGPT
 from repro.nn import GPT2Config
-from repro.runtime import chaos, signals
+from repro.runtime import chaos
 from repro.server import (
     AdmissionController,
     CampaignSpec,
@@ -471,9 +470,7 @@ class TestDrainAndResume:
             if job["state"] in ("done", "failed"):
                 break
             time.sleep(0.01)
-        signals.request(_signal.SIGTERM)
-        summary = runner.join(timeout=120.0)
-        signals.reset()
+        summary = runner.drain(timeout=120.0)
         assert summary["reason"] == "signal"
 
         # a fresh server over the same state dir must finish the job
@@ -516,19 +513,36 @@ class TestServerSoak:
             checkpoint,
             tmp_path / "soak",
             base_seed=0,
-            n_requests=3,
+            strategies=["dcgen", "sampled"],
+            workers_list=[1, 2],
+            per_strategy=1,
             clients=2,
             n=120,
         )
         assert report.ok, report.failures
-        assert len(report.outcomes) == 3
+        assert len(report.cases) == 4  # one request per schedule case
         assert len(report.drains) == 2  # one per server lifetime
-        for outcome in report.outcomes:
-            if outcome.state == "done":
-                assert outcome.identical is True
-                assert outcome.check_ok is True
+        # The worker fault fired in phase 1...
+        assert list((tmp_path / "soak" / "fault-state").glob("*.tripped"))
+        # ...and phase 1's drain landed mid-run, leaving work to recover.
+        phase1 = report.drains[0]["jobs"]
+        assert phase1["queued"] + phase1["interrupted"] >= 1
+        for result in report.cases:
+            if result.resume_outcome == "job:done":
+                assert result.identical is True
+                assert result.check_ok is True
         # the report is JSON-serializable for soak-report.json
         json.dumps(report.to_dict())
+
+    def test_schedule_without_a_pool_case_is_a_failure(self, checkpoint, tmp_path):
+        report = chaos.run_server_soak(
+            checkpoint, tmp_path / "soak", strategies=["dcgen", "sampled"],
+            workers_list=[1], per_strategy=1, n=120,
+        )
+        assert not report.ok
+        assert report.harness_failures == [
+            "no case reaches the worker pool, so the soak's fault cannot fire"
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -227,6 +228,30 @@ class TestTracing:
         with telemetry.session(tmp_path) as sess:
             telemetry.get_registry().counter("preexisting").inc(1)
             assert sess.metrics_delta().get("preexisting") == 1
+
+    def test_session_is_bound_to_the_thread_that_started_it(self, tmp_path):
+        """A server fleet slot's job session must not collect the event
+        loop thread's events and spans (nor vice versa)."""
+        seen = {}
+
+        def other_thread():
+            seen["active"] = telemetry.active()
+            telemetry.emit("from-other-thread")
+            with telemetry.trace("other-thread-span"):
+                pass
+
+        with telemetry.session(tmp_path, run_id="owner") as sess:
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join()
+            assert telemetry.active() is sess
+        assert seen["active"] is None
+        events = telemetry.read_events(tmp_path / "telemetry.jsonl")
+        assert not [e for e in events if e["event"] == "from-other-thread"]
+        assert not [
+            e for e in events
+            if e["event"] == "span" and e["fields"]["name"] == "other-thread-span"
+        ]
 
 
 # ----------------------------------------------------------------------
