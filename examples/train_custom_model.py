@@ -1,8 +1,10 @@
 """Train PagPassGPT on your own password list and save a checkpoint.
 
 Reads newline-separated passwords (one per line), applies the paper's
-cleaning rules, trains, reports validation loss, saves an npz checkpoint,
-and demonstrates reloading it for generation.
+cleaning rules, trains, reports validation loss, saves an npz checkpoint
+with ``model.save`` (weights, config and S_p), and demonstrates reloading
+it with ``PagPassGPT.load`` for generation.  The same file works with
+``repro generate --checkpoint`` and ``repro serve``.
 
 Usage::
 
@@ -23,7 +25,7 @@ from repro import (
     generate_leak,
     split_dataset,
 )
-from repro.nn import GPT2Config, load_checkpoint, save_checkpoint
+from repro.nn import GPT2Config
 from repro.training import TrainConfig
 
 
@@ -56,15 +58,11 @@ def main() -> None:
     model.fit(build_corpus(splits.train), val_passwords=splits.val,
               log_fn=lambda m: print(f"  {m}"))
 
-    save_checkpoint(model.model, args.out, meta={"pattern_probs": model.pattern_probs})
+    model.save(args.out)
     print(f"checkpoint saved to {args.out}")
 
     # Reload into a fresh instance and generate.
-    clone = PagPassGPT(model_config=model.model_config)
-    meta = load_checkpoint(clone.model, args.out)
-    clone.pattern_probs = meta["pattern_probs"]
-    clone._fitted = True
-    clone.model.eval()
+    clone = PagPassGPT.load(args.out)
     top_pattern = max(clone.pattern_probs, key=clone.pattern_probs.get)
     print(f"most common pattern in training data: {top_pattern}")
     print("guesses from reloaded checkpoint:",

@@ -13,6 +13,11 @@
 #    D&C-GEN campaign that is killed after 3 journaled batches
 #    (REPRO_FAULT), resumes it, and diffs the result against a clean
 #    uninterrupted run — the streams must be byte-identical.
+#    PassGPT leg: a tiny PassGPT's free-sampling campaign (the task
+#    campaign PagPassGPT's uses) is crashed on a 2-worker pool after one
+#    journaled chunk, its journal must pass `repro verify`, the resumed
+#    stream must diff equal to a 1-worker numpy reference, and a
+#    `--max-guesses` quota must exit 3.
 # 4. Telemetry smoke: a telemetry-enabled 2-worker campaign whose merged
 #    summary must pass `repro telemetry summarize --check` (fleet guess
 #    count == planned total, zero unaccounted task failures, prompt-cache
@@ -86,6 +91,30 @@ python -m repro.cli "${GEN_ARGS[@]}" --out "$SMOKE_DIR/resumed.txt" \
     --journal "$SMOKE_DIR/run.jsonl" --resume
 diff "$SMOKE_DIR/clean_run.txt" "$SMOKE_DIR/resumed.txt"
 echo "crash-resume smoke: interrupted+resumed run is byte-identical"
+
+# The PassGPT baseline's free sampling is the same journaled task
+# campaign: crash it on the pool, verify, resume against a serial numpy
+# reference, and stop it on a guess quota (exit 3).
+python -m repro.cli train --input "$SMOKE_DIR/cleaned.txt" --out "$SMOKE_DIR/passgpt.npz" \
+    --model passgpt --dim 32 --layers 1 --heads 2 --epochs 1 --batch-size 128
+PASS_ARGS=(generate --checkpoint "$SMOKE_DIR/passgpt.npz" -n 1500 --seed 5)
+python -m repro.cli "${PASS_ARGS[@]}" --workers 1 --backend numpy \
+    --out "$SMOKE_DIR/passgpt_clean.txt"
+if REPRO_FAULT=crash:free_chunk:1 \
+   python -m repro.cli "${PASS_ARGS[@]}" --workers 2 --out "$SMOKE_DIR/passgpt_resumed.txt" \
+       --journal "$SMOKE_DIR/passgpt.jsonl"; then
+    echo "passgpt smoke: injected crash did not fire" >&2
+    exit 1
+fi
+python -m repro.cli verify "$SMOKE_DIR/passgpt.jsonl"
+python -m repro.cli "${PASS_ARGS[@]}" --workers 2 --out "$SMOKE_DIR/passgpt_resumed.txt" \
+    --journal "$SMOKE_DIR/passgpt.jsonl" --resume
+diff "$SMOKE_DIR/passgpt_clean.txt" "$SMOKE_DIR/passgpt_resumed.txt"
+status=0
+python -m repro.cli "${PASS_ARGS[@]}" --max-guesses 10 --out "$SMOKE_DIR/passgpt_capped.txt" \
+    --journal "$SMOKE_DIR/passgpt_capped.jsonl" || status=$?
+test "$status" -eq 3 || { echo "passgpt smoke: --max-guesses exited $status, not 3" >&2; exit 1; }
+echo "passgpt smoke: crashed+resumed free campaign is byte-identical; quota exits 3"
 
 # ----------------------------------------------------------------------
 # Telemetry smoke (ISSUE 5): traced campaign passes its invariant gate.

@@ -211,10 +211,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_passwords = _read_lines(args.input)
     val_passwords = _read_lines(args.val) if args.val else None
     model_cls = {"pagpassgpt": PagPassGPT, "passgpt": PassGPT}[args.model]
-    probe = model_cls()
+    tokenizer = model_cls.tokenizer_cls()
     config = GPT2Config(
-        vocab_size=len(probe.tokenizer.vocab),
-        block_size=probe.tokenizer.block_size,
+        vocab_size=len(tokenizer.vocab),
+        block_size=tokenizer.block_size,
         dim=args.dim,
         n_layers=args.layers,
         n_heads=args.heads,

@@ -31,6 +31,7 @@ from ..datasets import (
 )
 from ..generation import DCGenConfig
 from ..models import (
+    GPTGuesser,
     MarkovModel,
     PagPassGPT,
     PagPassGPTDC,
@@ -41,8 +42,12 @@ from ..models import (
     RuleBasedModel,
     VAEPass,
 )
-from ..nn import GPT2Config, load_checkpoint, save_checkpoint
+from ..nn import GPT2Config
 from ..training import TrainConfig
+
+#: Version of the cached GPT checkpoints, part of every cache key:
+#: bumped when the file format changes (2: ``model.save`` checkpoints).
+CACHE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -198,11 +203,11 @@ class ModelLab:
     # ------------------------------------------------------------------
     # Models
     # ------------------------------------------------------------------
-    def _gpt_configs(self, block_size: int, vocab_size: int) -> tuple[GPT2Config, TrainConfig]:
+    def _gpt_configs(self, tokenizer) -> tuple[GPT2Config, TrainConfig]:
         s = self.scale
         model_cfg = GPT2Config(
-            vocab_size=vocab_size,
-            block_size=block_size,
+            vocab_size=len(tokenizer.vocab),
+            block_size=tokenizer.block_size,
             dim=s.gpt_dim,
             n_layers=s.gpt_layers,
             n_heads=s.gpt_heads,
@@ -222,59 +227,41 @@ class ModelLab:
             return None
         s = self.scale
         key = json.dumps(
-            [kind, site, s.name, s.site_entries[site], s.gpt_dim, s.gpt_layers,
+            [CACHE_FORMAT, kind, site, s.name, s.site_entries[site], s.gpt_dim, s.gpt_layers,
              s.gpt_heads, s.gpt_epochs, s.gpt_batch, s.gpt_lr, s.gpt_patience, self.seed],
             sort_keys=True,
         )
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         return self.cache_dir / f"{kind}-{site}-{digest}.npz"
 
-    def pagpassgpt(self, site: str = "rockyou") -> PagPassGPT:
-        """A fitted PagPassGPT for ``site`` (disk-cached)."""
-        key = ("pagpassgpt", site)
+    def _gpt(self, cls: type[GPTGuesser], site: str) -> GPTGuesser:
+        """A fitted GPT model of ``cls`` for ``site`` (disk-cached as a
+        ``model.save`` checkpoint)."""
+        kind = cls.name.lower()
+        key = (kind, site)
         if key not in self._models:
-            data = self.site_data(site)
-            model = PagPassGPT(seed=self.seed)
-            cfg, tcfg = self._gpt_configs(model.tokenizer.block_size, len(model.tokenizer.vocab))
-            model = PagPassGPT(model_config=cfg, train_config=tcfg, seed=self.seed)
-            path = self._cache_path("pagpassgpt", site)
+            path = self._cache_path(kind, site)
             if path is not None and path.exists():
-                meta = load_checkpoint(model.model, path)
-                model.pattern_probs = meta["pattern_probs"]
-                model._fitted = True
-                model.model.eval()
-                self._log(f"[model] PagPassGPT({site}) loaded from cache")
+                model = cls.load(path)
+                self._log(f"[model] {cls.name}({site}) loaded from cache")
             else:
-                self._log(f"[model] training PagPassGPT({site})...")
+                data = self.site_data(site)
+                cfg, tcfg = self._gpt_configs(cls.tokenizer_cls())
+                model = cls(model_config=cfg, train_config=tcfg, seed=self.seed)
+                self._log(f"[model] training {cls.name}({site})...")
                 model.fit(data.train_corpus, val_passwords=data.splits.val, log_fn=self.log_fn)
                 if path is not None:
-                    save_checkpoint(
-                        model.model, path, meta={"pattern_probs": model.pattern_probs}
-                    )
+                    model.save(path)
             self._models[key] = model
         return self._models[key]  # type: ignore[return-value]
 
+    def pagpassgpt(self, site: str = "rockyou") -> PagPassGPT:
+        """A fitted PagPassGPT for ``site`` (disk-cached)."""
+        return self._gpt(PagPassGPT, site)  # type: ignore[return-value]
+
     def passgpt(self, site: str = "rockyou") -> PassGPT:
         """A fitted PassGPT for ``site`` (disk-cached)."""
-        key = ("passgpt", site)
-        if key not in self._models:
-            data = self.site_data(site)
-            probe = PassGPT(seed=self.seed)
-            cfg, tcfg = self._gpt_configs(probe.tokenizer.block_size, len(probe.tokenizer.vocab))
-            model = PassGPT(model_config=cfg, train_config=tcfg, seed=self.seed)
-            path = self._cache_path("passgpt", site)
-            if path is not None and path.exists():
-                load_checkpoint(model.model, path)
-                model._fitted = True
-                model.model.eval()
-                self._log(f"[model] PassGPT({site}) loaded from cache")
-            else:
-                self._log(f"[model] training PassGPT({site})...")
-                model.fit(data.train_corpus, val_passwords=data.splits.val, log_fn=self.log_fn)
-                if path is not None:
-                    save_checkpoint(model.model, path)
-            self._models[key] = model
-        return self._models[key]  # type: ignore[return-value]
+        return self._gpt(PassGPT, site)  # type: ignore[return-value]
 
     def pagpassgpt_dc(self, site: str = "rockyou") -> PagPassGPTDC:
         """PagPassGPT-D&C sharing the cached base model."""

@@ -212,10 +212,10 @@ def run_strategy(
     a server job reports (``ordered``: ``emitted`` and ``exact_prefix``;
     empty otherwise).
 
-    ``sampled`` samples the model (PassGPT: one seeded stream, nothing
-    journaled), ``dcgen`` runs D&C-GEN (PagPassGPT only) and ``ordered``
-    enumerates under ``ordered`` (default ``OrderedConfig()``):
-    pattern-conditioned for PagPassGPT, unconditional for PassGPT.
+    ``sampled`` runs the model's free-sampling campaign, ``dcgen`` runs
+    D&C-GEN (PagPassGPT only) and ``ordered`` enumerates under
+    ``ordered`` (default ``OrderedConfig()``): pattern-conditioned for
+    PagPassGPT, unconditional for PassGPT.
     """
     from ..models import PagPassGPT
     from .dcgen import DCGenConfig, DCGenerator
@@ -246,6 +246,4 @@ def run_strategy(
         ), {}
     if strategy != "sampled":
         raise UnsupportedStrategy(f"unknown strategy {strategy!r}")
-    if guided:
-        return model.generate(n, seed=seed, workers=workers, **lifecycle), "", {}
-    return model.generate(n, seed=seed), "", {}
+    return model.generate(n, seed=seed, workers=workers, **lifecycle), "", {}

@@ -59,13 +59,13 @@ from .. import telemetry
 from ..runtime import RetryPolicy, maybe_fail, signals, supervised_map
 
 if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
-    from ..models.pagpassgpt import PagPassGPT
+    from ..models.pagpassgpt import GPTGuesser
 
 @dataclass
 class _WorkerContext:
     """Read-only state each worker needs: model, tasks, task body, seed."""
 
-    model: "PagPassGPT"
+    model: "GPTGuesser"
     tasks: Sequence
     execute: Callable
     base_seed: int
@@ -113,17 +113,17 @@ def _init_worker(tele: Optional[tuple[str, str, str, Optional[dict]]]) -> None:
         )
 
 
-def _init_from_checkpoint(path, tokenizer, sampler, tasks, execute, base_seed, tele=None) -> None:
+def _init_from_checkpoint(
+    model_cls, path, tokenizer, sampler, tasks, execute, base_seed, tele=None
+) -> None:
     """Pool initializer for non-fork start methods.
 
     Rebuilds the model once per worker from an explicit weight blob (a
-    ``repro.nn.serialization`` npz checkpoint written by the parent).
+    ``model_cls.save`` checkpoint written by the parent).
     """
     global _CTX
-    from ..models.pagpassgpt import PagPassGPT
-
     _init_worker(tele)
-    model = PagPassGPT.load(path)
+    model = model_cls.load(path)
     model.tokenizer = tokenizer
     model.sampler = sampler
     _CTX = _WorkerContext(model=model, tasks=tasks, execute=execute, base_seed=base_seed)
@@ -154,7 +154,7 @@ def _run_task(index: int) -> tuple[int, bool, object]:
 
 
 def run_pool(
-    model: "PagPassGPT",
+    model: "GPTGuesser",
     tasks: Sequence,
     execute: Callable,
     base_seed: int,
@@ -235,7 +235,7 @@ def run_pool(
             lambda: ctx.Pool(
                 processes=workers,
                 initializer=_init_from_checkpoint,
-                initargs=(str(path), model.tokenizer, model.sampler, tasks, execute,
-                          base_seed, tele),
+                initargs=(type(model), str(path), model.tokenizer, model.sampler, tasks,
+                          execute, base_seed, tele),
             )
         )

@@ -1,6 +1,7 @@
 """The password-guessing model zoo.
 
 * :class:`PagPassGPT` — the paper's contribution (pattern-conditioned GPT-2)
+* :class:`GPTGuesser` — the GPT body PagPassGPT and PassGPT share
 * :class:`PagPassGPTDC` — PagPassGPT generating through D&C-GEN
 * :class:`PassGPT` — the state-of-the-art baseline
 * :class:`PassGAN`, :class:`VAEPass`, :class:`PassFlow` — older deep models
@@ -9,7 +10,7 @@
 
 from .base import PasswordGuesser, PatternGuidedGuesser
 from .markov import MarkovModel
-from .pagpassgpt import PagPassGPT
+from .pagpassgpt import GPTGuesser, PagPassGPT
 from .pagpassgpt_dc import PagPassGPTDC
 from .passflow import PassFlow
 from .passgan import PassGAN
@@ -22,6 +23,7 @@ from .vaepass import VAEPass
 __all__ = [
     "PasswordGuesser",
     "PatternGuidedGuesser",
+    "GPTGuesser",
     "MarkovModel",
     "PagPassGPT",
     "PagPassGPTDC",

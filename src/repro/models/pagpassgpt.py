@@ -11,10 +11,15 @@ Generation:
   conformity (the same filter D&C-GEN applies in Fig. 7);
 * *free* (trawling "approach 1", §IV-D) — the model is fed only ``<BOS>``
   and generates the pattern and password itself.
+
+The paper compares PagPassGPT and PassGPT on the same GPT-2 backbone
+(§I-A1), so both run on one body, :class:`GPTGuesser`.
 """
 
 from __future__ import annotations
 
+import abc
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -27,16 +32,23 @@ from ..generation.sampler import (
     GEN_BATCH, SamplerConfig, free_chunks, sample_constrained, sample_masked,
 )
 from ..nn import GPT2Config, GPT2Inference, GPT2Model, PromptCache
+from ..nn.serialization import load_checkpoint, read_checkpoint_meta, save_checkpoint
 from ..runtime import Budget, RunJournal
 from ..tokenizer.patterns import Pattern
 from ..tokenizer.tokenizer import PasswordTokenizer
 from ..training import TrainConfig, TrainHistory, Trainer
 from .base import PatternGuidedGuesser
 
-class PagPassGPT(PatternGuidedGuesser):
-    """The paper's model: GPT-2 conditioned on PCFG patterns."""
 
-    name = "PagPassGPT"
+class GPTGuesser(PatternGuidedGuesser):
+    """A GPT-2 password model: everything PagPassGPT and PassGPT share.
+
+    A subclass sets ``name`` (also the checkpoint ``kind``),
+    ``tokenizer_cls`` (its training encoding and its guided prompt) and
+    :meth:`_free_batch_body` (one free-sampling chunk).
+    """
+
+    tokenizer_cls: type
 
     def __init__(
         self,
@@ -44,9 +56,9 @@ class PagPassGPT(PatternGuidedGuesser):
         train_config: Optional[TrainConfig] = None,
         sampler: SamplerConfig = SamplerConfig(),
         seed: int = 0,
-        tokenizer: Optional[PasswordTokenizer] = None,
+        tokenizer=None,
     ) -> None:
-        self.tokenizer = tokenizer or PasswordTokenizer()
+        self.tokenizer = tokenizer or self.tokenizer_cls()
         self.model_config = model_config or GPT2Config(
             vocab_size=len(self.tokenizer.vocab),
             block_size=self.tokenizer.block_size,
@@ -78,8 +90,8 @@ class PagPassGPT(PatternGuidedGuesser):
         checkpoint_path=None,
         resume_from=None,
         budget: Optional[Budget] = None,
-    ) -> "PagPassGPT":
-        """Train on rules built from ``corpus``; records its S_p for D&C-GEN.
+    ) -> "GPTGuesser":
+        """Train on ``corpus`` encoded by the tokenizer; records its S_p.
 
         ``checkpoint_path`` enables per-epoch crash-safe training state;
         ``resume_from`` continues an interrupted run from such a state
@@ -101,8 +113,7 @@ class PagPassGPT(PatternGuidedGuesser):
         )
         self.pattern_probs = dict(corpus.pattern_probs)
         self._fitted = True
-        self._inference = None
-        self._prompt_cache = None
+        self.invalidate_inference()
         return self
 
     @property
@@ -122,10 +133,10 @@ class PagPassGPT(PatternGuidedGuesser):
     def prompt_cache(self) -> PromptCache:
         """Memoised prompt KV states shared by every generation path.
 
-        ``<BOS> pattern <SEP>`` prompts (and the bare ``<BOS>`` of free
-        generation) are primed once and fanned out per batch; under the
-        ``fork`` start method worker processes inherit warm entries
-        copy-on-write.
+        Guided prompts (``<BOS> pattern <SEP>``, or PassGPT's bare
+        ``<BOS>``) and the ``<BOS>`` of free generation are primed once
+        and fanned out per batch; under the ``fork`` start method worker
+        processes inherit warm entries copy-on-write.
         """
         if self._prompt_cache is None:
             self._prompt_cache = PromptCache(self.inference)
@@ -136,16 +147,11 @@ class PagPassGPT(PatternGuidedGuesser):
         self._inference = None
         self._prompt_cache = None
 
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Write weights + config + S_p to an npz checkpoint."""
-        from dataclasses import asdict
-
-        from ..nn import save_checkpoint
-
         save_checkpoint(
             self.model,
             path,
@@ -157,22 +163,22 @@ class PagPassGPT(PatternGuidedGuesser):
         )
 
     @classmethod
-    def load(cls, path) -> "PagPassGPT":
+    def load(cls, path, meta: Optional[dict] = None) -> "GPTGuesser":
         """Rebuild a fitted model from :meth:`save` output.
 
-        Raises :class:`~repro.nn.CheckpointError` for truncated/corrupt
-        files and ``ValueError`` when the checkpoint holds another model
-        kind.
+        ``meta`` is the checkpoint's metadata when the caller has already
+        read it (the registry dispatches on its ``kind``).  Raises
+        :class:`~repro.nn.CheckpointError` for missing, truncated or
+        corrupt files and ``ValueError`` when the checkpoint holds
+        another model kind.
         """
-        from ..nn import load_checkpoint, read_checkpoint_meta
-
-        # Peek at the metadata first to build the right architecture.
-        meta = read_checkpoint_meta(path)
+        if meta is None:
+            meta = read_checkpoint_meta(path)
         if meta.get("kind") != cls.name:
             raise ValueError(f"checkpoint is a {meta.get('kind')!r} model, not {cls.name}")
         model = cls(model_config=GPT2Config(**meta["config"]))
         load_checkpoint(model.model, path)
-        model.pattern_probs = meta["pattern_probs"]
+        model.pattern_probs = meta.get("pattern_probs", {})
         model._fitted = True
         model.model.eval()
         return model
@@ -181,49 +187,33 @@ class PagPassGPT(PatternGuidedGuesser):
     # Pattern guided generation
     # ------------------------------------------------------------------
     def generate_with_pattern(self, pattern: Pattern, n: int, seed: int = 0) -> list[str]:
-        """Generate ``n`` passwords conforming to ``pattern`` (Fig. 3 right)."""
+        """Generate ``n`` passwords conforming to ``pattern`` (Fig. 3 right):
+        from the tokenizer's prompt (PassGPT's is a bare ``<BOS>``), each
+        position drawn from the characters of its class."""
         self._require_fitted(self._fitted)
         if n <= 0:
             return []
         rng = np.random.default_rng(seed)
-        out: list[str] = []
         prompt = np.asarray(self.tokenizer.encode_prompt(pattern), dtype=np.int64)
+        classes = pattern.char_classes()
+        token_strs = self.tokenizer.vocab.token_array
+        out: list[str] = []
         for start in range(0, n, GEN_BATCH):
             batch = min(GEN_BATCH, n - start)
-            out.extend(self._complete_prefix(pattern, prompt, batch, rng))
+            # All rows share the prompt: prime it once, fan out the KV
+            # state, sized to the last position the loop below steps to.
+            logits, cache = self.prompt_cache.expand(
+                prompt, batch, len(prompt) + len(classes) - 1
+            )
+            chosen_cols = np.empty((batch, len(classes)), dtype=np.int64)
+            for position, cls in enumerate(classes):
+                allowed = self.tokenizer.class_char_ids[cls]
+                chosen = sample_constrained(logits, allowed, rng, self.sampler)
+                chosen_cols[:, position] = chosen
+                if position + 1 < len(classes):
+                    logits = self.inference.step(chosen, cache)
+            out.extend("".join(row) for row in token_strs[chosen_cols].tolist())
         return out
-
-    def _complete_prefix(
-        self,
-        pattern: Pattern,
-        prefix_ids: np.ndarray,
-        batch: int,
-        rng: np.random.Generator,
-    ) -> list[str]:
-        """Sample ``batch`` completions of a rule prefix under the pattern.
-
-        ``prefix_ids`` must start with ``<BOS> pattern <SEP>`` and may
-        already contain password characters (D&C-GEN leaf prefixes).
-        """
-        prompt_len = pattern.num_segments + 2  # <BOS> pattern <SEP>
-        done_chars = len(prefix_ids) - prompt_len
-        n_positions = pattern.length - done_chars
-        # All rows share the prefix: prime it once, fan out the KV state,
-        # sized to the last position the loop below steps to.
-        logits, cache = self.prompt_cache.expand(
-            prefix_ids, batch, len(prefix_ids) + max(n_positions - 1, 0)
-        )
-        token_strs = self.tokenizer.vocab.token_array
-        chosen_cols = np.empty((batch, n_positions), dtype=np.int64)
-        for j, position in enumerate(range(done_chars, pattern.length)):
-            allowed = self.tokenizer.allowed_ids_at(pattern, position)
-            chosen = sample_constrained(logits, allowed, rng, self.sampler)
-            chosen_cols[:, j] = chosen
-            if position + 1 < pattern.length:
-                logits = self.inference.step(chosen, cache)
-        prefix_chars = np.tile(prefix_ids[prompt_len:], (batch, 1))
-        all_chars = np.concatenate([prefix_chars, chosen_cols], axis=1)
-        return ["".join(row) for row in token_strs[all_chars].tolist()]
 
     # ------------------------------------------------------------------
     # Free (trawling) generation
@@ -240,20 +230,12 @@ class PagPassGPT(PatternGuidedGuesser):
     ) -> list[str]:
         """Trawling approach 1: feed only ``<BOS>``, model writes the rest.
 
-        Decoding is *grammar-constrained* to the training rule format
-        ``pattern <SEP> password <EOS>``: during the pattern phase only
-        valid continuations of a PCFG pattern are allowed (alternating
-        classes, total length <= 12), and during the password phase only
-        characters of the class the self-generated pattern prescribes.
-        For a converged model the mask is a no-op (training data always
-        conforms); for the scaled-down models it removes decode artifacts
-        from never-trained tokens such as ``<UNK>``/``<PAD>``.
-
         The run is a task campaign (:mod:`repro.generation.campaign`):
-        each ``GEN_BATCH`` chunk is one task drawing from ``(seed,
-        chunk_index)``, so the stream is identical for any ``workers``
-        count (``workers > 1`` shards chunks across the supervised pool
-        of :mod:`repro.generation.parallel`).  ``journal``, ``resume``,
+        each ``GEN_BATCH`` chunk is one task that runs
+        :meth:`_free_batch_body` on draws from ``(seed, chunk_index)``,
+        so the stream is identical for any ``workers`` count
+        (``workers > 1`` shards chunks across the supervised pool of
+        :mod:`repro.generation.parallel`).  ``journal``, ``resume``,
         ``progress`` and ``budget`` behave as for D&C-GEN campaigns
         (:meth:`repro.generation.DCGenerator.generate`), with one journal
         record per chunk.
@@ -281,7 +263,29 @@ class PagPassGPT(PatternGuidedGuesser):
         results = campaign.run("free", n, prepare, journal, resume, progress, budget)
         return [pw for guesses, _ in results for pw in guesses]
 
+    @abc.abstractmethod
     def _free_batch_body(self, batch: int, rng: np.random.Generator) -> list[str]:
+        """``batch`` free-sampled guesses drawn from ``rng`` (one chunk)."""
+
+
+class PagPassGPT(GPTGuesser):
+    """The paper's model: GPT-2 conditioned on PCFG patterns."""
+
+    name = "PagPassGPT"
+    tokenizer_cls = PasswordTokenizer
+
+    def _free_batch_body(self, batch: int, rng: np.random.Generator) -> list[str]:
+        """One free-sampling chunk, from a bare ``<BOS>`` to ``<EOS>``.
+
+        Decoding is *grammar-constrained* to the training rule format
+        ``pattern <SEP> password <EOS>``: during the pattern phase only
+        valid continuations of a PCFG pattern are allowed (alternating
+        classes, total length <= 12), and during the password phase only
+        characters of the class the self-generated pattern prescribes.
+        For a converged model the mask is a no-op (training data always
+        conforms); for the scaled-down models it removes decode artifacts
+        from never-trained tokens such as ``<UNK>``/``<PAD>``.
+        """
         vocab = self.tokenizer.vocab
         grammar = self.tokenizer.free_grammar
         # Every row starts from the same bare <BOS>: prime once, fan out.
@@ -332,7 +336,7 @@ class PagPassGPT(PatternGuidedGuesser):
 
 
 def execute_free_chunk(
-    model: PagPassGPT, chunk: tuple[int, int], seed: int
+    model: GPTGuesser, chunk: tuple[int, int], seed: int
 ) -> tuple[list[str], int]:
     """The free-sampling task body: ``(chunk_index, rows)`` drawn from
     ``(seed, chunk_index)``; returns ``(guesses, model calls)``."""

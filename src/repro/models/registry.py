@@ -11,9 +11,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable
 
+from ..nn import CheckpointError, read_checkpoint_meta
 from .base import PasswordGuesser
 from .markov import MarkovModel
-from .pagpassgpt import PagPassGPT
+from .pagpassgpt import GPTGuesser, PagPassGPT
 from .passflow import PassFlow
 from .passgan import PassGAN
 from .passgpt import PassGPT
@@ -50,9 +51,18 @@ def create_model(name: str, **kwargs) -> PasswordGuesser:
     return factory(**kwargs)
 
 
-def load_checkpoint(path: str | Path) -> PagPassGPT | PassGPT:
-    """Load whichever GPT model kind the checkpoint holds."""
-    try:
-        return PagPassGPT.load(path)
-    except ValueError:
-        return PassGPT.load(path)
+#: GPT checkpoint ``kind`` -> model class.
+_GPT_KINDS: dict[str, type[GPTGuesser]] = {cls.name: cls for cls in (PagPassGPT, PassGPT)}
+
+
+def load_checkpoint(path: str | Path) -> GPTGuesser:
+    """Load the GPT model kind the checkpoint's metadata names; raises
+    :class:`~repro.nn.CheckpointError` for an unreadable file or a
+    ``kind`` naming no GPT model (e.g. bare ``save_checkpoint`` weights)."""
+    meta = read_checkpoint_meta(path)
+    kind = meta.get("kind")
+    if kind not in _GPT_KINDS:
+        raise CheckpointError(
+            f"checkpoint {path} holds a {kind!r} model, not one of {sorted(_GPT_KINDS)}"
+        )
+    return _GPT_KINDS[kind].load(path, meta)

@@ -40,8 +40,9 @@ def save_checkpoint(module: Module, path: str | Path, meta: Optional[dict[str, A
     maybe_corrupt("checkpoint", path)  # fault-injection hook (tests only)
 
 
-def _load_npz(path: Path) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """Read an npz checkpoint; raises CheckpointError on any damage."""
+def _load_npz(path: Path, weights: bool = True) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+    """Read an npz checkpoint (only its metadata unless ``weights``);
+    raises CheckpointError on any damage."""
     if not path.exists():
         raise CheckpointError(f"no checkpoint at {path}")
     try:
@@ -49,15 +50,16 @@ def _load_npz(path: Path) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
             meta = (
                 json.loads(bytes(data[_META_KEY]).decode()) if _META_KEY in data.files else {}
             )
-            state = {k: data[k] for k in data.files if k != _META_KEY}
+            state = {k: data[k] for k in data.files if k != _META_KEY} if weights else {}
     except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as exc:
         raise CheckpointError(f"checkpoint {path} is truncated or corrupt: {exc}") from exc
     return state, meta
 
 
 def read_checkpoint_meta(path: str | Path) -> dict[str, Any]:
-    """Read only the JSON metadata of a checkpoint (model loaders peek here)."""
-    _, meta = _load_npz(Path(path))
+    """Read only the JSON metadata of a checkpoint (model loaders peek
+    here); the weights are not decompressed."""
+    _, meta = _load_npz(Path(path), weights=False)
     return meta
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, Iterable, Optional
 
 from .atomic import atomic_write_text
-from .journal import FORMAT_VERSION, RunJournal, _digest
+from .journal import FORMAT_VERSION, _digest, scan_bytes
 
 MANIFEST_VERSION = 1
 
@@ -94,45 +94,6 @@ def sha256_file(path: str | Path) -> str:
 # Journal scanning and repair
 # ----------------------------------------------------------------------
 
-def _scan_journal_bytes(raw: bytes) -> dict:
-    """Parse journal bytes, tracking the byte offset of the valid prefix."""
-    header: Optional[dict] = None
-    header_ok = False
-    records = 0
-    valid_bytes = 0
-    offset = 0
-    bad_line: Optional[int] = None
-    lines = raw.split(b"\n")
-    # split() leaves a trailing empty element iff raw ends with a newline.
-    if lines and lines[-1] == b"":
-        lines.pop()
-    for lineno, line in enumerate(lines):
-        line_end = offset + len(line) + 1  # +1 for the newline
-        rec = RunJournal._decode(line.decode("utf-8", errors="replace"))
-        if rec is None:
-            bad_line = lineno
-            break
-        if lineno == 0:
-            if rec.get("kind") != "header" or rec.get("format") != FORMAT_VERSION:
-                bad_line = 0
-                break
-            header = rec["payload"]
-            header_ok = True
-        else:
-            records += 1
-        valid_bytes = min(line_end, len(raw))
-        offset = line_end
-    return {
-        "header": header,
-        "header_ok": header_ok,
-        "records": records,
-        "valid_bytes": valid_bytes,
-        "total_bytes": len(raw),
-        "total_lines": len(lines),
-        "bad_line": bad_line,
-    }
-
-
 def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> list[Finding]:
     """Validate a journal file structurally; one :class:`Finding` per problem.
 
@@ -147,9 +108,9 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
     if not path.exists():
         return [Finding("error", "missing_file", str(path), "journal file does not exist")]
     raw = path.read_bytes()
-    scan = _scan_journal_bytes(raw)
+    scan = scan_bytes(raw)
     findings: list[Finding] = []
-    if not scan["header_ok"]:
+    if scan.header is None:
         return [
             Finding(
                 "error",
@@ -157,36 +118,38 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
                 str(path),
                 f"no format-{FORMAT_VERSION} header on line 1; "
                 "journal is unusable and cannot be repaired",
-                {"total_lines": scan["total_lines"]},
+                {"total_lines": scan.total_lines},
             )
         ]
-    if scan["bad_line"] is not None:
-        dropped = scan["total_lines"] - scan["bad_line"]
+    bad_line = len(scan.lines)  # the first untrusted line, if any
+    if bad_line < scan.total_lines:
+        dropped = scan.total_lines - bad_line
+        records = bad_line - 1  # the lines kept after the header
         findings.append(
             Finding(
                 "error",
                 "torn_tail",
                 str(path),
-                f"line {scan['bad_line'] + 1} fails parse/digest check; "
+                f"line {bad_line + 1} fails parse/digest check; "
                 f"{dropped} trailing line(s) untrusted "
-                f"({scan['records']} valid record(s) kept)",
+                f"({records} valid record(s) kept)",
                 {
-                    "first_bad_line": scan["bad_line"],
+                    "first_bad_line": bad_line,
                     "dropped_lines": dropped,
-                    "valid_records": scan["records"],
-                    "valid_bytes": scan["valid_bytes"],
-                    "total_bytes": scan["total_bytes"],
+                    "valid_records": records,
+                    "valid_bytes": scan.valid_bytes,
+                    "total_bytes": len(raw),
                 },
             )
         )
-    if expected_header is not None and scan["header"] != expected_header:
+    if expected_header is not None and scan.header != expected_header:
         findings.append(
             Finding(
                 "error",
                 "header_conflict",
                 str(path),
                 "journal header identifies a different run",
-                {"journal_header": scan["header"], "expected_header": expected_header},
+                {"journal_header": scan.header, "expected_header": expected_header},
             )
         )
     return findings
@@ -238,10 +201,8 @@ def journal_header_digest(path: str | Path) -> Optional[str]:
         raw = Path(path).read_bytes()
     except OSError:
         return None
-    scan = _scan_journal_bytes(raw)
-    if not scan["header_ok"]:
-        return None
-    return _digest(scan["header"])
+    header = scan_bytes(raw).header
+    return None if header is None else _digest(header)
 
 
 # ----------------------------------------------------------------------

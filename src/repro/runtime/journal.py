@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -94,36 +95,18 @@ class RunJournal:
         """
         path = Path(path)
         raw = path.read_bytes()
-        lines = raw.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()
-        header: Optional[dict] = None
-        records: dict[tuple[str, int], Any] = {}
-        good = 0
-        valid_bytes = 0
-        offset = 0
-        for line in lines:
-            line_end = offset + len(line) + 1  # +1 for the newline
-            rec = cls._decode(line.decode("utf-8", errors="replace"))
-            if rec is None:
-                break  # torn/corrupt tail: trust nothing from here on
-            if good == 0:
-                if rec.get("kind") != "header" or rec.get("format") != FORMAT_VERSION:
-                    raise JournalError(f"{path} does not start with a format-{FORMAT_VERSION} header")
-                header = rec["payload"]
-            else:
-                records[(rec["kind"], int(rec["task_id"]))] = rec["payload"]
-            good += 1
-            valid_bytes = min(line_end, len(raw))
-            offset = line_end
-        if header is None:
+        scan = scan_bytes(raw)
+        if not scan.lines:
             raise JournalError(f"{path} has no readable header")
-        if valid_bytes < len(raw):
+        if scan.header is None:
+            raise JournalError(f"{path} does not start with a format-{FORMAT_VERSION} header")
+        records = {(rec["kind"], int(rec["task_id"])): rec["payload"] for rec in scan.lines[1:]}
+        if scan.valid_bytes < len(raw):
             with open(path, "r+b") as fh:
-                fh.truncate(valid_bytes)
+                fh.truncate(scan.valid_bytes)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return cls(path, header, records, recovered=len(lines) - good)
+        return cls(path, scan.header, records, recovered=scan.total_lines - len(scan.lines))
 
     #: Header key reserved for the pinned telemetry trace.  It names the
     #: *observation* of a run, not its identity: a resumed process has a
@@ -228,3 +211,37 @@ class RunJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@dataclass(frozen=True)
+class JournalScan:
+    """The trusted prefix of a journal's bytes (see :func:`scan_bytes`)."""
+
+    #: Decoded lines up to the first unparsable or digest-mismatched one.
+    lines: list[dict]
+    #: Byte length of that prefix, newlines included.
+    valid_bytes: int
+    total_lines: int
+    #: The run identity, if line 1 is a format-pinned header.
+    header: Optional[dict]
+
+
+def scan_bytes(raw: bytes) -> JournalScan:
+    """Decode journal bytes up to the first line that fails parsing or
+    its digest check (the torn tail a crash mid-append can leave): the
+    one parser :meth:`RunJournal.open` and the integrity checks share."""
+    lines = raw.split(b"\n")
+    # split() leaves a trailing empty element iff raw ends with a newline.
+    if lines and lines[-1] == b"":
+        lines.pop()
+    decoded: list[dict] = []
+    valid_bytes = 0
+    for line in lines:
+        rec = RunJournal._decode(line.decode("utf-8", errors="replace"))
+        if rec is None:
+            break  # torn/corrupt tail: trust nothing from here on
+        decoded.append(rec)
+        valid_bytes = min(valid_bytes + len(line) + 1, len(raw))  # +1 for the newline
+    first = decoded[0] if decoded else {}
+    pinned = first.get("kind") == "header" and first.get("format") == FORMAT_VERSION
+    return JournalScan(decoded, valid_bytes, len(lines), first["payload"] if pinned else None)

@@ -43,7 +43,7 @@ from typing import Optional
 from .. import telemetry
 from ..evaluation import hit_rate, repeat_rate
 from ..generation import UnsupportedStrategy, run_strategy
-from ..models import PagPassGPT, PassGPT, load_checkpoint
+from ..models import GPTGuesser, load_checkpoint
 from ..nn import CheckpointError
 from ..runtime import (
     Budget,
@@ -92,7 +92,7 @@ class _ModelSlots:
         self.default_path = str(default_path)
         self._local = threading.local()
 
-    def get(self, path: Optional[str]) -> PagPassGPT | PassGPT:
+    def get(self, path: Optional[str]) -> GPTGuesser:
         path = str(path or self.default_path)
         cache = getattr(self._local, "models", None)
         if cache is None:
@@ -390,8 +390,7 @@ class CampaignServer:
             # so each must start from a cold inference cache: warmth
             # inherited from an earlier job on this slot would make the
             # actuals beat the plan.
-            if hasattr(model, "invalidate_inference"):
-                model.invalidate_inference()
+            model.invalidate_inference()
             # The session joins the request's trace (minted at admit or
             # received via ``traceparent``): its campaign span becomes a
             # remote child of the caller's span, and pool workers chain

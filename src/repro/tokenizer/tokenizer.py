@@ -259,6 +259,11 @@ class PasswordOnlyTokenizer:
     def encode_corpus(self, passwords: Iterable[str]) -> np.ndarray:
         return np.asarray([self.encode(pw) for pw in passwords], dtype=np.int64)
 
+    def encode_prompt(self, pattern: Pattern) -> list[int]:
+        """Guided-generation prompt: a bare ``<BOS>`` (the model never
+        sees the pattern; guided generation only filters each step)."""
+        return [self.vocab.bos_id]
+
     def decode(self, ids: Sequence[int]) -> str:
         """Extract the password characters up to ``<EOS>``."""
         chars: list[str] = []

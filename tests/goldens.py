@@ -9,7 +9,8 @@ committed fixtures:
 * :func:`build_model` constructs the deterministic reference model
   (fixed-seed random weights — sampling equivalence must hold for any
   next-token distribution, so training is unnecessary), or the PassGPT
-  baseline on the same shape;
+  baseline on the same shape (its guided and free streams are pinned
+  too);
 * :func:`generate_streams` produces the reference streams through the
   *public* generation API only, so the exact same script reproduces the
   goldens at any commit;
@@ -56,6 +57,9 @@ SPEC = {
 
 #: Models whose ``generate_with_pattern`` streams the fixture pins.
 GUIDED_MODELS = ("PagPassGPT", "PassGPT")
+
+#: Free-sampling streams the fixture pins at ``SPEC["free"]``: key -> model.
+FREE_STREAMS = {"free": "PagPassGPT", "free_passgpt": "PassGPT"}
 
 
 def build_model(kind: str = "PagPassGPT"):
@@ -176,15 +180,19 @@ def generate_streams(workers: int = 1, gen_batch: int | None = None) -> dict:
     gen = DCGenerator(model, config)
     dcgen_stream = gen.generate(dc["total"], seed=dc["seed"])
     digest = plan_digest(gen.leaf_tasks)
-    free_stream = model.generate(SPEC["free"]["n"], seed=SPEC["free"]["seed"], workers=workers)
+    free = SPEC["free"]
+    free_streams = {}
+    for key, kind in FREE_STREAMS.items():
+        stream = build_model(kind).generate(free["n"], seed=free["seed"], workers=workers)
+        free_streams[key] = stream
+        free_streams[f"{key}_sha256"] = hashlib.sha256("\n".join(stream).encode()).hexdigest()
     ordered_stream = generate_ordered_stream()
     return {
         "spec": SPEC,
         "plan_digest": digest,
         "dcgen": dcgen_stream,
         "dcgen_sha256": hashlib.sha256("\n".join(dcgen_stream).encode()).hexdigest(),
-        "free": free_stream,
-        "free_sha256": hashlib.sha256("\n".join(free_stream).encode()).hexdigest(),
+        **free_streams,
         "ordered": ordered_stream,
         "ordered_sha256": hashlib.sha256("\n".join(ordered_stream).encode()).hexdigest(),
         "guided": generate_guided_streams(),
@@ -197,7 +205,8 @@ def main() -> None:
     GOLDEN_PATH.write_text(json.dumps(streams, indent=1) + "\n")
     print(f"wrote {GOLDEN_PATH}")
     print(f"  dcgen:   {len(streams['dcgen'])} guesses, sha {streams['dcgen_sha256'][:16]}")
-    print(f"  free:    {len(streams['free'])} guesses, sha {streams['free_sha256'][:16]}")
+    for key in FREE_STREAMS:
+        print(f"  {key}: {len(streams[key])} guesses, sha {streams[key + '_sha256'][:16]}")
     print(f"  ordered: {len(streams['ordered'])} guesses, sha {streams['ordered_sha256'][:16]}")
     for key, stream in streams["guided"].items():
         print(f"  guided {key}: {len(stream)} guesses")

@@ -27,6 +27,19 @@ def pipeline(tmp_path_factory):
     return root
 
 
+def _passgpt_checkpoint(pipeline):
+    """A 1-layer PassGPT trained with the CI smoke's flags (built once)."""
+    ckpt = pipeline / "passgpt-model.npz"
+    if not ckpt.exists():
+        assert main([
+            "train", "--input", str(pipeline / "data.train.txt"),
+            "--model", "passgpt", "--out", str(ckpt),
+            "--dim", "32", "--layers", "1", "--heads", "2",
+            "--epochs", "1", "--batch-size", "128",
+        ]) == EXIT_OK
+    return ckpt
+
+
 class TestDataCommands:
     def test_synth_writes_entries(self, pipeline):
         assert len((pipeline / "leak.txt").read_text().splitlines()) == 3000
@@ -169,24 +182,38 @@ class TestFaultTolerance:
                 "--dim", "32", "--layers", "1", "--heads", "2",
                 "--epochs", "1", "--batch-size", "128",
             ]) == 0
-        clean = tmp_path / "clean.txt"
-        common = ["generate", "--checkpoint", str(checkpoint),
-                  "-n", "1200", "--dcgen", "--threshold", "32", "--seed", "9"]
-        assert main(common + ["--out", str(clean)]) == 0
+        # (campaign, fault, reference-only flags, crash-and-resume flags):
+        # D&C-GEN on PagPassGPT, and PassGPT's free sampling crashed on
+        # the pool and held to a serial numpy reference.
+        cases = [
+            (["--checkpoint", str(checkpoint), "-n", "1200",
+              "--dcgen", "--threshold", "32", "--seed", "9"],
+             "crash:leaf_batch:2", [], []),
+            (["--checkpoint", str(_passgpt_checkpoint(pipeline)), "-n", "1500", "--seed", "9"],
+             "crash:free_chunk:1", ["--workers", "1", "--backend", "numpy"], ["--workers", "2"]),
+        ]
+        for index, (campaign, fault, reference, flags) in enumerate(cases):
+            common = ["generate", *campaign]
+            clean = tmp_path / f"clean{index}.txt"
+            # --backend sets REPRO_BACKEND for the process; monkeypatch
+            # restores it, and the later runs take the default backend.
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
+            assert main(common + reference + ["--out", str(clean)]) == 0
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
-        out = tmp_path / "resumed.txt"
-        journal = tmp_path / "run.jsonl"
-        monkeypatch.setenv(FAULT_ENV, "crash:leaf_batch:2")
-        with pytest.raises(InjectedFault):
-            main(common + ["--out", str(out), "--journal", str(journal)])
-        assert journal.exists()
-        assert not out.exists()  # output only lands on success (atomic)
+            out = tmp_path / f"resumed{index}.txt"
+            journal = tmp_path / f"run{index}.jsonl"
+            monkeypatch.setenv(FAULT_ENV, fault)
+            with pytest.raises(InjectedFault):
+                main(common + flags + ["--out", str(out), "--journal", str(journal)])
+            assert journal.exists()
+            assert not out.exists()  # output only lands on success (atomic)
 
-        monkeypatch.delenv(FAULT_ENV)
-        assert main(common + ["--out", str(out), "--journal", str(journal),
-                              "--resume"]) == 0
-        assert out.read_text() == clean.read_text()
-        assert not journal.exists()  # spent journal is cleaned up
+            monkeypatch.delenv(FAULT_ENV)
+            assert main(common + flags + ["--out", str(out), "--journal", str(journal),
+                                          "--resume"]) == 0
+            assert out.read_text() == clean.read_text()
+            assert not journal.exists()  # spent journal is cleaned up
 
     def test_train_resume_matches_uninterrupted(self, pipeline, tmp_path, monkeypatch):
         common = ["train", "--input", str(pipeline / "data.train.txt"),
@@ -245,6 +272,22 @@ class TestFaultTolerance:
                      "-n", "10", "--out", str(tmp_path / "x.txt")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_checkpoint_without_a_model_kind_exits_2(self, tmp_path, capsys):
+        """Bare weights saved with ``save_checkpoint`` carry no model
+        ``kind``: a one-line diagnosis naming what was found, not a
+        traceback."""
+        from repro.models import PagPassGPT
+        from repro.nn import GPT2Config, save_checkpoint
+
+        model = PagPassGPT(model_config=GPT2Config(
+            vocab_size=135, block_size=32, dim=16, n_layers=1, n_heads=2))
+        checkpoint = tmp_path / "weights.npz"
+        save_checkpoint(model.model, checkpoint, meta={"pattern_probs": {"L4": 1.0}})
+        assert main(["generate", "--checkpoint", str(checkpoint),
+                     "-n", "10", "--out", str(tmp_path / "x.txt")]) == EXIT_CORRUPT
+        err = capsys.readouterr().err
+        assert "error:" in err and "None" in err
+
 
 class TestLifecycle:
     """Deadlines, quotas, and signals: documented exit codes + clean resume."""
@@ -260,66 +303,72 @@ class TestLifecycle:
             ]) == EXIT_OK
         return ckpt
 
+    def _campaigns(self, pipeline, n, seed):
+        """``(generate argv, journal record kind)`` of each lifecycle case:
+        D&C-GEN on PagPassGPT and free sampling on PassGPT."""
+        common = ["-n", str(n), "--seed", str(seed)]
+        return [
+            (["generate", "--checkpoint", str(self._checkpoint(pipeline)), *common,
+              "--dcgen", "--threshold", "32"], "leaf_batch"),
+            (["generate", "--checkpoint", str(_passgpt_checkpoint(pipeline)), *common],
+             "free_chunk"),
+        ]
+
     def test_exit_code_constants_are_distinct(self):
         codes = [EXIT_OK, 1, EXIT_CORRUPT, EXIT_INTERRUPTED, EXIT_SIGNAL]
         assert codes == [0, 1, 2, 3, 4]
 
     def test_max_guesses_exits_3_then_resume_matches(self, pipeline, tmp_path, capsys):
-        ckpt = self._checkpoint(pipeline)
-        clean = tmp_path / "clean.txt"
-        common = ["generate", "--checkpoint", str(ckpt),
-                  "-n", "1200", "--dcgen", "--threshold", "32", "--seed", "6"]
-        assert main(common + ["--out", str(clean)]) == EXIT_OK
+        for common, record in self._campaigns(pipeline, n=1200, seed=6):
+            clean = tmp_path / f"{record}.clean.txt"
+            assert main(common + ["--out", str(clean)]) == EXIT_OK
 
-        out = tmp_path / "capped.txt"
-        journal = tmp_path / "capped.journal.jsonl"
-        assert main(common + ["--out", str(out), "--journal", str(journal),
-                              "--max-guesses", "200"]) == EXIT_INTERRUPTED
-        err = capsys.readouterr().err
-        assert "stopped" in err and "--resume" in err
-        assert journal.exists()  # progress is durable
-        assert not out.exists()  # output only lands on success
+            out = tmp_path / f"{record}.capped.txt"
+            journal = tmp_path / f"{record}.capped.journal.jsonl"
+            capsys.readouterr()
+            assert main(common + ["--out", str(out), "--journal", str(journal),
+                                  "--max-guesses", "200"]) == EXIT_INTERRUPTED
+            err = capsys.readouterr().err
+            assert "stopped" in err and "--resume" in err
+            assert journal.exists()  # progress is durable
+            assert not out.exists()  # output only lands on success
 
-        assert main(common + ["--out", str(out), "--journal", str(journal),
-                              "--resume"]) == EXIT_OK
-        assert out.read_text() == clean.read_text()
-        assert not journal.exists()
+            assert main(common + ["--out", str(out), "--journal", str(journal),
+                                  "--resume"]) == EXIT_OK
+            assert out.read_text() == clean.read_text()
+            assert not journal.exists()
 
     def test_immediate_deadline_exits_3(self, pipeline, tmp_path):
-        ckpt = self._checkpoint(pipeline)
-        out = tmp_path / "deadline.txt"
-        assert main(["generate", "--checkpoint", str(ckpt),
-                     "-n", "400", "--dcgen", "--threshold", "32",
-                     "--deadline", "1e-9",
-                     "--out", str(out)]) == EXIT_INTERRUPTED
-        assert not out.exists()
+        for common, record in self._campaigns(pipeline, n=400, seed=0):
+            out = tmp_path / f"{record}.deadline.txt"
+            assert main(common + ["--deadline", "1e-9",
+                                  "--out", str(out)]) == EXIT_INTERRUPTED
+            assert not out.exists()
 
     def test_signal_fault_exits_4_and_leaves_valid_journal(
         self, pipeline, tmp_path, monkeypatch
     ):
-        ckpt = self._checkpoint(pipeline)
-        clean = tmp_path / "clean.txt"
-        common = ["generate", "--checkpoint", str(ckpt),
-                  "-n", "1200", "--dcgen", "--threshold", "32", "--seed", "8"]
-        assert main(common + ["--out", str(clean)]) == EXIT_OK
+        for common, record in self._campaigns(pipeline, n=1200, seed=8):
+            clean = tmp_path / f"{record}.clean.txt"
+            assert main(common + ["--out", str(clean)]) == EXIT_OK
 
-        out = tmp_path / "sig.txt"
-        journal = tmp_path / "sig.journal.jsonl"
-        monkeypatch.setenv(FAULT_ENV, "signal:leaf_batch:1")
-        assert main(common + ["--out", str(out), "--journal", str(journal)]) \
-            == EXIT_SIGNAL
-        monkeypatch.delenv(FAULT_ENV)
+            out = tmp_path / f"{record}.sig.txt"
+            journal = tmp_path / f"{record}.sig.journal.jsonl"
+            monkeypatch.setenv(FAULT_ENV, f"signal:{record}:1")
+            assert main(common + ["--out", str(out), "--journal", str(journal)]) \
+                == EXIT_SIGNAL
+            monkeypatch.delenv(FAULT_ENV)
 
-        # The journal the SIGTERM'd campaign left is structurally valid...
-        assert main(["verify", str(journal)]) == EXIT_OK
-        recovered = RunJournal.open(journal)
-        assert recovered.completed("leaf_batch")  # durable progress exists
-        recovered.close()
+            # The journal the SIGTERM'd campaign left is structurally valid...
+            assert main(["verify", str(journal)]) == EXIT_OK
+            recovered = RunJournal.open(journal)
+            assert recovered.completed(record)  # durable progress exists
+            recovered.close()
 
-        # ...and resume continues byte-identically.
-        assert main(common + ["--out", str(out), "--journal", str(journal),
-                              "--resume"]) == EXIT_OK
-        assert out.read_text() == clean.read_text()
+            # ...and resume continues byte-identically.
+            assert main(common + ["--out", str(out), "--journal", str(journal),
+                                  "--resume"]) == EXIT_OK
+            assert out.read_text() == clean.read_text()
 
     def test_train_deadline_exits_3_and_resumes(self, pipeline, tmp_path):
         common = ["train", "--input", str(pipeline / "data.train.txt"),

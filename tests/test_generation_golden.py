@@ -4,8 +4,8 @@ The committed fixture ``tests/golden/streams.json`` was produced by
 ``tests/goldens.py`` *before* the inference fast path landed; these tests
 assert the current code reproduces it exactly — for serial and parallel
 execution, several batch widths, journaled resume, and the
-pattern-guided streams of both GPT models.  A failure here means an
-"optimisation" changed what the generators sample.
+pattern-guided and free-sampling streams of both GPT models.  A
+failure here means an "optimisation" changed what the generators sample.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ from repro.runtime.faults import InjectedFault
 
 from tests.goldens import (
     CRASH_JOURNALS,
+    FREE_STREAMS,
     GOLDEN_PATH,
     GUIDED_MODELS,
     SPEC,
@@ -72,11 +73,13 @@ def test_dcgen_stream_byte_identical(golden, workers, gen_batch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_free_stream_byte_identical(golden, workers):
-    model = build_model()
-    assert model.inference.backend_name == "numpy"
-    stream = model.generate(SPEC["free"]["n"], seed=SPEC["free"]["seed"], workers=workers)
-    assert stream == golden["free"]
-    assert hashlib.sha256("\n".join(stream).encode()).hexdigest() == golden["free_sha256"]
+    """Free sampling of both GPT models (one shared task campaign)."""
+    for key, kind in FREE_STREAMS.items():
+        model = build_model(kind)
+        assert model.inference.backend_name == "numpy"
+        stream = model.generate(SPEC["free"]["n"], seed=SPEC["free"]["seed"], workers=workers)
+        assert stream == golden[key], key
+        assert hashlib.sha256("\n".join(stream).encode()).hexdigest() == golden[f"{key}_sha256"]
 
 
 def test_journaled_resume_validates_plan_digest(golden, tmp_path):
@@ -164,7 +167,7 @@ def test_guided_streams_byte_identical(golden):
 
 def test_fixture_self_consistent(golden):
     assert golden["spec"] == SPEC  # fixture was built from the current spec
-    for key in ("dcgen", "free", "ordered"):
+    for key in ("dcgen", *FREE_STREAMS, "ordered"):
         digest = hashlib.sha256("\n".join(golden[key]).encode()).hexdigest()
         assert digest == golden[f"{key}_sha256"]
     guided = SPEC["guided"]
@@ -200,10 +203,11 @@ class TestCompiledBackendGolden:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_free_stream_byte_identical(self, golden, workers):
-        model = build_model()
-        assert model.inference.backend_name == "compiled", "backend fell back"
-        stream = model.generate(SPEC["free"]["n"], seed=SPEC["free"]["seed"], workers=workers)
-        assert stream == golden["free"]
+        for key, kind in FREE_STREAMS.items():
+            model = build_model(kind)
+            assert model.inference.backend_name == "compiled", "backend fell back"
+            stream = model.generate(SPEC["free"]["n"], seed=SPEC["free"]["seed"], workers=workers)
+            assert stream == golden[key], key
 
     def test_ordered_stream_byte_identical(self, golden):
         stream = generate_ordered_stream(snapshot_every=4)

@@ -26,7 +26,7 @@ from repro.generation import (
 )
 from repro.generation.dcgen import execute_batch
 from repro.generation.parallel import run_pool
-from repro.models import PagPassGPT
+from repro.models import PagPassGPT, PassGPT
 from repro.models.pagpassgpt import execute_free_chunk
 from repro.nn import GPT2Config
 from repro.runtime import FAULT_ENV, FAULT_STATE_ENV, InjectedFault, RetryPolicy, RunJournal
@@ -97,14 +97,20 @@ class TestEquivalence:
             assert model.generate(1200, seed=11, workers=workers) == serial
 
     def test_spawn_backend_matches_serial(self, model):
-        """The explicit weight-blob path (non-fork start methods)."""
+        """The explicit weight-blob path (non-fork start methods), for a
+        PagPassGPT D&C-GEN plan and a PassGPT free campaign: each worker
+        reloads the model kind it was handed."""
         gen = DCGenerator(model, DCGenConfig(threshold=32))
         batches = build_batches(gen.plan(300), gen.config.gen_batch)
-        serial = [execute_batch(model, b, 7) for b in batches]
-        spawned = run_pool(
-            model, batches, execute_batch, 7, workers=2, start_method="spawn"
-        )
-        assert spawned == serial
+        passgpt = PassGPT(model_config=model.model_config, seed=1)
+        passgpt._fitted = True
+        for owner, tasks, execute in (
+            (model, batches, execute_batch),
+            (passgpt, free_chunks(1200), execute_free_chunk),
+        ):
+            serial = [execute(owner, task, 7) for task in tasks]
+            spawned = run_pool(owner, tasks, execute, 7, workers=2, start_method="spawn")
+            assert spawned == serial
 
 
 # ----------------------------------------------------------------------

@@ -356,6 +356,24 @@ class TestLiveServer:
         assert status == 409
         assert body["error"] == "not_finished"
 
+    def test_passgpt_sampled_job_honours_its_deadline(
+        self, server, trained_passgpt, tmp_path
+    ):
+        """A PassGPT checkpoint's sampled job runs the journaled free
+        campaign, so its budget stops it like any other campaign."""
+        path = tmp_path / "passgpt.npz"
+        trained_passgpt.save(path)
+        _, port = server
+        status, obj, _ = chaos._http_json(
+            port, "POST", "/campaigns",
+            {"n": 200_000, "deadline": 0.5, "checkpoint": str(path)},
+        )
+        assert status == 202
+        job = _wait_terminal(port, obj["id"])
+        assert job["state"] == "interrupted", job
+        assert job["detail"]["reason"] == "deadline"
+        assert job["detail"]["resumable"] is False
+
     def test_corrupt_checkpoint_degrades_that_request_only(
         self, server, tmp_path
     ):
@@ -452,42 +470,59 @@ class TestBackpressure:
 
 class TestDrainAndResume:
     def test_sigterm_drain_checkpoints_and_restart_resumes_byte_identically(
-        self, checkpoint, tmp_path, trained_pagpassgpt
+        self, checkpoint, tmp_path, trained_pagpassgpt, trained_passgpt
     ):
-        state_dir = tmp_path / "state"
-        payload = {"n": 1500, "strategy": "dcgen", "threshold": 32, "seed": 5}
-        runner = chaos._ServerThread(_config(checkpoint, state_dir))
-        port = runner.start()
-        status, obj, _ = chaos._http_json(port, "POST", "/campaigns", payload)
-        assert status == 202
-        job_id = obj["id"]
-        # let the campaign get under way, then stop the way SIGTERM does
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            _, job, _ = chaos._http_json(port, "GET", f"/campaigns/{job_id}")
-            if job["state"] == "running" and job["progress"]["done"] > 0:
-                break
-            if job["state"] in ("done", "failed"):
-                break
-            time.sleep(0.01)
-        summary = runner.drain(timeout=120.0)
-        assert summary["reason"] == "signal"
+        passgpt = tmp_path / "passgpt.npz"
+        trained_passgpt.save(passgpt)
+        # (request, its stream from a direct run, the job states the drain
+        # may leave): a few D&C-GEN leaf batches may all land before the
+        # stop does; 40 PassGPT free chunks cannot.
+        cases = [
+            ({"n": 1500, "strategy": "dcgen", "threshold": 32, "seed": 5},
+             lambda: DCGenerator(
+                 trained_pagpassgpt, DCGenConfig(threshold=32, workers=1)
+             ).generate(1500, seed=5),
+             {"interrupted", "done"}),
+            ({"n": 20_000, "seed": 5, "checkpoint": str(passgpt)},
+             lambda: trained_passgpt.generate(20_000, seed=5),
+             {"interrupted"}),
+        ]
+        for index, (payload, direct, drained_states) in enumerate(cases):
+            state_dir = tmp_path / f"state{index}"
+            runner = chaos._ServerThread(_config(checkpoint, state_dir))
+            port = runner.start()
+            status, obj, _ = chaos._http_json(port, "POST", "/campaigns", payload)
+            assert status == 202
+            job_id = obj["id"]
+            # let the campaign get under way, then stop the way SIGTERM does
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                _, job, _ = chaos._http_json(port, "GET", f"/campaigns/{job_id}")
+                if job["state"] == "running" and job["progress"]["done"] > 0:
+                    break
+                if job["state"] in ("done", "failed"):
+                    break
+                time.sleep(0.01)
+            summary = runner.drain(timeout=120.0)
+            assert summary["reason"] == "signal"
+            store = JobStore(state_dir)
+            drained = store.jobs[job_id]
+            store.close()
+            assert drained.state in drained_states, drained
+            assert drained.state == "done" or drained.resumable, drained
 
-        # a fresh server over the same state dir must finish the job
-        runner = chaos._ServerThread(_config(checkpoint, state_dir))
-        port = runner.start()
-        try:
-            job = _wait_terminal(port, job_id)
-            assert job["state"] == "done", job
-            _, data, _ = chaos._http_request(
-                port, "GET", f"/campaigns/{job_id}/guesses"
-            )
-            expected = DCGenerator(
-                trained_pagpassgpt, DCGenConfig(threshold=32, workers=1)
-            ).generate(1500, seed=5)
-            assert data.decode("utf-8") == "\n".join(expected) + "\n"
-        finally:
-            runner.drain(timeout=120.0)
+            # a fresh server over the same state dir must finish the job
+            runner = chaos._ServerThread(_config(checkpoint, state_dir))
+            port = runner.start()
+            try:
+                job = _wait_terminal(port, job_id)
+                assert job["state"] == "done", job
+                _, data, _ = chaos._http_request(
+                    port, "GET", f"/campaigns/{job_id}/guesses"
+                )
+                assert data.decode("utf-8") == "\n".join(direct()) + "\n"
+            finally:
+                runner.drain(timeout=120.0)
 
     def test_draining_server_rejects_new_work_with_503(
         self, checkpoint, tmp_path
