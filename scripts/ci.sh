@@ -18,6 +18,13 @@
 #    journaled chunk, its journal must pass `repro verify`, the resumed
 #    stream must diff equal to a 1-worker numpy reference, and a
 #    `--max-guesses` quota must exit 3.
+#    Worker-fault legs on the same 2-worker campaign.  Hang leg: a
+#    one-shot hung worker (hang:worker:1) that only the 1 s
+#    REPRO_TASK_TIMEOUT watchdog can end; the stream must diff equal to
+#    the clean run, its telemetry must count exactly one pool rebuild
+#    and pass `summarize --check`.  Disk-full leg: a one-shot ENOSPC on
+#    the run journal (disk_full:journal:1) must exit 1, as it does at
+#    one worker, and `--resume` must then diff equal.
 # 4. Telemetry smoke: a telemetry-enabled 2-worker campaign whose merged
 #    summary must pass `repro telemetry summarize --check` (fleet guess
 #    count == planned total, zero unaccounted task failures, prompt-cache
@@ -115,6 +122,39 @@ python -m repro.cli "${PASS_ARGS[@]}" --max-guesses 10 --out "$SMOKE_DIR/passgpt
     --journal "$SMOKE_DIR/passgpt_capped.jsonl" || status=$?
 test "$status" -eq 3 || { echo "passgpt smoke: --max-guesses exited $status, not 3" >&2; exit 1; }
 echo "passgpt smoke: crashed+resumed free campaign is byte-identical; quota exits 3"
+
+# ----------------------------------------------------------------------
+# Worker-fault smoke: a fault in the pool path ends the campaign the way
+# it ends at one worker.
+# ----------------------------------------------------------------------
+# Hang leg: the injected hang outlasts any test, so only the watchdog
+# can end it; the pool is rebuilt once and the stream is unchanged.
+REPRO_FAULT=hang:worker:1 REPRO_FAULT_STATE="$SMOKE_DIR/hang-state" REPRO_TASK_TIMEOUT=1 \
+    python -m repro.cli "${GEN_ARGS[@]}" --out "$SMOKE_DIR/hung.txt" \
+        --telemetry "$SMOKE_DIR/hang-tele"
+diff "$SMOKE_DIR/clean_run.txt" "$SMOKE_DIR/hung.txt"
+python - "$SMOKE_DIR/hang-tele/campaign-summary.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    faults = json.load(fh)["faults"]
+assert faults["pool_rebuilds"] == 1, faults
+PY
+python -m repro.cli telemetry summarize "$SMOKE_DIR/hang-tele" --check
+echo "hang smoke: the watchdog rebuilt the pool once; stream byte-identical"
+
+# Disk-full leg: ENOSPC on the journal exits 1 at two workers too, and
+# the journal it leaves resumes to the clean stream.
+status=0
+REPRO_FAULT=disk_full:journal:1 REPRO_FAULT_STATE="$SMOKE_DIR/disk-state" \
+    python -m repro.cli "${GEN_ARGS[@]}" --out "$SMOKE_DIR/disk_full.txt" \
+        --journal "$SMOKE_DIR/disk_full.jsonl" || status=$?
+test "$status" -eq 1 || { echo "disk-full smoke: exited $status, not 1" >&2; exit 1; }
+python -m repro.cli "${GEN_ARGS[@]}" --out "$SMOKE_DIR/disk_full.txt" \
+    --journal "$SMOKE_DIR/disk_full.jsonl" --resume
+diff "$SMOKE_DIR/clean_run.txt" "$SMOKE_DIR/disk_full.txt"
+echo "disk-full smoke: ENOSPC exits 1 on the pool; resumed stream byte-identical"
 
 # ----------------------------------------------------------------------
 # Telemetry smoke (ISSUE 5): traced campaign passes its invariant gate.

@@ -38,9 +38,11 @@ verbosity.
 Lifecycle: ``--deadline`` / ``--max-guesses`` / ``--max-model-calls``
 stop a campaign gracefully at a budget boundary, and SIGTERM/SIGINT take
 the same graceful path (journal flushed, then a distinct exit code), so
-``--resume`` always continues byte-identically.  Exit codes: 0 success,
-1 runtime failure (e.g. disk full), 2 corrupt/unusable artifact,
-3 deadline or quota reached, 4 stopped by signal.
+``--resume`` always continues byte-identically.  A guided
+(``--pattern``) run is one unjournaled pass and refuses these flags.
+Exit codes: 0 success, 1 runtime failure (e.g. disk full), 2
+corrupt/unusable artifact or invalid request, 3 deadline or quota
+reached, 4 stopped by signal.
 """
 
 from __future__ import annotations
@@ -264,7 +266,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _campaign_flags(args: argparse.Namespace) -> list[str]:
+    """The campaign-lifecycle flags ``args`` sets; a ``--pattern`` run
+    is one unjournaled guided pass and honours none of them."""
+    used = {
+        "--journal": args.journal is not None,
+        "--resume": args.resume,
+        "--workers": args.workers != 1,
+        "--deadline": args.deadline is not None,
+        "--max-guesses": args.max_guesses is not None,
+        "--max-model-calls": args.max_model_calls is not None,
+        "--dcgen": args.dcgen,
+        "--strategy": args.strategy != "sampled",
+    }
+    return [flag for flag, on in used.items() if on]
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
+    conflicts = _campaign_flags(args) if args.pattern else []
+    if conflicts:
+        print(f"error: --pattern runs one unjournaled guided pass; it cannot take "
+              f"{', '.join(conflicts)}", file=sys.stderr)
+        return EXIT_CORRUPT
     if args.backend:
         # The inference engine is built lazily on first use and reads
         # REPRO_BACKEND then; the env var also reaches spawned workers.
@@ -586,7 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate guesses from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("-n", type=int, default=10_000, help="number of guesses")
-    p.add_argument("--pattern", default=None, help='guided generation, e.g. "L6N2"')
+    p.add_argument("--pattern", default=None,
+                   help='guided generation, e.g. "L6N2": one unjournaled pass '
+                        "that takes no journal, resume, worker, budget or "
+                        "strategy flag (exit 2)")
     p.add_argument("--strategy", choices=("sampled", "dcgen", "ordered"),
                    default="sampled",
                    help="decode backend: stochastic sampling (default), "

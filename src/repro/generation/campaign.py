@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from .. import telemetry
-from ..runtime import Budget, RetryPolicy, RunJournal, maybe_fail
+from ..runtime import Budget, RunJournal, maybe_fail
 from .parallel import run_pool
 
 if TYPE_CHECKING:  # imported lazily: the strategies import this module
@@ -92,6 +92,10 @@ class Tasks:
     the journal record kind and also the fault site every result
     passes; ``label`` names the pool in supervision events and warnings.
     With ``counts_calls`` each journaled result carries its model calls.
+
+    :meth:`run` is the one place a campaign runs a task in the parent:
+    every task with ``workers == 1``, and every task the pool hands back
+    otherwise.
     """
 
     model: Any
@@ -102,7 +106,6 @@ class Tasks:
     record: str
     label: str
     workers: int = 1
-    policy: Optional[RetryPolicy] = None
     counts_calls: bool = False
 
     def plan(self, header: dict, **fields) -> Plan:
@@ -124,9 +127,11 @@ class Tasks:
         each fresh one is journaled the moment it lands, so a crash never
         costs more than the tasks in flight.  ``progress(done, rows)``
         fires after each result and ``budget`` is polled before the first
-        task, after each journal write and while waiting on workers.  If
-        the pool fails outright, whatever it did not complete runs
-        serially with a ``RuntimeWarning``.
+        task, after each journal write and while waiting on workers.
+        Whatever that path raises (the fault site, the journal write,
+        the budget) propagates at any worker count.  Tasks the pool
+        hands back run serially here, after one ``RuntimeWarning``, each
+        counted as a ``serial_fallback``.
         """
         items, record = self.items, self.record
         results: dict[int, tuple[list[str], int]] = {}
@@ -169,23 +174,39 @@ class Tasks:
 
         if budget is not None:
             budget.poll(**current())
+        context = f"parallel {self.label}"
+        handed_back: dict[int, Optional[str]] = {}
         if self.workers > 1 and len(pending) > 1:
-            try:
-                run_pool(
-                    self.model, [items[index] for index in pending], self.execute, self.seed,
-                    self.workers, policy=self.policy, on_result=on_result,
-                    context=f"parallel {self.label}",
-                    stop=None if budget is None else budget.stopper(current),
-                )
-            except Exception as exc:
-                warnings.warn(
-                    f"parallel {self.label} failed ({exc!r}); falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            handed_back = run_pool(
+                self.model, [items[index] for index in pending], self.execute, self.seed,
+                self.workers, on_result, context=context,
+                stop=None if budget is None else budget.stopper(current),
+            )
+        if handed_back:
+            causes = "; ".join(
+                f"task {position}: {error or 'timed out'}"
+                for position, error in list(handed_back.items())[:3]
+            )
+            more = "; ..." if len(handed_back) > 3 else ""
+            warnings.warn(
+                f"{context}: the pool gave up on {len(handed_back)} task(s) ({causes}{more}); "
+                "falling back to serial execution for those tasks",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        registry = telemetry.get_registry()
         for position, index in enumerate(pending):
-            if index not in results:  # not completed (and journaled) on the pool
-                on_result(position, self.execute(self.model, items[index], self.seed))
+            if index in results:  # completed (and journaled) on the pool
+                continue
+            if position in handed_back:
+                registry.counter("retry.serial_fallbacks").inc()
+                telemetry.emit("serial_fallback", level="warning", context=context,
+                               task=position, error=handed_back[position] or "timed out")
+            value = self.execute(self.model, items[index], self.seed)
+            if handed_back.get(position) is not None:  # it recorded task_failed
+                registry.counter("retry.tasks_recovered").inc()
+                telemetry.emit("task_recovered", context=context, task=position)
+            on_result(position, value)
         return [results[index] for index in range(len(items))]
 
 

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .. import telemetry
-from ..runtime import Budget, RetryPolicy, RunJournal
+from ..runtime import Budget, RunJournal
 from ..tokenizer.patterns import Pattern
 from . import campaign
 from .sampler import GEN_BATCH, choose_constrained, constrained_distribution
@@ -62,9 +62,7 @@ class DCGenConfig:
     width (rows per forward pass); it affects throughput only, never the
     sampled output.  ``workers > 1`` shards leaf batches across a
     process pool (:mod:`repro.generation.parallel`) with no change to
-    the guess stream or stats.  ``max_retries`` / ``task_timeout``
-    parameterise the pool supervisor (per-task retry budget and hung-task
-    detection; see :class:`repro.runtime.RetryPolicy`).
+    the guess stream or stats.
     """
 
     threshold: int = 256
@@ -72,8 +70,6 @@ class DCGenConfig:
     max_patterns: Optional[int] = None
     gen_batch: int = GEN_BATCH
     workers: int = 1
-    max_retries: int = 2
-    task_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.threshold < 1:
@@ -84,14 +80,6 @@ class DCGenConfig:
             raise ValueError("gen_batch must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive or None")
-
-    def retry_policy(self) -> RetryPolicy:
-        """The pool-supervision policy these knobs describe."""
-        return RetryPolicy(max_retries=self.max_retries, task_timeout=self.task_timeout)
 
 
 @dataclass
@@ -446,9 +434,8 @@ class DCGenerator:
     def tasks(self, batches: Sequence[LeafBatch], seed: int) -> campaign.Tasks:
         """The execute phase of a plan: ``batches`` as a task campaign.
 
-        ``tasks(batches, seed).run()`` executes them, with the
-        configured workers and retry policy, and returns per-batch
-        ``(guesses, model_calls)``.
+        ``tasks(batches, seed).run()`` executes them on the configured
+        workers and returns per-batch ``(guesses, model_calls)``.
         """
         return campaign.Tasks(
             self.model,
@@ -459,7 +446,6 @@ class DCGenerator:
             record="leaf_batch",
             label="D&C-GEN execution",
             workers=self.config.workers,
-            policy=self.config.retry_policy(),
             counts_calls=True,
         )
 

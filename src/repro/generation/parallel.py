@@ -32,18 +32,17 @@ Failure handling
 
 Tasks run under :func:`repro.runtime.retry.supervised_map`: worker
 exceptions are caught *inside* the worker and reported per task, so a
-single failed or hung task is retried (with backoff, up to
-``RetryPolicy.max_retries`` times, a hung pool being killed and rebuilt)
-while every completed result is kept.  Tasks whose retries are exhausted
-run serially in the parent as a last resort with a ``RuntimeWarning`` —
-the run always completes with the exact serial output.  ``on_result``
-callbacks fire in the parent as each task completes, which is where the
-run journal (:mod:`repro.runtime.journal`) persists progress.
+single failed or hung task is retried (with backoff, a hung pool being
+killed and rebuilt) while every completed result is kept.
+``on_result`` callbacks fire in the parent as each task completes,
+which is where the campaign runner journals progress
+(:mod:`repro.runtime.journal`).  Tasks the pool gives up on are handed
+back, and the campaign runner runs them serially in the parent.
 
 Fault injection (:mod:`repro.runtime.faults`): every worker task passes
 through ``maybe_fail("worker", index)``, so ``REPRO_FAULT=crash:worker``
-(no count, no state dir) fails every worker task — and never the serial
-fallback, which runs the task body directly.
+(no count, no state dir) fails every worker task — and never the
+runner's serial path, which runs the task body directly.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .. import telemetry
-from ..runtime import RetryPolicy, maybe_fail, signals, supervised_map
+from ..runtime import maybe_fail, signals, supervised_map
 
 if TYPE_CHECKING:  # imported lazily to avoid a models <-> generation cycle
     from ..models.pagpassgpt import GPTGuesser
@@ -159,32 +158,29 @@ def run_pool(
     execute: Callable,
     base_seed: int,
     workers: int,
+    on_result: Callable[[int, object], None],
     start_method: Optional[str] = None,
-    policy: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[int, object], None]] = None,
     context: str = "parallel execution",
     stop: Optional[Callable[[], None]] = None,
-) -> list:
+) -> dict[int, Optional[str]]:
     """Run ``execute(model, task, base_seed)`` for every task on a pool.
 
     ``execute`` must be a module-level function (spawned workers receive
-    it by reference).  Returns the results in task order — the list a
-    serial loop produces; empty ``tasks`` returns ``[]`` without
-    spinning up a pool.  Individual task failures are retried per
-    :class:`~repro.runtime.retry.RetryPolicy` and fall back to
-    in-parent serial execution as a last resort; ``on_result(index,
-    result)`` fires once per task as it completes (unordered).
+    it by reference).  ``on_result(index, result)`` fires once per task
+    the pool completes, as it completes (unordered).  Returns the tasks
+    the pool gave up on, ``{index: last error}``, for the caller to run
+    (see :func:`repro.runtime.retry.supervised_map`); empty ``tasks``
+    returns ``{}`` without spinning up a pool.
 
     ``stop`` (e.g. ``Budget.stopper``) is polled while waiting on worker
     results so deadlines and graceful-shutdown signals interrupt the map
     mid-wait; the supervisor terminates and reaps the pool on the way
-    out (see :func:`repro.runtime.retry.supervised_map`).
+    out.
     """
     global _CTX
     if not tasks:
-        return []
+        return {}
     tasks = tuple(tasks)
-    policy = policy or RetryPolicy()
     if start_method is None:
         methods = mp.get_all_start_methods()
         start_method = "fork" if "fork" in methods else mp.get_start_method()
@@ -200,17 +196,8 @@ def run_pool(
     workers = max(1, min(workers, len(tasks)))
     tele = _parent_telemetry_args()
 
-    def supervise(factory: Callable) -> list:
-        return supervised_map(
-            factory,
-            _run_task,
-            len(tasks),
-            policy=policy,
-            serial_fn=lambda i: execute(model, tasks[i], base_seed),
-            on_result=on_result,
-            context=context,
-            stop=stop,
-        )
+    def supervise(factory: Callable) -> dict[int, Optional[str]]:
+        return supervised_map(factory, _run_task, len(tasks), on_result, context, stop)
 
     if start_method == "fork":
         ctx = mp.get_context("fork")

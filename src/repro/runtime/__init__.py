@@ -10,9 +10,10 @@ and governable:
   output writer;
 * :mod:`~repro.runtime.journal` — append-only JSONL journals that let an
   interrupted campaign resume byte-identically;
-* :mod:`~repro.runtime.retry` — bounded retry/backoff (with seeded
-  jitter) plus supervised pool execution where one bad worker costs only
-  its own shards;
+* :mod:`~repro.runtime.retry` — supervised pool execution: a failed
+  or hung task is resubmitted (a bounded number of times, with backoff)
+  and costs only its own shard; what the pool gives up on is handed
+  back to the caller;
 * :mod:`~repro.runtime.deadline` — cooperative wall-clock / guess /
   model-call budgets whose trip is a *graceful* stop at a durable
   boundary;
@@ -31,7 +32,6 @@ from .atomic import (
     atomic_write,
     atomic_write_bytes,
     atomic_write_text,
-    ensure_free_space,
 )
 from .deadline import Budget, CampaignInterrupted
 from .faults import (
@@ -39,7 +39,6 @@ from .faults import (
     FAULT_STATE_ENV,
     InjectedFault,
     corrupt_file,
-    hang_seconds,
     maybe_corrupt,
     maybe_disk_full,
     maybe_fail,
@@ -53,7 +52,7 @@ from .integrity import (
     write_manifest,
 )
 from .journal import JournalError, RunJournal, file_digest
-from .retry import RetryPolicy, retry_call, supervised_map
+from .retry import supervised_map
 from . import signals
 
 __all__ = [
@@ -62,14 +61,12 @@ __all__ = [
     "atomic_write",
     "atomic_write_bytes",
     "atomic_write_text",
-    "ensure_free_space",
     "Budget",
     "CampaignInterrupted",
     "FAULT_ENV",
     "FAULT_STATE_ENV",
     "InjectedFault",
     "corrupt_file",
-    "hang_seconds",
     "maybe_corrupt",
     "maybe_disk_full",
     "maybe_fail",
@@ -82,8 +79,6 @@ __all__ = [
     "JournalError",
     "RunJournal",
     "file_digest",
-    "RetryPolicy",
-    "retry_call",
     "supervised_map",
     "signals",
 ]

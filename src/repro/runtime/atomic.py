@@ -6,13 +6,13 @@ process can never leave a truncated file at the destination path.  The
 destination either holds its previous content or the complete new
 content, never a torn write.
 
-Disk exhaustion gets the same guarantee: :func:`ensure_free_space` is a
-statvfs preflight for large writes, :func:`atomic_write` fails onto its
-temp file (the destination is untouched), and
-:meth:`AppendStream.write_line` truncates a partially-appended line back
-off the file so an ENOSPC can shorten a journal but never tear it.  All
-of these raise :class:`DiskFullError`, which the chaos harness also
-injects via the ``disk_full`` fault directive.
+Disk exhaustion gets the same guarantee, without a free-space
+preflight: an ENOSPC is handled where the write fails.
+:func:`atomic_write` fails onto its temp file (the destination is
+untouched), and :meth:`AppendStream.write_line` truncates a
+partially-appended line back off the file so an ENOSPC can shorten a
+journal but never tear it.  Both raise :class:`DiskFullError`, which the
+chaos harness also injects via the ``disk_full`` fault directive.
 """
 
 from __future__ import annotations
@@ -39,28 +39,6 @@ class DiskFullError(OSError):
 
 def _is_enospc(exc: OSError) -> bool:
     return exc.errno in (errno.ENOSPC, errno.EDQUOT)
-
-
-def ensure_free_space(path: str | Path, need_bytes: int) -> None:
-    """Preflight: raise :class:`DiskFullError` unless the filesystem
-    holding ``path`` has at least ``need_bytes`` available.
-
-    Checked before large known-size writes (checkpoints, output files)
-    so a run stops at a clean boundary instead of mid-artifact.  A
-    filesystem that cannot report free space (``statvfs`` failing) is
-    not treated as full.
-    """
-    path = Path(path)
-    probe = path if path.exists() else path.parent
-    try:
-        stat = os.statvfs(probe)
-    except (OSError, AttributeError):  # pragma: no cover - exotic filesystems
-        return
-    free = stat.f_bavail * stat.f_frsize
-    if free < need_bytes:
-        raise DiskFullError(
-            f"not enough space on {probe}: need {need_bytes} bytes, {free} available"
-        )
 
 
 @contextmanager

@@ -23,9 +23,10 @@ kernels and the pool to the numpy serial stream.
   server over the same state directory must finish every request.
 
 Faults fire via the :mod:`repro.runtime.faults` environment directives
-with a state directory, so every directive is one-shot.  Hangs are
-shortened and paired with a short ``REPRO_TASK_TIMEOUT`` watchdog so a
-case takes seconds, not minutes.
+with a state directory, so every directive is one-shot.  An injected
+hang sleeps far longer than the short ``REPRO_TASK_TIMEOUT`` watchdog
+every leg arms, so the watchdog ends it and a case takes seconds, not
+minutes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, Optional
 
 from . import faults, signals
 from .atomic import DiskFullError
-from .faults import FAULT_ENV, FAULT_STATE_ENV, HANG_SECONDS_ENV, InjectedFault, corrupt_file
+from .faults import FAULT_ENV, FAULT_STATE_ENV, InjectedFault, corrupt_file
 from .retry import TASK_TIMEOUT_ENV
 
 #: Default guesses per strategy — enough journaled units for the random
@@ -62,8 +63,7 @@ _ACCEPTABLE_CHAOS_EXITS = {0, 1, 3, 4}
 #: The parent-side durable boundary each strategy journals at.
 _SITE = {"sampled": "free_chunk", "dcgen": "leaf_batch", "ordered": "frontier"}
 
-#: Injected hangs sleep this long, against a watchdog of ``_TASK_TIMEOUT``.
-_HANG_SECONDS = 0.5
+#: The hang watchdog every leg arms: injected hangs sleep far longer.
 _TASK_TIMEOUT = 2.0
 
 #: The server soak's one fault: the first pool task of the first
@@ -226,7 +226,6 @@ def _armed(fault: Optional[str], state_dir: Optional[Path] = None):
     return _environ(**{
         FAULT_ENV: fault,
         FAULT_STATE_ENV: None if fault is None else str(state_dir),
-        HANG_SECONDS_ENV: None if fault is None else str(_HANG_SECONDS),
         TASK_TIMEOUT_ENV: str(_TASK_TIMEOUT),
     })
 

@@ -4,7 +4,7 @@ Faults are declared in the ``REPRO_FAULT`` environment variable as a
 comma-separated list of directives::
 
     crash:<site>[:K]      raise InjectedFault at <site>
-    hang:<site>[:K]       sleep hang_seconds() at <site> (wedged worker)
+    hang:<site>[:K]       sleep HANG_SECONDS at <site> (wedged worker)
     corrupt:<site>[:K]    truncate the file written at <site> (maybe_corrupt)
     disk_full:<site>[:K]  raise DiskFullError (ENOSPC) at <site> (maybe_disk_full)
     signal:<site>[:K]     deliver SIGTERM to this process at <site>
@@ -36,10 +36,9 @@ of the failed task succeeds, which is how the retry tests distinguish
 to ``<dir>/calls.log`` as ``site:index`` lines, which the tests use to
 assert exact execution counts.
 
-``hang`` sleeps :func:`hang_seconds` — :data:`HANG_SECONDS` by default,
-overridable per run via ``REPRO_FAULT_HANG_SECONDS`` so chaos schedules
-and CI can use sub-second hangs against a short watchdog instead of the
-30 s production constant.
+``hang`` sleeps :data:`HANG_SECONDS`, far longer than any watchdog a
+test or chaos run arms, so only the pool's hang watchdog
+(``REPRO_TASK_TIMEOUT``, see :mod:`repro.runtime.retry`) can end it.
 
 ``signal`` delivers a real SIGTERM to the current process, exercising
 the graceful-shutdown path (:mod:`repro.runtime.signals`) at an exact,
@@ -64,9 +63,7 @@ from typing import Optional
 FAULT_ENV = "REPRO_FAULT"
 #: Directory for one-shot markers and the call log.
 FAULT_STATE_ENV = "REPRO_FAULT_STATE"
-#: Override for the injected-hang duration (seconds, float).
-HANG_SECONDS_ENV = "REPRO_FAULT_HANG_SECONDS"
-#: Default injected-hang sleep (far longer than any test timeout).
+#: Injected-hang sleep (far longer than any test timeout).
 HANG_SECONDS = 30.0
 
 _ACTIONS = ("crash", "hang", "corrupt", "disk_full", "signal")
@@ -77,19 +74,6 @@ _counts: dict[str, int] = {}
 
 class InjectedFault(BaseException):
     """An injected crash. BaseException so generic fallbacks can't eat it."""
-
-
-def hang_seconds() -> float:
-    """How long an injected hang sleeps (``REPRO_FAULT_HANG_SECONDS`` wins)."""
-    raw = os.environ.get(HANG_SECONDS_ENV)
-    if raw:
-        try:
-            return max(0.0, float(raw))
-        except ValueError:
-            raise ValueError(
-                f"bad {HANG_SECONDS_ENV} value {raw!r}; expected seconds as a float"
-            ) from None
-    return HANG_SECONDS
 
 
 def reset() -> None:
@@ -170,7 +154,7 @@ def maybe_fail(site: str, index: Optional[int] = None) -> None:
             # handler (if installed) converts it into a stop request.
             os.kill(os.getpid(), _signal.SIGTERM)
             continue
-        time.sleep(hang_seconds())
+        time.sleep(HANG_SECONDS)
 
 
 def maybe_corrupt(site: str, path: str | Path) -> None:

@@ -1,26 +1,21 @@
-"""Bounded retry with exponential backoff and pool-task supervision.
+"""Pool-task supervision: per-task retry, hung-pool rebuild, hand-back.
 
-Two layers:
+:func:`supervised_map` is a fault-tolerant replacement for ``pool.map``:
+tasks are streamed through ``imap_unordered`` with a pending-task
+tracker, so one failed or hung task costs only its own re-execution.
+Completed results are **never** discarded.  A task that still fails
+after :data:`RESUBMISSIONS` resubmissions is handed back to the caller
+instead of being run here; the campaign runner
+(:class:`repro.generation.campaign.Tasks`) runs what comes back in the
+parent, so there is one serial path whatever the worker count.
 
-* :func:`retry_call` — the generic primitive: call a function, retry
-  transient failures with capped exponential backoff.
-* :func:`supervised_map` — fault-tolerant replacement for ``pool.map``:
-  tasks are streamed through ``imap_unordered`` with a pending-task
-  tracker, so one failed or hung task costs only its own re-execution.
-  Completed results are **never** discarded.  A task that keeps failing
-  after ``max_retries`` resubmissions runs serially in the parent as a
-  last resort (with a ``RuntimeWarning``), so the run still completes.
-
-A hung worker is detected by ``task_timeout``: when no result arrives in
-time the pool is terminated (the only way to reclaim a wedged worker
-process) and every still-pending task is resubmitted to a fresh pool.
-The timeout can be set fleet-wide via the ``REPRO_TASK_TIMEOUT``
-environment variable, which fills in any policy constructed without an
-explicit value — chaos runs and CI use this to pair short injected hangs
-with a short watchdog.  A value of ``0`` explicitly disables the
-watchdog; negative, non-finite, or non-numeric values raise
-``ValueError`` at policy construction instead of leaking into pool
-waits.
+A hung worker is detected by the watchdog that ``REPRO_TASK_TIMEOUT``
+arms (:func:`task_timeout`): when no result arrives in time the pool is
+terminated (the only way to reclaim a wedged worker process) and every
+still-pending task is resubmitted to a fresh pool.  The watchdog is off
+unless that variable is set; ``0`` also leaves it off, and negative,
+non-finite, or non-numeric values raise ``ValueError`` instead of
+leaking into pool waits.
 
 ``supervised_map`` also accepts a ``stop`` callable (typically
 ``Budget.stopper(...)`` from :mod:`repro.runtime.deadline`): it is
@@ -36,190 +31,134 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import random
 import time
-import warnings
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-#: Fleet-wide default for ``RetryPolicy.task_timeout`` (seconds, float).
+#: Hang watchdog for pool results (seconds, float); unset means no watchdog.
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 
 #: How often the ``stop`` callable is polled while waiting on workers.
 STOP_POLL_INTERVAL = 0.1
 
+#: Resubmissions of a failed or hung task before the pool gives it up.
+RESUBMISSIONS = 2
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard to try before giving a task up to the serial fallback.
+#: Backoff before resubmission round ``r``: ``BACKOFF_BASE * 2**(r-1)``
+#: seconds, capped at ``BACKOFF_MAX``.
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
 
-    ``max_retries`` counts *re*-submissions (0 = single attempt).
-    Backoff before retry round ``r`` (1-based) is
-    ``min(backoff_max, backoff_base * backoff_factor**(r-1))``, scaled
-    by a deterministic jitter factor drawn uniformly from
-    ``[1-jitter, 1+jitter]`` when ``jitter`` > 0.  The draw is seeded by
-    ``(jitter_seed, r)``, so two policies with the same seed produce the
-    same backoff sequence — serving-layer retries get decorrelated
-    sleeps without breaking byte-identical test replays.
 
-    ``task_timeout`` is the per-result wait in seconds; ``None`` falls
-    back to the ``REPRO_TASK_TIMEOUT`` environment variable, and failing
-    that waits forever (no hang detection).
+def backoff(attempt: int) -> float:
+    """Seconds to sleep before resubmission round ``attempt`` (1-based)."""
+    return min(BACKOFF_MAX, BACKOFF_BASE * 2 ** (attempt - 1))
+
+
+def task_timeout() -> Optional[float]:
+    """The hang watchdog ``REPRO_TASK_TIMEOUT`` arms, in seconds.
+
+    ``None`` (wait forever) when the variable is unset, blank or ``0``;
+    negative, non-finite, or non-numeric values raise ``ValueError``.
     """
-
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.0
-    jitter_seed: int = 0
-    task_timeout: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff bounds must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.task_timeout is None:
-            env = os.environ.get(TASK_TIMEOUT_ENV)
-            if env is not None and env.strip():
-                try:
-                    timeout = float(env)
-                except ValueError:
-                    raise ValueError(
-                        f"bad {TASK_TIMEOUT_ENV} value {env!r}; expected seconds as a float"
-                    ) from None
-                if timeout < 0 or timeout != timeout or timeout in (float("inf"),):
-                    raise ValueError(
-                        f"bad {TASK_TIMEOUT_ENV} value {env!r}; must be a finite "
-                        "number of seconds >= 0 (0 disables the hang watchdog)"
-                    )
-                if timeout > 0:
-                    # frozen dataclass: the env fallback is part of
-                    # construction; 0 means "watchdog disabled" and keeps
-                    # the None default (wait forever) instead of leaking a
-                    # zero-second wait into every pool poll.
-                    object.__setattr__(self, "task_timeout", timeout)
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive or None")
-
-    def backoff(self, attempt: int) -> float:
-        """Sleep before retry round ``attempt`` (1-based), jitter applied."""
-        base = min(self.backoff_max, self.backoff_base * self.backoff_factor ** (attempt - 1))
-        if self.jitter == 0.0:
-            return base
-        # Seeded per (policy seed, attempt): deterministic, replayable,
-        # but decorrelated across retriers with different seeds.
-        rng = random.Random(self.jitter_seed * 1_000_003 + attempt)
-        return base * (1.0 - self.jitter + 2.0 * self.jitter * rng.random())
+    env = os.environ.get(TASK_TIMEOUT_ENV)
+    if env is None or not env.strip():
+        return None
+    try:
+        timeout = float(env)
+    except ValueError:
+        raise ValueError(
+            f"bad {TASK_TIMEOUT_ENV} value {env!r}; expected seconds as a float"
+        ) from None
+    if timeout < 0 or timeout != timeout or timeout in (float("inf"),):
+        raise ValueError(
+            f"bad {TASK_TIMEOUT_ENV} value {env!r}; must be a finite "
+            "number of seconds >= 0 (0 disables the hang watchdog)"
+        )
+    return timeout or None
 
 
-def retry_call(
-    fn: Callable[[], Any],
-    policy: RetryPolicy = RetryPolicy(),
-    retryable: tuple[type[BaseException], ...] = (Exception,),
-    on_error: Optional[Callable[[int, BaseException], None]] = None,
-) -> Any:
-    """Call ``fn`` with bounded retry; re-raises the last error when spent."""
-    for attempt in range(policy.max_retries + 1):
-        try:
-            return fn()
-        except retryable as exc:
-            if on_error is not None:
-                on_error(attempt, exc)
-            if attempt == policy.max_retries:
-                raise
-            time.sleep(policy.backoff(attempt + 1))
+class _PoolBroken(Exception):
+    """The pool failed to start or its result stream raised: a failure
+    of the pool, not of a task (its ``__cause__`` says what happened)."""
 
 
 def _next_result(stream, timeout: Optional[float], stop: Optional[Callable[[], None]]):
-    """One result from ``stream``, honouring the hang watchdog and ``stop``.
+    """One result from ``stream``, or ``None`` once the hang watchdog fires.
 
-    Without ``stop`` this is the plain single wait.  With it, the wait is
-    sliced into :data:`STOP_POLL_INTERVAL` chunks with ``stop()`` polled
-    between slices, while a wall-clock deadline preserves the watchdog
-    semantics (``mp.TimeoutError`` after ``timeout`` seconds total).
+    Without ``stop`` this is one wait of ``timeout`` seconds (forever
+    when ``None``).  With it, the wait is sliced into
+    :data:`STOP_POLL_INTERVAL` chunks with ``stop()`` polled between
+    slices, while a wall-clock deadline keeps the watchdog at
+    ``timeout`` seconds in total.  An error from the stream is re-raised
+    as :class:`_PoolBroken`, so it cannot be mistaken for one of
+    ``stop``'s.
     """
-    if stop is None:
-        if timeout is None:
-            return next(stream)
-        return stream.next(timeout)
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
-        stop()
-        wait = STOP_POLL_INTERVAL
+        if stop is not None:
+            stop()
+        wait = timeout if stop is None else STOP_POLL_INTERVAL
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise mp.TimeoutError(f"no result within {timeout}s")
+                return None
             wait = min(wait, remaining)
         try:
             return stream.next(wait)
         except mp.TimeoutError:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise
+            if stop is None or (deadline is not None and time.monotonic() >= deadline):
+                return None
+        except Exception as exc:
+            raise _PoolBroken() from exc
 
 
 def supervised_map(
     pool_factory: Callable[[], Any],
     guarded: Callable[[int], tuple[int, bool, Any]],
     n_tasks: int,
-    policy: RetryPolicy = RetryPolicy(),
-    serial_fn: Optional[Callable[[int], Any]] = None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
+    on_result: Callable[[int, Any], None],
     context: str = "parallel execution",
     stop: Optional[Callable[[], None]] = None,
-) -> list:
+) -> dict[int, Optional[str]]:
     """Fault-tolerant ``pool.map`` over task indices ``0..n_tasks-1``.
 
     ``guarded`` runs in the workers and must return ``(index, ok,
     value_or_error)`` instead of raising — that keeps per-task failures
-    attributable.  ``on_result`` fires in the parent exactly once per
-    task, as results arrive (unordered); journal writers hook in here so
-    completed work is durable the moment it exists.  ``serial_fn`` is the
-    in-parent last resort for tasks whose retries are exhausted.
+    attributable.  ``on_result(index, value)`` fires in the parent once
+    per task the pool completes, as results arrive (unordered); journal
+    writers hook in here so completed work is durable the moment it
+    exists.
+
+    Returns ``{index: last error}`` for the tasks the pool gave up on:
+    those that failed on every attempt, those still pending when the
+    watchdog fired for the last time (error ``None``: they never
+    reported one), and every pending task when the pool fails to start
+    or its result stream breaks.  The caller runs them itself.
 
     ``stop`` (optional) is polled while waiting for results; it should
     raise to interrupt the map (see
-    :meth:`repro.runtime.deadline.Budget.stopper`).  On any raise — from
-    ``stop``, ``on_result``, or a delivered signal — the pool is
-    terminated and joined before the exception propagates, so worker
-    processes killed mid-task are always reaped and every *delivered*
-    result has already been handed to ``on_result``.
-
-    Returns results ordered by task index.
+    :meth:`repro.runtime.deadline.Budget.stopper`).  Whatever ``stop``
+    or ``on_result`` raises propagates, and so does a delivered signal;
+    the pool is terminated and joined first, so worker processes killed
+    mid-task are always reaped and every *delivered* result has already
+    been handed to ``on_result``.
 
     Every supervision decision is also emitted as a structured telemetry
     event (no-ops without an active session): ``task_failed`` per failed
     attempt — with the task index and exception repr, so post-mortems
     never require a rerun — ``task_recovered`` when a previously-failed
-    task finally delivers, ``pool_rebuild`` on hung-pool replacement, and
-    ``serial_fallback`` per exhausted task run in the parent.
+    task delivers, and ``pool_rebuild`` on hung-pool replacement.
     """
     from .. import telemetry  # lazy: runtime is imported during telemetry init
 
     registry = telemetry.get_registry()
-    results: dict[int, Any] = {}
+    timeout = task_timeout()
     pending = set(range(n_tasks))
-    last_error: dict[int, str] = {}
-    failed: set[int] = set()
+    errors: dict[int, str] = {}  # last failure of each not-yet-delivered task
     pool = None
 
-    def deliver(index: int, value: Any) -> None:
-        pending.discard(index)
-        results[index] = value
-        if index in failed:
-            failed.discard(index)
-            registry.counter("retry.tasks_recovered").inc()
-            telemetry.emit("task_recovered", context=context, task=index)
-        if on_result is not None:
-            on_result(index, value)
-
     def record_failure(index: int, error: str, attempt: int) -> None:
-        last_error[index] = error
-        failed.add(index)
+        errors[index] = error
         registry.counter("retry.task_failures").inc()
         telemetry.emit(
             "task_failed",
@@ -231,74 +170,55 @@ def supervised_map(
         )
 
     try:
-        for attempt in range(policy.max_retries + 1):
+        for attempt in range(RESUBMISSIONS + 1):
             if not pending:
                 break
             if stop is not None:
                 stop()
             if attempt:
-                time.sleep(policy.backoff(attempt))
-            if pool is None:
-                pool = pool_factory()
+                time.sleep(backoff(attempt))
             submit = sorted(pending)
-            stream = pool.imap_unordered(guarded, submit)
-            timed_out = False
+            try:
+                if pool is None:
+                    pool = pool_factory()
+                stream = pool.imap_unordered(guarded, submit)
+            except Exception as exc:
+                raise _PoolBroken() from exc
             for _ in submit:
-                try:
-                    index, ok, value = _next_result(stream, policy.task_timeout, stop)
-                except mp.TimeoutError:
-                    timed_out = True
+                result = _next_result(stream, timeout, stop)
+                if result is None:
+                    # A wedged worker can only be reclaimed by killing
+                    # the pool; completed results are already delivered,
+                    # only pending tasks go around again.
+                    pool.terminate()
+                    pool.join()
+                    pool = None
+                    registry.counter("retry.pool_rebuilds").inc()
+                    telemetry.emit(
+                        "pool_rebuild",
+                        level="warning",
+                        context=context,
+                        pending=sorted(pending),
+                        attempt=attempt,
+                    )
                     break
-                if ok:
-                    deliver(index, value)
-                else:
+                index, ok, value = result
+                if not ok:
                     record_failure(index, value, attempt)
-            if timed_out:
-                # A wedged worker can only be reclaimed by killing the
-                # pool; completed results are already delivered, only
-                # pending tasks go around again.
-                pool.terminate()
-                pool.join()
-                pool = None
-                registry.counter("retry.pool_rebuilds").inc()
-                telemetry.emit(
-                    "pool_rebuild",
-                    level="warning",
-                    context=context,
-                    pending=sorted(pending),
-                    attempt=attempt,
-                )
+                    continue
+                pending.discard(index)
+                if errors.pop(index, None) is not None:
+                    registry.counter("retry.tasks_recovered").inc()
+                    telemetry.emit("task_recovered", context=context, task=index)
+                on_result(index, value)
+    except _PoolBroken as broken:
+        # The pool did not start or its stream broke: this attempt of
+        # every pending task failed, and none of them goes around again.
+        cause = broken.__cause__
+        for index in sorted(pending):
+            record_failure(index, f"{type(cause).__name__}: {cause}", attempt)
     finally:
         if pool is not None:
             pool.terminate()
             pool.join()
-
-    if pending:
-        if serial_fn is None:
-            raise RuntimeError(
-                f"{context}: {len(pending)} task(s) failed after "
-                f"{policy.max_retries + 1} attempt(s): {sorted(pending)}"
-            )
-        causes = "; ".join(
-            f"task {i}: {last_error.get(i, 'timed out')}" for i in sorted(pending)[:3]
-        )
-        warnings.warn(
-            f"{context}: {len(pending)} task(s) failed after "
-            f"{policy.max_retries + 1} attempt(s) ({causes}); "
-            "falling back to serial execution for those tasks",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for index in sorted(pending):
-            if stop is not None:
-                stop()
-            registry.counter("retry.serial_fallbacks").inc()
-            telemetry.emit(
-                "serial_fallback",
-                level="warning",
-                context=context,
-                task=index,
-                error=last_error.get(index, "timed out"),
-            )
-            deliver(index, serial_fn(index))
-    return [results[i] for i in range(n_tasks)]
+    return {index: errors.get(index) for index in sorted(pending)}

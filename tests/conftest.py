@@ -22,7 +22,6 @@ def _clean_faults(monkeypatch):
     """No fault directive leaks between tests; counters start fresh."""
     monkeypatch.delenv(faults.FAULT_ENV, raising=False)
     monkeypatch.delenv(faults.FAULT_STATE_ENV, raising=False)
-    monkeypatch.delenv(faults.HANG_SECONDS_ENV, raising=False)
     faults.reset()
     yield
     faults.reset()

@@ -11,6 +11,7 @@ in ``tests/test_server.py``.
 
 import pytest
 
+from repro import telemetry
 from repro.cli import main
 from repro.runtime.chaos import ChaosCase, build_schedule, run_case, run_chaos
 
@@ -67,11 +68,13 @@ class TestRunCase:
         assert result.identical and result.check_ok
 
     def test_disk_full_exits_1_and_resumes(self, checkpoint, tmp_path):
-        case = ChaosCase(0, "dcgen", 1, seed=5, fault="disk_full:journal:2")
-        result = run_case(case, checkpoint, tmp_path, n=400)
-        assert result.ok, result.failure
-        assert result.chaos_outcome == "exit:1"
-        assert result.identical and result.check_ok
+        # The journal write fails the same way on the pool as in serial.
+        for workers in (1, 2):
+            case = ChaosCase(0, "dcgen", workers, seed=5, fault="disk_full:journal:2")
+            result = run_case(case, checkpoint, tmp_path / f"workers-{workers}", n=400)
+            assert result.ok, result.failure
+            assert result.chaos_outcome == "exit:1", workers
+            assert result.identical and result.check_ok
 
     def test_corrupt_tail_repair_then_resume(self, checkpoint, tmp_path):
         case = ChaosCase(0, "dcgen", 1, seed=11, fault="corrupt_tail")
@@ -86,6 +89,17 @@ class TestRunCase:
         assert result.ok, result.failure
         assert result.chaos_outcome == "exit:0"  # the one-shot crash was retried
         assert (tmp_path / "case-0" / "fault-state" / "crash-worker-1.tripped").exists()
+        assert result.identical
+
+    def test_pool_survives_worker_hang_through_the_watchdog(self, checkpoint, tmp_path):
+        rebuilds = telemetry.get_registry().counter("retry.pool_rebuilds")
+        before = rebuilds.value
+        case = ChaosCase(0, "dcgen", 2, seed=9, fault="hang:worker:1")
+        result = run_case(case, checkpoint, tmp_path, n=400)
+        assert result.ok, result.failure
+        assert result.chaos_outcome == "exit:0"  # the hung task was retried
+        assert (tmp_path / "case-0" / "fault-state" / "hang-worker-1.tripped").exists()
+        assert rebuilds.value - before == 1  # only the watchdog ended the hang
         assert result.identical
 
     def test_ordered_crash_resume(self, checkpoint, tmp_path):

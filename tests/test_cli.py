@@ -370,6 +370,23 @@ class TestLifecycle:
                                   "--resume"]) == EXIT_OK
             assert out.read_text() == clean.read_text()
 
+    @pytest.mark.parametrize("flags", [
+        ["--journal", "run.jsonl"], ["--resume"], ["--workers", "2"],
+        ["--deadline", "5"], ["--max-guesses", "10"], ["--max-model-calls", "10"],
+        ["--dcgen"], ["--strategy", "dcgen"], ["--strategy", "ordered"],
+    ], ids="=".join)
+    def test_pattern_rejects_campaign_flags(self, pipeline, tmp_path, capsys, flags):
+        """A --pattern run is one unjournaled guided pass: a lifecycle
+        flag it would silently ignore is refused before the checkpoint
+        loads."""
+        out = tmp_path / "guided.txt"
+        code = main(["generate", "--checkpoint", str(self._checkpoint(pipeline)),
+                     "-n", "50", "--pattern", "L6N2", "--out", str(out), *flags])
+        assert code == EXIT_CORRUPT
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flags[0] in err[0]
+
     def test_train_deadline_exits_3_and_resumes(self, pipeline, tmp_path):
         common = ["train", "--input", str(pipeline / "data.train.txt"),
                   "--dim", "32", "--layers", "1", "--heads", "2",

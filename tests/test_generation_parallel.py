@@ -4,7 +4,7 @@ The contract under test (ISSUE 1): for a fixed seed the multiprocess
 backend yields the *identical* guess stream (hence identical multiset)
 and identical :class:`DCGenStats` as the serial path for any worker
 count; no leaf task's rows are ever executed twice; and a worker crash
-degrades gracefully to serial execution with a warning.
+degrades gracefully to the runner's serial path with a warning.
 
 These run against an *untrained* PagPassGPT: equivalence must hold for
 any next-token distribution, so training is unnecessary.
@@ -28,8 +28,17 @@ from repro.generation.dcgen import execute_batch
 from repro.generation.parallel import run_pool
 from repro.models import PagPassGPT, PassGPT
 from repro.models.pagpassgpt import execute_free_chunk
+from repro import telemetry
 from repro.nn import GPT2Config
-from repro.runtime import FAULT_ENV, FAULT_STATE_ENV, InjectedFault, RetryPolicy, RunJournal
+from repro.runtime import (
+    FAULT_ENV,
+    FAULT_STATE_ENV,
+    Budget,
+    CampaignInterrupted,
+    InjectedFault,
+    RunJournal,
+)
+from repro.runtime.retry import TASK_TIMEOUT_ENV
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +59,15 @@ def run(model, total=1200, seed=7, **config_kwargs):
     gen = DCGenerator(model, DCGenConfig(threshold=32, **config_kwargs))
     out = gen.generate(total, seed=seed)
     return out, gen.stats
+
+
+def pooled(model, tasks, execute, seed, **kwargs):
+    """``run_pool``'s delivered results in task order, and the tasks it
+    handed back."""
+    delivered = {}
+    handed_back = run_pool(model, tasks, execute, seed, on_result=delivered.__setitem__,
+                           **kwargs)
+    return [delivered[i] for i in sorted(delivered)], handed_back
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +127,8 @@ class TestEquivalence:
             (passgpt, free_chunks(1200), execute_free_chunk),
         ):
             serial = [execute(owner, task, 7) for task in tasks]
-            spawned = run_pool(owner, tasks, execute, 7, workers=2, start_method="spawn")
-            assert spawned == serial
+            spawned = pooled(owner, tasks, execute, 7, workers=2, start_method="spawn")
+            assert spawned == (serial, {})
 
 
 # ----------------------------------------------------------------------
@@ -204,24 +222,47 @@ class TestCrashFallback:
     @pytest.fixture(autouse=True)
     def _every_worker_task_crashes(self, monkeypatch):
         # No count and no state dir: every pool task fails on every
-        # attempt, while serial runs (and the serial fallback) never
-        # reach the site.
+        # attempt, while serial runs (and the runner's serial path)
+        # never reach the site.
         monkeypatch.setenv(FAULT_ENV, "crash:worker")
         monkeypatch.delenv(FAULT_STATE_ENV, raising=False)
 
-    def test_dcgen_falls_back_to_serial_with_warning(self, model):
+    @staticmethod
+    def _assert_fallbacks_accounted(directory, n_tasks):
+        summary = telemetry.summarize_campaign(directory)
+        assert telemetry.check_summary(summary) == []
+        assert summary["faults"]["serial_fallbacks"] == n_tasks
+
+    def test_dcgen_falls_back_to_serial_with_warning(self, model, tmp_path):
         serial_out, serial_stats = run(model, total=600)
         gen = DCGenerator(model, DCGenConfig(threshold=32, workers=2))
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            out = gen.generate(600, seed=7)
+        n_tasks = len(build_batches(gen.plan(600), gen.config.gen_batch))
+        with telemetry.session(tmp_path, run_id="fallback"):
+            with pytest.warns(RuntimeWarning, match="falling back to serial"):
+                out = gen.generate(600, seed=7)
         assert out == serial_out
         assert gen.stats == serial_stats
+        self._assert_fallbacks_accounted(tmp_path, n_tasks)
 
-    def test_free_generation_falls_back_with_warning(self, model):
+    def test_free_generation_falls_back_with_warning(self, model, tmp_path):
         serial = model.generate(1100, seed=2)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            out = model.generate(1100, seed=2, workers=2)
+        with telemetry.session(tmp_path, run_id="fallback"):
+            with pytest.warns(RuntimeWarning, match="falling back to serial"):
+                out = model.generate(1100, seed=2, workers=2)
         assert out == serial
+        self._assert_fallbacks_accounted(tmp_path, len(free_chunks(1100)))
+
+    def test_stop_checked_before_serial_fallback(self, model, tmp_path):
+        """A budget below the total stops the runner's serial path after
+        its first handed-back task, which is journaled first."""
+        journal_path = tmp_path / "run.journal.jsonl"
+        gen = DCGenerator(model, DCGenConfig(threshold=32, workers=2))
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            with pytest.raises(CampaignInterrupted):
+                gen.generate(600, seed=7, journal=journal_path, budget=Budget(max_guesses=1))
+        journal = RunJournal.open(journal_path)
+        assert sorted(journal.completed("leaf_batch")) == [0]
+        journal.close()
 
 
 # ----------------------------------------------------------------------
@@ -230,11 +271,11 @@ class TestCrashFallback:
 
 class TestEmptyInputs:
     def test_run_pool_empty(self, model):
-        assert run_pool(model, [], execute_batch, 7, workers=2) == []
+        assert pooled(model, [], execute_batch, 7, workers=2) == ([], {})
 
     def test_run_pool_zero_free_chunks(self, model):
         for n in (0, -5):
-            assert run_pool(model, free_chunks(n), execute_free_chunk, 7, workers=2) == []
+            assert pooled(model, free_chunks(n), execute_free_chunk, 7, workers=2) == ([], {})
 
     def test_model_generate_zero(self, model):
         assert model.generate(0, seed=1, workers=2) == []
@@ -260,9 +301,10 @@ class TestPerTaskRetry:
         # One-shot crash of the worker running task 1: its retry succeeds.
         monkeypatch.setenv(FAULT_ENV, "crash:worker:1")
         monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path))
-        out = run_pool(model, batches, execute_batch, 7, workers=2)
+        out, handed_back = pooled(model, batches, execute_batch, 7, workers=2)
 
         assert out == serial
+        assert handed_back == {}
         # No degradation to the serial-fallback path...
         assert not [w for w in recwarn if "falling back" in str(w.message)]
         # ...and exactly one extra execution: the failed shard's retry.
@@ -278,9 +320,8 @@ class TestPerTaskRetry:
 
         monkeypatch.setenv(FAULT_ENV, "hang:worker:0")
         monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path))
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0, task_timeout=3.0)
-        out = run_pool(model, batches, execute_batch, 7, workers=2, policy=policy)
-        assert out == serial
+        monkeypatch.setenv(TASK_TIMEOUT_ENV, "3.0")
+        assert pooled(model, batches, execute_batch, 7, workers=2) == (serial, {})
 
 
 # ----------------------------------------------------------------------

@@ -8,10 +8,8 @@ from repro.runtime import DiskFullError, faults, signals
 from repro.runtime.faults import (
     FAULT_ENV,
     FAULT_STATE_ENV,
-    HANG_SECONDS_ENV,
     InjectedFault,
     corrupt_file,
-    hang_seconds,
     maybe_corrupt,
     maybe_disk_full,
     maybe_fail,
@@ -128,27 +126,13 @@ class TestSignalAction:
 
 
 class TestHangSeconds:
-    def test_default(self):
-        assert hang_seconds() == faults.HANG_SECONDS
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(HANG_SECONDS_ENV, "0.25")
-        assert hang_seconds() == 0.25
-
-    def test_negative_clamps_to_zero(self, monkeypatch):
-        monkeypatch.setenv(HANG_SECONDS_ENV, "-3")
-        assert hang_seconds() == 0.0
-
-    def test_bad_value_raises(self, monkeypatch):
-        monkeypatch.setenv(HANG_SECONDS_ENV, "soon")
-        with pytest.raises(ValueError, match=HANG_SECONDS_ENV):
-            hang_seconds()
-
     def test_hang_directive_sleeps_the_override(self, monkeypatch):
+        """A hang sleeps ``HANG_SECONDS``: the module constant, with no
+        environment override, so only a watchdog can cut it short."""
         import time
 
         monkeypatch.setenv(FAULT_ENV, "hang:worker")
-        monkeypatch.setenv(HANG_SECONDS_ENV, "0.05")
+        monkeypatch.setattr(faults, "HANG_SECONDS", 0.05)
         start = time.monotonic()
         maybe_fail("worker", 0)
         assert time.monotonic() - start >= 0.05

@@ -1,130 +1,63 @@
-"""Retry primitive and supervised pool map (tested with in-process fakes)."""
+"""Supervised pool map and its fixed retry policy (tested with in-process fakes)."""
 
 import multiprocessing as mp
 
 import pytest
 
-from repro.runtime import RetryPolicy, retry_call, supervised_map
-
-FAST = RetryPolicy(max_retries=2, backoff_base=0.0, backoff_max=0.0)
+from repro.runtime import supervised_map
+from repro.runtime.retry import TASK_TIMEOUT_ENV, backoff, task_timeout
 
 
 class TestRetryPolicy:
+    """The fixed policy: two resubmissions with capped exponential
+    backoff, and a hang watchdog that only ``REPRO_TASK_TIMEOUT`` arms."""
+
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.3)  # capped
-        assert policy.backoff(10) == pytest.approx(0.3)
+        assert backoff(1) == pytest.approx(0.05)
+        assert backoff(2) == pytest.approx(0.1)
+        assert backoff(3) == pytest.approx(0.2)
+        assert backoff(6) == pytest.approx(1.6)
+        assert backoff(7) == pytest.approx(2.0)  # capped
+        assert backoff(50) == pytest.approx(2.0)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_retries": -1},
-            {"backoff_base": -0.1},
-            {"task_timeout": 0},
-            {"task_timeout": -1.0},
-            {"jitter": -0.1},
-            {"jitter": 1.5},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-    def test_jitter_is_deterministic_per_seed(self):
-        a = RetryPolicy(backoff_base=0.1, jitter=0.5, jitter_seed=7)
-        b = RetryPolicy(backoff_base=0.1, jitter=0.5, jitter_seed=7)
-        c = RetryPolicy(backoff_base=0.1, jitter=0.5, jitter_seed=8)
-        seq_a = [a.backoff(r) for r in range(1, 6)]
-        assert seq_a == [b.backoff(r) for r in range(1, 6)]  # replayable
-        assert seq_a != [c.backoff(r) for r in range(1, 6)]  # decorrelated
-
-    def test_jitter_stays_within_bounds(self):
-        policy = RetryPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=1.0, jitter=0.3
-        )
-        plain = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=1.0)
-        for r in range(1, 20):
-            base = plain.backoff(r)
-            assert base * 0.7 <= policy.backoff(r) <= base * 1.3
-
-    def test_zero_jitter_is_exact(self):
-        policy = RetryPolicy(backoff_base=0.1, jitter=0.0)
-        assert policy.backoff(1) == pytest.approx(0.1)
+    def test_task_timeout_unset_means_no_watchdog(self, monkeypatch):
+        monkeypatch.delenv(TASK_TIMEOUT_ENV, raising=False)
+        assert task_timeout() is None
 
     def test_task_timeout_env_fallback(self, monkeypatch):
-        from repro.runtime.retry import TASK_TIMEOUT_ENV
-
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "1.5")
-        assert RetryPolicy().task_timeout == 1.5
-        # An explicit value always wins over the environment.
-        assert RetryPolicy(task_timeout=9.0).task_timeout == 9.0
+        assert task_timeout() == 1.5
 
     def test_task_timeout_env_bad_value(self, monkeypatch):
-        from repro.runtime.retry import TASK_TIMEOUT_ENV
-
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "eventually")
         with pytest.raises(ValueError, match=TASK_TIMEOUT_ENV):
-            RetryPolicy()
+            task_timeout()
 
     def test_task_timeout_env_zero_disables(self, monkeypatch):
-        from repro.runtime.retry import TASK_TIMEOUT_ENV
-
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "0")
-        assert RetryPolicy().task_timeout is None
+        assert task_timeout() is None
 
     @pytest.mark.parametrize("value", ["", "   "])
     def test_task_timeout_env_blank_is_ignored(self, monkeypatch, value):
-        from repro.runtime.retry import TASK_TIMEOUT_ENV
-
         monkeypatch.setenv(TASK_TIMEOUT_ENV, value)
-        assert RetryPolicy().task_timeout is None
+        assert task_timeout() is None
 
     @pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "nan"])
     def test_task_timeout_env_rejects_non_finite_or_negative(
         self, monkeypatch, value
     ):
-        from repro.runtime.retry import TASK_TIMEOUT_ENV
-
         monkeypatch.setenv(TASK_TIMEOUT_ENV, value)
         with pytest.raises(ValueError, match=TASK_TIMEOUT_ENV):
-            RetryPolicy()
+            task_timeout()
+
+    def test_bad_task_timeout_raises_from_supervised_map(self, monkeypatch):
+        monkeypatch.setenv(TASK_TIMEOUT_ENV, "-1")
+        with pytest.raises(ValueError, match=TASK_TIMEOUT_ENV):
+            supervised_map(lambda: FakePool(None), lambda i: (i, True, i), 2, _ignore)
 
 
-class TestRetryCall:
-    def test_transient_failure_recovers(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        assert retry_call(flaky, FAST) == "ok"
-        assert len(calls) == 3
-
-    def test_permanent_failure_reraises(self):
-        errors = []
-
-        def doomed():
-            raise OSError("permanent")
-
-        with pytest.raises(OSError, match="permanent"):
-            retry_call(doomed, FAST, on_error=lambda a, e: errors.append(a))
-        assert errors == [0, 1, 2]  # max_retries + 1 attempts
-
-    def test_non_retryable_raises_immediately(self):
-        calls = []
-
-        def typed():
-            calls.append(1)
-            raise KeyError("nope")
-
-        with pytest.raises(KeyError):
-            retry_call(typed, FAST, retryable=(OSError,))
-        assert len(calls) == 1
+def _ignore(index, value):
+    pass
 
 
 class FakePool:
@@ -164,24 +97,30 @@ class _FakeStream:
         return self.__next__()
 
 
+def _collect(delivered):
+    """An ``on_result`` that records each delivered value by task index."""
+    return delivered.__setitem__
+
+
 class TestSupervisedMap:
     def test_all_success_ordered(self):
         pools = []
-        delivered = []
+        delivered = {}
         guarded = lambda i: (i, True, i * 10)  # noqa: E731
-        out = supervised_map(
+        handed_back = supervised_map(
             lambda: pools.append(FakePool(None)) or pools[-1],
             guarded,
             4,
-            policy=FAST,
-            on_result=lambda i, v: delivered.append(i),
+            _collect(delivered),
         )
-        assert out == [0, 10, 20, 30]
+        assert handed_back == {}
+        assert [delivered[i] for i in range(4)] == [0, 10, 20, 30]
         assert sorted(delivered) == [0, 1, 2, 3]
         assert len(pools) == 1
 
     def test_transient_failure_retries_only_failed_task(self):
         attempts = {i: 0 for i in range(4)}
+        delivered = {}
 
         def guarded(i):
             attempts[i] += 1
@@ -189,36 +128,77 @@ class TestSupervisedMap:
                 return (i, False, "OSError: flaky shard")
             return (i, True, i)
 
-        out = supervised_map(lambda: FakePool(None), guarded, 4, policy=FAST)
-        assert out == [0, 1, 2, 3]
+        assert supervised_map(lambda: FakePool(None), guarded, 4, _collect(delivered)) == {}
+        assert delivered == {0: 0, 1: 1, 2: 2, 3: 3}
         assert attempts == {0: 1, 1: 1, 2: 2, 3: 1}  # only task 2 re-ran
 
-    def test_permanent_failure_falls_back_to_serial(self):
-        serial_calls = []
+    def test_permanent_failure_falls_back_to_serial(self, recwarn):
+        """The pool hands a task that fails every attempt back with its
+        last error, for the caller's serial path; it warns nothing."""
+        attempts = []
+        delivered = {}
 
         def guarded(i):
             if i == 1:
+                attempts.append(i)
                 return (i, False, "RuntimeError: cursed shard")
             return (i, True, i)
 
-        def serial(i):
-            serial_calls.append(i)
-            return i
+        handed_back = supervised_map(lambda: FakePool(None), guarded, 3, _collect(delivered))
+        assert handed_back == {1: "RuntimeError: cursed shard"}
+        assert delivered == {0: 0, 2: 2}  # completed tasks never re-run
+        assert len(attempts) == 3  # one attempt plus two resubmissions
+        assert not recwarn.list
 
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            out = supervised_map(
-                lambda: FakePool(None), guarded, 3, policy=FAST, serial_fn=serial
-            )
-        assert out == [0, 1, 2]
-        assert serial_calls == [1]  # completed tasks never re-run
+    def test_pool_that_fails_to_start_hands_every_task_back(self):
+        def factory():
+            raise OSError("fork failed")
 
-    def test_permanent_failure_without_serial_raises(self):
-        guarded = lambda i: (i, False, "always broken")  # noqa: E731
-        with pytest.raises(RuntimeError, match="failed after"):
-            supervised_map(lambda: FakePool(None), guarded, 2, policy=FAST)
+        delivered = {}
+        handed_back = supervised_map(factory, lambda i: (i, True, i), 3, _collect(delivered))
+        assert handed_back == {i: "OSError: fork failed" for i in range(3)}
+        assert delivered == {}
 
-    def test_hang_kills_pool_and_retries_pending(self):
+    def test_pool_that_breaks_mid_stream_hands_pending_back(self):
+        class BrokenStream(_FakeStream):
+            def next(self, timeout=None):
+                if self._pos == 1:
+                    raise EOFError("result pipe closed")
+                return super().next(timeout)
+
+        class BreakingPool(FakePool):
+            def imap_unordered(self, fn, indices):
+                return BrokenStream([fn(i) for i in indices])
+
         pools = []
+        delivered = {}
+
+        def factory():
+            pools.append(BreakingPool(None))
+            return pools[-1]
+
+        handed_back = supervised_map(factory, lambda i: (i, True, i), 3, _collect(delivered))
+        assert delivered == {0: 0}
+        assert handed_back == {1: "EOFError: result pipe closed", 2: "EOFError: result pipe closed"}
+        assert len(pools) == 1 and pools[0].terminated  # not rebuilt, but reaped
+
+    def test_on_result_error_propagates(self):
+        pools = []
+
+        def factory():
+            pools.append(FakePool(None))
+            return pools[-1]
+
+        def on_result(index, value):
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            supervised_map(factory, lambda i: (i, True, i), 3, on_result)
+        assert len(pools) == 1 and pools[0].terminated
+
+    def test_hang_kills_pool_and_retries_pending(self, monkeypatch):
+        pools = []
+        delivered = {}
 
         class HangOncePool(FakePool):
             def imap_unordered(self, fn, indices):
@@ -231,9 +211,10 @@ class TestSupervisedMap:
             pools.append(HangOncePool(None))
             return pools[-1]
 
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0, task_timeout=0.01)
-        out = supervised_map(factory, lambda i: (i, True, i), 3, policy=policy)
-        assert out == [0, 1, 2]
+        monkeypatch.setenv(TASK_TIMEOUT_ENV, "0.01")
+        handed_back = supervised_map(factory, lambda i: (i, True, i), 3, _collect(delivered))
+        assert handed_back == {}
+        assert delivered == {0: 0, 1: 1, 2: 2}
         assert len(pools) == 2  # wedged pool was killed and rebuilt
         assert pools[0].terminated
 
@@ -241,7 +222,7 @@ class TestSupervisedMap:
         def factory():  # pragma: no cover - must never be called
             raise AssertionError("no pool should be built for zero tasks")
 
-        assert supervised_map(factory, lambda i: (i, True, i), 0, policy=FAST) == []
+        assert supervised_map(factory, lambda i: (i, True, i), 0, _ignore) == {}
 
 
 class TestStopCallable:
@@ -249,7 +230,7 @@ class TestStopCallable:
         from repro.runtime import CampaignInterrupted
 
         pools = []
-        delivered = []
+        delivered = {}
 
         def factory():
             pools.append(FakePool(None))
@@ -265,8 +246,7 @@ class TestStopCallable:
                 factory,
                 lambda i: (i, True, i),
                 4,
-                policy=FAST,
-                on_result=lambda i, v: delivered.append(i),
+                _collect(delivered),
                 stop=stop,
             )
         # Delivered results were handed over before the raise; the pool
@@ -274,45 +254,26 @@ class TestStopCallable:
         assert len(delivered) >= 2
         assert pools[0].terminated
 
-    def test_stop_checked_before_serial_fallback(self):
-        from repro.runtime import CampaignInterrupted
-
-        calls = []
-
-        def stop():
-            if calls:
-                raise CampaignInterrupted("deadline", {})
-
-        def serial(i):
-            calls.append(i)
-            return i
-
-        guarded = lambda i: (i, False, "always broken")  # noqa: E731
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            with pytest.raises(CampaignInterrupted):
-                supervised_map(
-                    lambda: FakePool(None), guarded, 3,
-                    policy=FAST, serial_fn=serial, stop=stop,
-                )
-        assert calls == [0]  # interrupted between serial tasks
-
     def test_benign_stop_does_not_change_results(self):
         polls = []
-        out = supervised_map(
+        delivered = {}
+        handed_back = supervised_map(
             lambda: FakePool(None),
             lambda i: (i, True, i * 10),
             3,
-            policy=FAST,
+            _collect(delivered),
             stop=lambda: polls.append(1),
         )
-        assert out == [0, 10, 20]
+        assert handed_back == {}
+        assert delivered == {0: 0, 1: 10, 2: 20}
         assert polls  # the stop callable was actually consulted
 
-    def test_hang_watchdog_still_fires_with_stop(self):
-        """The sliced wait preserves task_timeout semantics: a worker
-        that stays wedged across every poll slice still trips the
-        watchdog and gets its pool rebuilt."""
+    def test_hang_watchdog_still_fires_with_stop(self, monkeypatch):
+        """The sliced wait preserves the watchdog: a worker that stays
+        wedged across every poll slice still trips it and gets its pool
+        rebuilt."""
         pools = []
+        delivered = {}
 
         class _WedgedStream(_FakeStream):
             def next(self, timeout=None):
@@ -330,10 +291,11 @@ class TestStopCallable:
             pools.append(WedgedFirstPool(None))
             return pools[-1]
 
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0, task_timeout=0.05)
-        out = supervised_map(
-            factory, lambda i: (i, True, i), 3, policy=policy, stop=lambda: None
+        monkeypatch.setenv(TASK_TIMEOUT_ENV, "0.05")
+        handed_back = supervised_map(
+            factory, lambda i: (i, True, i), 3, _collect(delivered), stop=lambda: None
         )
-        assert out == [0, 1, 2]
+        assert handed_back == {}
+        assert delivered == {0: 0, 1: 1, 2: 2}
         assert len(pools) == 2
         assert pools[0].terminated

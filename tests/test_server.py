@@ -17,9 +17,11 @@ import pytest
 from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator
 from repro.models import PagPassGPT
 from repro.nn import GPT2Config
-from repro.runtime import chaos
+from repro.runtime import chaos, faults
+from repro.runtime.faults import FAULT_ENV, FAULT_STATE_ENV
 from repro.server import (
     AdmissionController,
+    CampaignServer,
     CampaignSpec,
     JobStore,
     RequestError,
@@ -251,6 +253,30 @@ class TestJobStore:
         assert store.counts()["done"] == 1
         assert store.queued_by_tenant() == {"a": 2}
         store.close()
+
+
+class TestJobFailures:
+    def test_full_journal_fails_the_job_at_any_worker_count(
+        self, checkpoint, tmp_path, monkeypatch
+    ):
+        """An ENOSPC on a job's run journal ends that job ``failed`` with
+        ``disk_full`` on the pool as in serial: the pool never turns it
+        into a serial rerun that reports ``done``."""
+        server = CampaignServer(_config(checkpoint, tmp_path / "state"))
+        try:
+            for workers in (1, 2):
+                job = server.store.admit(CampaignSpec.from_payload(
+                    {"strategy": "dcgen", "n": 600, "threshold": 32, "workers": workers},
+                    kind="generate",
+                ))
+                faults.reset()
+                monkeypatch.setenv(FAULT_ENV, "disk_full:journal:1")
+                monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path / f"faults-{workers}"))
+                state, detail = server._run_job_sync(job)
+                monkeypatch.delenv(FAULT_ENV)
+                assert (state, detail.get("error")) == ("failed", "disk_full"), workers
+        finally:
+            server.store.close()
 
 
 # ----------------------------------------------------------------------
