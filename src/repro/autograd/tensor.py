@@ -523,27 +523,6 @@ class Tensor:
 
         return _op(out_data, (self,), backward)
 
-    def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
-        """Return a tensor equal to ``self`` but with ``value`` where ``mask``."""
-        mask = np.asarray(mask, dtype=bool)
-        out_data = np.where(mask, np.asarray(value, dtype=_DEFAULT_DTYPE), self.data)
-
-        def backward(g: np.ndarray, a=self, m=mask) -> list:
-            return [(a, np.where(m, 0.0, g).astype(_DEFAULT_DTYPE))]
-
-        return _op(out_data, (self,), backward)
-
-    def pad_last(self, before: int, after: int) -> "Tensor":
-        """Zero-pad the last axis by ``(before, after)``."""
-        pad_width = [(0, 0)] * (self.data.ndim - 1) + [(before, after)]
-        out_data = np.pad(self.data, pad_width)
-
-        def backward(g: np.ndarray, a=self, b=before) -> list:
-            sl = [slice(None)] * (a.data.ndim - 1) + [slice(b, b + a.data.shape[-1])]
-            return [(a, g[tuple(sl)])]
-
-        return _op(out_data, (self,), backward)
-
 
 def _op(
     data: np.ndarray,

@@ -209,7 +209,30 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     return 0
 
 
+def _train_flag_error(args: argparse.Namespace) -> Optional[str]:
+    """One line naming the first ``repro train`` model or optimiser flag
+    that cannot train, or None when all of them can."""
+    for flag, value in (("--dim", args.dim), ("--layers", args.layers),
+                        ("--heads", args.heads), ("--epochs", args.epochs),
+                        ("--batch-size", args.batch_size)):
+        if value < 1:
+            return f"{flag} must be at least 1, got {value}"
+    if args.dim % args.heads:
+        return f"--dim {args.dim} must be a multiple of --heads {args.heads}"
+    if not 0.0 <= args.dropout < 1.0:
+        return f"--dropout must be in [0, 1), got {args.dropout}"
+    if not args.lr > 0.0:
+        return f"--lr must be positive, got {args.lr}"
+    if args.patience < 0:
+        return f"--patience must be 0 (off) or more, got {args.patience}"
+    return None
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    problem = _train_flag_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_CORRUPT
     train_passwords = _read_lines(args.input)
     val_passwords = _read_lines(args.val) if args.val else None
     model_cls = {"pagpassgpt": PagPassGPT, "passgpt": PassGPT}[args.model]

@@ -57,18 +57,14 @@ class CausalSelfAttention(Module):
             positions; keys at those positions are masked out.
         """
         batch, seq, _ = x.shape
-        qkv = self.qkv(x)  # (B, S, 3D)
-        qkv = qkv.reshape(batch, seq, 3, self.n_heads, self.head_dim)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, S, hd)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-
-        scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
+        q, k, v = F.split_heads(self.qkv(x), self.n_heads)  # 3 x (B, H, S, hd)
         mask = causal_mask(seq)[None, None, :, :]
         if pad_mask is not None:
             mask = mask | pad_mask[:, None, None, :]
-        scores = scores.masked_fill(mask, _NEG_INF)
-        weights = F.softmax(scores, axis=-1)
-        weights = self.attn_drop(weights)
+        scores = F.scale_mask(
+            q.matmul(k.swapaxes(-1, -2)), 1.0 / np.sqrt(self.head_dim), mask, _NEG_INF
+        )
+        weights = self.attn_drop(F.softmax(scores, axis=-1))
 
         out = weights.matmul(v)  # (B, H, S, hd)
         out = out.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)

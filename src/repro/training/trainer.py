@@ -93,7 +93,11 @@ def save_training_state(
 
     ``epoch`` is the number of *completed* epochs — resume starts there.
     All rng states (loader shuffle, dropout) ride along so the resumed
-    run replays the exact same batches and dropout masks.
+    run replays the exact same batches and dropout masks.  The file is
+    written uncompressed: it is rewritten after every epoch, and at
+    perfbench's training shape deflating it takes 39 ms against 3 ms for
+    the raw write, to save 8% of its size.  Compressed state files, as
+    older versions wrote them, still resume.
     """
     payload: dict[str, np.ndarray] = {}
     for name, value in model.state_dict().items():
@@ -119,7 +123,7 @@ def save_training_state(
     }
     payload[_META_KEY] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with atomic_write(Path(path)) as fh:
-        np.savez_compressed(fh, **payload)
+        np.savez(fh, **payload)
     maybe_corrupt("train_state", path)  # fault-injection hook (tests only)
 
 

@@ -27,6 +27,12 @@ committed fixtures:
 
 ``tests/test_generation_golden.py`` asserts current code reproduces the
 committed fixture for workers 1/2 and several ``gen_batch`` widths.
+
+Training numerics are pinned the same way: ``python tests/goldens.py
+--training`` rewrites ``tests/golden/training.json`` with the per-epoch
+losses and a digest of the final weights of the :data:`TRAINING_SPEC`
+runs, and ``tests/test_training.py`` demands them exactly.  Speeding up
+the autograd nodes must leave every one of those bits alone.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import json
 from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "streams.json"
+TRAINING_PATH = GOLDEN_PATH.parent / "training.json"
 
 #: Crashed golden campaigns: ``kind -> (REPRO_FAULT directive, journal)``.
 CRASH_JOURNALS = {
@@ -60,6 +67,20 @@ GUIDED_MODELS = ("PagPassGPT", "PassGPT")
 
 #: Free-sampling streams the fixture pins at ``SPEC["free"]``: key -> model.
 FREE_STREAMS = {"free": "PagPassGPT", "free_passgpt": "PassGPT"}
+
+#: Seeded training runs whose losses and final weights the training
+#: fixture pins.  Two run at perfbench's training shape; ``dim`` 40 gives
+#: layer widths (40, 120, 160) that are not multiples of 16.
+TRAINING_SPEC = {
+    "corpus": {"site": "rockyou", "entries": 1400, "seed": 5, "train": 800, "val": 100},
+    "train": {"epochs": 2, "batch_size": 64, "lr": 2e-3, "seed": 3},
+    "model": {"n_layers": 2, "n_heads": 4, "dropout": 0.1},
+    "runs": {
+        "PagPassGPT": {"model": "PagPassGPT", "dim": 48},
+        "PassGPT": {"model": "PassGPT", "dim": 48},
+        "PagPassGPT-dim40": {"model": "PagPassGPT", "dim": 40},
+    },
+}
 
 
 def build_model(kind: str = "PagPassGPT"):
@@ -199,6 +220,60 @@ def generate_streams(workers: int = 1, gen_batch: int | None = None) -> dict:
     }
 
 
+def training_corpus() -> tuple[list[str], list[str]]:
+    """The (train, validation) passwords of :data:`TRAINING_SPEC`."""
+    from repro.datasets import clean_leak, generate_leak
+
+    spec = TRAINING_SPEC["corpus"]
+    cleaned, _ = clean_leak(generate_leak(spec["site"], spec["entries"], seed=spec["seed"]))
+    n_train = spec["train"]
+    return cleaned[:n_train], cleaned[n_train:n_train + spec["val"]]
+
+
+def train_run(key: str) -> dict:
+    """Train the :data:`TRAINING_SPEC` run ``key`` via the public API;
+    returns its per-epoch losses and the sha256 of its final weights."""
+    from repro.datasets import build_corpus
+    from repro.models import PagPassGPT, PassGPT
+    from repro.nn import GPT2Config
+    from repro.training import TrainConfig
+
+    run = TRAINING_SPEC["runs"][key]
+    shape, train = TRAINING_SPEC["model"], TRAINING_SPEC["train"]
+    cls = {"PagPassGPT": PagPassGPT, "PassGPT": PassGPT}[run["model"]]
+    tokenizer = cls.tokenizer_cls()
+    model = cls(
+        model_config=GPT2Config(
+            vocab_size=len(tokenizer.vocab), block_size=tokenizer.block_size,
+            dim=run["dim"], n_layers=shape["n_layers"], n_heads=shape["n_heads"],
+            dropout=shape["dropout"],
+        ),
+        train_config=TrainConfig(epochs=train["epochs"], batch_size=train["batch_size"],
+                                 lr=train["lr"], seed=train["seed"]),
+        seed=train["seed"],
+    )
+    passwords, val = training_corpus()
+    model.fit(build_corpus(passwords), val_passwords=val)
+    digest = hashlib.sha256()
+    for name, value in sorted(model.model.state_dict().items()):
+        digest.update(name.encode())
+        digest.update(value.tobytes())
+    return {
+        "train_loss": model.history.train_loss,
+        "val_loss": model.history.val_loss,
+        "weights_sha256": digest.hexdigest(),
+    }
+
+
+def write_training() -> None:
+    """Rewrite :data:`TRAINING_PATH` from the current code."""
+    runs = {key: train_run(key) for key in TRAINING_SPEC["runs"]}
+    TRAINING_PATH.write_text(json.dumps({"spec": TRAINING_SPEC, "runs": runs}, indent=1) + "\n")
+    print(f"wrote {TRAINING_PATH}")
+    for key, run in runs.items():
+        print(f"  {key}: train {run['train_loss']} val {run['val_loss']}")
+
+
 def main() -> None:
     streams = generate_streams()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -218,5 +293,7 @@ if __name__ == "__main__":
 
     if "--crash-journals" in sys.argv:
         write_crash_journals()
+    elif "--training" in sys.argv:
+        write_training()
     else:
         main()

@@ -167,19 +167,6 @@ class TestShapes:
         np.add.at(ref, index, g)
         assert x.grad.tobytes() == ref.tobytes()
 
-    def test_masked_fill(self):
-        mask = np.array([[True, False], [False, True]])
-        x = t((2, 2))
-        out = x.masked_fill(mask, -5.0)
-        assert np.allclose(out.data[mask], -5.0)
-        check_gradients(lambda a: a.masked_fill(mask, -5.0).tanh(), [t((2, 2))])
-
-    def test_pad_last(self):
-        x = t((2, 3))
-        out = x.pad_last(1, 2)
-        assert out.shape == (2, 6)
-        check_gradients(lambda a: a.pad_last(1, 2).tanh(), [t((2, 3))])
-
     def test_concat_gradients(self):
         check_gradients(
             lambda a, b: concat([a, b], axis=1).tanh(), [t((2, 3)), t((2, 2), seed=1)]

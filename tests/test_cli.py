@@ -387,6 +387,24 @@ class TestLifecycle:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and flags[0] in err[0]
 
+    @pytest.mark.parametrize("flags", [
+        ["--dropout", "1.0"], ["--dropout", "1.5"], ["--dropout", "-0.5"],
+        ["--batch-size", "0"], ["--dim", "15", "--heads", "2"], ["--heads", "0"],
+        ["--dim", "0"], ["--lr", "-1"], ["--epochs", "0"], ["--layers", "0"],
+        ["--patience", "-1"],
+    ], ids="=".join)
+    def test_train_rejects_unusable_flags(self, tmp_path, capsys, flags):
+        """A flag no model can train with exits 2 with one line naming
+        it, before the corpus is read (the input here does not exist)."""
+        out = tmp_path / "model.npz"
+        code = main(["train", "--input", str(tmp_path / "missing.txt"),
+                     "--out", str(out), *flags])
+        assert code == EXIT_CORRUPT
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(flag in err[0] for flag in flags if flag.startswith("--"))
+
     def test_train_deadline_exits_3_and_resumes(self, pipeline, tmp_path):
         common = ["train", "--input", str(pipeline / "data.train.txt"),
                   "--dim", "32", "--layers", "1", "--heads", "2",

@@ -231,6 +231,37 @@ class TestCrashResume:
         for name, value in _params(resume_model).items():
             assert np.array_equal(value, ref[name]), f"weight drift in {name}"
 
+    def test_compressed_state_still_resumes(self, toy_ids, tmp_path, monkeypatch):
+        """State files are written uncompressed now; one written
+        compressed, as earlier versions wrote it, resumes the same."""
+        import zipfile
+
+        train, val = toy_ids[:48], toy_ids[48:]
+        ref_model, ref_trainer = _make_trainer(TrainConfig(**self.CONFIG), dropout=0.1)
+        ref_history = ref_trainer.fit(train, val_ids=val)
+
+        path = tmp_path / "state.npz"
+        _, crash_trainer = _make_trainer(TrainConfig(**self.CONFIG), dropout=0.1)
+        monkeypatch.setenv(FAULT_ENV, "crash:epoch:2")
+        with pytest.raises(InjectedFault):
+            crash_trainer.fit(train, val_ids=val, checkpoint_path=path)
+        monkeypatch.delenv(FAULT_ENV)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as data:
+            members = {key: data[key] for key in data.files}
+        np.savez_compressed(path, **members)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+        resume_model, resume_trainer = _make_trainer(TrainConfig(**self.CONFIG), dropout=0.1)
+        history = resume_trainer.fit(train, val_ids=val, checkpoint_path=path, resume_from=path)
+        assert history.train_loss == ref_history.train_loss
+        assert history.val_loss == ref_history.val_loss
+        ref = _params(ref_model)
+        for name, value in _params(resume_model).items():
+            assert np.array_equal(value, ref[name]), f"weight drift in {name}"
+
     def test_journal_records_epochs(self, toy_ids, tmp_path):
         path = tmp_path / "state.npz"
         journal_path = tmp_path / "train.journal.jsonl"
@@ -243,3 +274,28 @@ class TestCrashResume:
         assert set(done) == {0, 1}
         assert done[1]["checkpoint_digest"]
         reopened.close()
+
+
+class TestGoldenTraining:
+    """The committed per-epoch losses and final weights of the
+    ``tests/goldens.py`` training runs are reproduced to the bit: faster
+    autograd nodes must not move a single float."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        import json
+
+        from tests.goldens import TRAINING_PATH
+
+        return json.loads(TRAINING_PATH.read_text())
+
+    def test_spec_is_current(self, golden):
+        from tests.goldens import TRAINING_SPEC
+
+        assert golden["spec"] == TRAINING_SPEC
+
+    @pytest.mark.parametrize("key", ["PagPassGPT", "PassGPT", "PagPassGPT-dim40"])
+    def test_run_matches_fixture(self, golden, key):
+        from tests.goldens import train_run
+
+        assert train_run(key) == golden["runs"][key]
