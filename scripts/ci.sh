@@ -41,6 +41,8 @@
 # 7. Chaos sweep and server soak: one seeded case schedule, run as CLI
 #    crash/resume legs and as requests to a live server under a worker
 #    crash and a SIGTERM drain, each held to the numpy reference bytes.
+#    The soak traces every job on the server's two fleet slots, so two
+#    traced jobs run at once.
 # 8. Observability smoke: a traced+profiled 2-worker campaign must stay
 #    byte-identical, pass `summarize --check`, and export to a single
 #    connected chrome-trace tree (`export --check`); a live `repro serve`
@@ -237,8 +239,10 @@ echo "chaos smoke: seeded fault schedule holds the byte-identical-resume invaria
 # drain mid-run; a recovered server over the same state dir must finish
 # every accepted request with the numpy reference bytes (zero lost, zero
 # duplicated) and a clean per-job `telemetry summarize --check`, or a
-# typed failure.  Ordered cases stay out: a server job runs
-# OrderedConfig(), far slower than the sweep's ordered flags.
+# typed failure.  Per-job telemetry keeps the default two fleet slots,
+# so traced jobs run side by side and each session must count only its
+# own job.  Ordered cases stay out: a server job runs OrderedConfig(),
+# far slower than the sweep's ordered flags.
 # ----------------------------------------------------------------------
 python -m repro.cli chaos --server --workdir "$SMOKE_DIR/soak" \
     --checkpoint "$SMOKE_DIR/model.npz" \

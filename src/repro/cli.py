@@ -791,8 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "drains the server (exit 3) when it expires")
     p.add_argument("--job-telemetry", action="store_true",
                    help="record a per-job telemetry session under each "
-                        "job directory (forces --fleet 1: the counters a "
-                        "session reports are process-global)")
+                        "job directory")
     p.add_argument("--profile", default=None, metavar="FILE",
                    help="sample the server's wall-clock while it runs and "
                         "write folded flamegraph stacks to FILE on drain")

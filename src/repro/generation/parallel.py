@@ -70,8 +70,8 @@ class _WorkerContext:
     base_seed: int
 
 
-#: Set in the parent before forking (inherited copy-on-write) or rebuilt
-#: by :func:`_init_from_checkpoint` under non-fork start methods.
+#: Set in each worker by its pool initializer: handed over with the fork
+#: (copy-on-write) or rebuilt by :func:`_init_from_checkpoint`.
 _CTX: Optional[_WorkerContext] = None
 
 
@@ -88,18 +88,24 @@ def _parent_telemetry_args() -> Optional[tuple[str, str, str, Optional[dict]]]:
     return (str(sess.dir), sess.run_id, sess.level, sess.trace_ref())
 
 
-def _init_worker(tele: Optional[tuple[str, str, str, Optional[dict]]]) -> None:
-    """Pool initializer for the fork path (the model arrives
-    copy-on-write) and first step of :func:`_init_from_checkpoint`.
+def _init_worker(
+    tele: Optional[tuple[str, str, str, Optional[dict]]],
+    context: Optional[_WorkerContext] = None,
+) -> None:
+    """Pool initializer for the fork path (``context`` rides the
+    initargs, which a fork hands over unpickled: the model arrives
+    copy-on-write, and no other thread's pool can swap it) and first
+    step of :func:`_init_from_checkpoint`.
 
     Opens this worker's own ``telemetry-worker-<pid>.jsonl`` stream,
     replacing any session inherited via fork (the parent's stream must
-    only ever be written by the parent) and marking the metrics
-    registry, so everything the worker reports is its own delta.  The
-    shipped trace ref (works for fork and spawn alike — it rides the
-    initargs) makes the worker a remote child of the parent's campaign
-    span.
+    only ever be written by the parent); the fresh session tallies only
+    the worker's own counter increments.  The shipped trace ref (works
+    for fork and spawn alike — it rides the initargs) makes the worker a
+    remote child of the parent's campaign span.
     """
+    global _CTX
+    _CTX = context
     signals.ignore_in_worker()
     if tele is not None:
         directory, run_id, level, trace = tele
@@ -177,7 +183,6 @@ def run_pool(
     mid-wait; the supervisor terminates and reaps the pool on the way
     out.
     """
-    global _CTX
     if not tasks:
         return {}
     tasks = tuple(tasks)
@@ -201,15 +206,10 @@ def run_pool(
 
     if start_method == "fork":
         ctx = mp.get_context("fork")
-        _CTX = _WorkerContext(model=model, tasks=tasks, execute=execute, base_seed=base_seed)
-        try:
-            return supervise(
-                lambda: ctx.Pool(
-                    processes=workers, initializer=_init_worker, initargs=(tele,)
-                )
-            )
-        finally:
-            _CTX = None
+        shared = _WorkerContext(model=model, tasks=tasks, execute=execute, base_seed=base_seed)
+        return supervise(
+            lambda: ctx.Pool(processes=workers, initializer=_init_worker, initargs=(tele, shared))
+        )
 
     # Non-fork start method: ship an explicit weight blob once per worker.
     # The blob outlives any single pool so a post-timeout rebuild can

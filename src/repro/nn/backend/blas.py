@@ -12,6 +12,8 @@ ILP64 symbols).  Distro numpys may link a system OpenBLAS with plain
 LP64 symbols instead, so several symbol flavours are probed; the ILP64
 flag travels with the resolved pair because the generated C must use the
 matching integer width.
+
+:func:`set_num_threads` sets that same library's thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-__all__ = ["BlasSymbols", "BlasUnavailable", "find_blas"]
+__all__ = ["BlasSymbols", "BlasUnavailable", "find_blas", "set_num_threads"]
 
 
 class BlasUnavailable(RuntimeError):
@@ -106,3 +108,20 @@ def find_blas() -> BlasSymbols:
         "could not resolve cblas_sgemm/cblas_sgemv from numpy's BLAS "
         f"(searched: {tried or 'no candidate libraries'})"
     )
+
+
+def set_num_threads(n: int) -> bool:
+    """Set numpy's OpenBLAS thread count, process-wide; ``False`` when
+    no OpenBLAS setter is found (another BLAS is left alone)."""
+    for path in [*_candidate_libraries(), None]:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(n)
+                return True
+    return False

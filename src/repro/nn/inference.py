@@ -33,7 +33,8 @@ Fast-path design (inference fast-path v2):
   headroom is never zeroed.
 * **instrumentation** (:class:`InferenceCounters`) — every forward
   records how many rows×positions it primed, which is the FLOPs proxy
-  the throughput bench and CI use to detect de-dedup regressions.
+  the tests use to detect de-dedup regressions, on the engine and in
+  the process-wide ``inference.*`` registry counters.
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ class InferenceCounters:
     ``prime_positions`` (rows × tokens written into KV caches) is the
     priming FLOPs proxy: with prefix-deduplicated priming it grows with
     the number of *unique* prefixes, not the number of sampled rows.
-    The throughput bench compares it against the planned budget to catch
-    accidental de-deduplication deterministically.
+    The tests compare it against the planned budget to catch accidental
+    de-deduplication deterministically.  These are one engine's counts;
+    the registry's ``inference.<field>`` counters sum every engine's.
     """
 
     calls: int = 0  # every forward invocation (full + prime + step)
@@ -130,11 +132,6 @@ class InferenceCounters:
     def reset(self) -> None:
         for field in fields(self):
             setattr(self, field.name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat view — the provider registered as the ``inference`` metric
-        group on the default :class:`~repro.telemetry.MetricsRegistry`."""
-        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 class KVCache:
@@ -270,12 +267,13 @@ class GPT2Inference:
         # whole activation chain to float64 under NEP-50 promotion.
         self._kscale = np.float32(np.sqrt(cfg.dim // cfg.n_heads))
         self.counters = InferenceCounters()
-        # Absorb the counters into the telemetry registry as a metric
-        # group: span deltas and campaign snapshots see them as
-        # ``inference.<field>``.  The newest engine owns the name (one
-        # live model per process in practice); the provider holds only
-        # the small counters dataclass, never the weights.
-        get_registry().register_group("inference", self.counters.as_dict)
+        # The process-wide ``inference.*`` counters, held by reference so
+        # a forward call neither looks a name up nor takes the registry lock.
+        registry = get_registry()
+        self._totals = {
+            field.name: registry.counter(f"inference.{field.name}")
+            for field in fields(InferenceCounters)
+        }
 
         from .backend import requested_backend
 
@@ -307,9 +305,7 @@ class GPT2Inference:
         cfg = self.config
         if seq > cfg.block_size:
             raise ValueError(f"sequence length {seq} exceeds block size {cfg.block_size}")
-        self.counters.calls += 1
-        self.counters.full_calls += 1
-        self.counters.full_positions += batch * seq
+        self._count("full_calls", "full_positions", batch * seq)
         x = self.token_emb[ids] + self.pos_emb[:seq]
         mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
         for bw in self.blocks:
@@ -380,9 +376,7 @@ class GPT2Inference:
         batch = ids.shape[0]
         self._check_room(cache, cache.length + 1)
         self._check_ids(ids)
-        self.counters.calls += 1
-        self.counters.step_calls += 1
-        self.counters.step_rows += batch
+        self._count("step_calls", "step_rows", batch)
         backend = self._compiled
         if backend is not None and backend.supports(ids, cache):
             return backend.step(ids, cache)
@@ -403,6 +397,17 @@ class GPT2Inference:
         read past ``token_emb`` with."""
         if ids.size and (ids.min() < 0 or ids.max() >= self._vocab):
             raise IndexError(f"token id out of range [0, {self._vocab})")
+
+    def _count(self, calls: str, size: str, n: int) -> None:
+        """Count one forward call over ``n`` rows or positions under the
+        ``calls`` and ``size`` fields, on the engine and process-wide."""
+        counters, totals = self.counters, self._totals
+        counters.calls += 1
+        setattr(counters, calls, getattr(counters, calls) + 1)
+        setattr(counters, size, getattr(counters, size) + n)
+        totals["calls"].inc()
+        totals[calls].inc()
+        totals[size].inc(n)
 
     def _step_numpy(self, ids: np.ndarray, cache: KVCache) -> np.ndarray:
         """Reference seq==1 kernel (counter-free; ids already flattened)."""
@@ -453,9 +458,7 @@ class GPT2Inference:
         batch, seq = ids.shape
         self._check_room(cache, cache.length + seq)
         self._check_ids(ids)
-        self.counters.calls += 1
-        self.counters.prime_calls += 1
-        self.counters.prime_positions += batch * seq
+        self._count("prime_calls", "prime_positions", batch * seq)
         backend = self._compiled
         if backend is not None and backend.supports(ids, cache):
             return backend.prefill(ids, cache)

@@ -585,7 +585,7 @@ def run_server_soak(
         checkpoint=str(checkpoint),
         state_dir=str(state_dir),
         port=0,
-        job_telemetry=True,  # forces fleet=1; per-job sessions are audited
+        job_telemetry=True,  # per-job sessions are audited
         max_tenant_queue=2,  # small on purpose: clients must absorb 429s
         rate=1000.0,
         burst=1000.0,

@@ -45,6 +45,7 @@ from ..evaluation import hit_rate, repeat_rate
 from ..generation import UnsupportedStrategy, run_strategy
 from ..models import GPTGuesser, load_checkpoint
 from ..nn import CheckpointError
+from ..nn.backend.blas import set_num_threads as set_blas_threads
 from ..runtime import (
     Budget,
     CampaignInterrupted,
@@ -78,9 +79,7 @@ class ServerConfig:
     #: Server-wide wall-clock budget; composes min-wins into every
     #: request.  When it expires the server drains itself (exit 3).
     deadline: Optional[float] = None
-    #: Per-job telemetry sessions (forces ``fleet = 1``: each session
-    #: belongs to its fleet thread, but the registry counters it reports
-    #: deltas of are process-global, so traced jobs must serialize).
+    #: Per-job telemetry sessions, under each job directory.
     job_telemetry: bool = False
     poll_interval: float = 0.05
 
@@ -107,9 +106,11 @@ class CampaignServer:
     """See module docstring.  Drive with :meth:`serve_forever`."""
 
     def __init__(self, config: ServerConfig) -> None:
-        if config.job_telemetry:
-            config.fleet = 1
         self.config = config
+        if config.fleet > 1:
+            # OpenBLAS stops its threads at every fork: a slot forking its
+            # pool would leave another slot's threaded BLAS call spinning.
+            set_blas_threads(1)
         self.store = JobStore(config.state_dir)
         self.admission = AdmissionController(
             max_queue=config.max_queue,
@@ -385,12 +386,6 @@ class CampaignServer:
             # (mixing two processes' parent streams double-counts).
             session_dir = jobdir / JOB_TELEMETRY_DIR
             shutil.rmtree(session_dir, ignore_errors=True)
-            # Traced jobs are audited against their plan (`summarize
-            # --check` gates model calls and prompt-cache hits exactly),
-            # so each must start from a cold inference cache: warmth
-            # inherited from an earlier job on this slot would make the
-            # actuals beat the plan.
-            model.invalidate_inference()
             # The session joins the request's trace (minted at admit or
             # received via ``traceparent``): its campaign span becomes a
             # remote child of the caller's span, and pool workers chain

@@ -7,28 +7,32 @@ produce byte-identical snapshots and tests can compare them directly
 (durations/timestamps live in the JSONL event stream instead, where the
 aggregation layer knows to exclude them from determinism checks).
 
-The registry is cheap enough to keep always-on: hot paths
-(:class:`repro.nn.PromptCache`, the retry supervisor, journal writes)
-tick counters unconditionally, and span tracing reads
-:meth:`MetricsRegistry.values` before/after each span to report deltas.
-
-External metric sources plug in as *groups*
-(:meth:`MetricsRegistry.register_group`): a group is a callable
-returning a flat ``name -> number`` dict, polled lazily at snapshot
-time.  :class:`repro.nn.InferenceCounters` is absorbed this way — the
-dataclass keeps its cheap attribute increments on the decode hot path,
-but its values appear in every snapshot and span delta as
-``inference.<field>``.
+The registry is cheap enough to keep always-on: hot paths (the
+inference engine, :class:`repro.nn.PromptCache`, journal writes) tick
+counters unconditionally.  :meth:`Counter.inc` adds to the process total
+that ``/metrics`` reads and to the ``tally`` of the session active in the
+calling context (:data:`ACTIVE_SESSION`), so a session counts exactly its
+own context's work, whatever other threads do meanwhile.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
-from typing import Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+
+if TYPE_CHECKING:  # tracing imports this module
+    from .tracing import TelemetrySession
 
 Number = Union[int, float]
 
 Labels = Optional[Dict[str, str]]
+
+#: The calling context's active :class:`~repro.telemetry.TelemetrySession`
+#: (``None`` when telemetry is off); :mod:`~repro.telemetry.tracing` binds it.
+ACTIVE_SESSION: contextvars.ContextVar[Optional[TelemetrySession]] = contextvars.ContextVar(
+    "repro_telemetry_session", default=None
+)
 
 
 def labeled_key(name: str, labels: Labels = None) -> str:
@@ -46,17 +50,22 @@ def labeled_key(name: str, labels: Labels = None) -> str:
 
 
 class Counter:
-    """Monotonically increasing integer metric."""
+    """Monotonically increasing integer metric (``value``: the process total)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "key", "value")
 
     def __init__(self, name: str, labels: Labels = None) -> None:
         self.name = name
         self.labels = dict(labels) if labels else {}
+        self.key = labeled_key(name, labels)
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
         self.value += n
+        session = ACTIVE_SESSION.get()
+        if session is not None:
+            tally = session.tally
+            tally[self.key] = tally.get(self.key, 0) + n
 
 
 class Gauge:
@@ -144,14 +153,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named metrics plus pluggable groups."""
+    """Get-or-create registry of named metrics."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._groups: Dict[str, Callable[[], Dict[str, Number]]] = {}
 
     # ------------------------------------------------------------------
     # Get-or-create accessors
@@ -180,59 +188,39 @@ class MetricsRegistry:
                 metric = self._histograms[key] = Histogram(name, max_exponent, labels)
             return metric
 
-    def register_group(self, name: str, provider: Callable[[], Dict[str, Number]]) -> None:
-        """Attach an external metric source polled at snapshot time.
-
-        Re-registering a name replaces the previous provider (a fresh
-        :class:`~repro.nn.GPT2Inference` supersedes the one it was built
-        to replace).
-        """
-        with self._lock:
-            self._groups[name] = provider
-
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    def values(self) -> Dict[str, Number]:
-        """Flat ``name -> value`` view of counters, gauges and groups.
+    def metrics(self) -> Tuple[Dict[str, Counter], Dict[str, Gauge], Dict[str, Histogram]]:
+        """Copies of the counter, gauge and histogram dicts, taken under the
+        lock: iterating a dict another thread grows raises ``RuntimeError``."""
+        with self._lock:
+            return dict(self._counters), dict(self._gauges), dict(self._histograms)
 
-        This is the cheap poll span tracing diffs before/after a span;
-        histograms are excluded (their deltas are not a single number).
-        """
-        out: Dict[str, Number] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
-        for group, provider in self._groups.items():
-            for key, value in provider().items():
-                out[f"{group}.{key}"] = value
-        return out
+    def values(self) -> Dict[str, Number]:
+        """Flat ``name -> value`` view of counters and gauges (not histograms)."""
+        counters, gauges, _ = self.metrics()
+        return {name: metric.value for name, metric in {**counters, **gauges}.items()}
 
     def snapshot(self) -> dict:
         """Structured, JSON-ready view of every metric (deterministic)."""
+        counters, gauges, histograms = self.metrics()
         return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {n: h.snapshot() for n, h in sorted(self._histograms.items())},
-            "groups": {
-                n: dict(sorted(provider().items()))
-                for n, provider in sorted(self._groups.items())
-            },
+            "counters": {n: c.value for n, c in sorted(counters.items())},
+            "gauges": {n: g.value for n, g in sorted(gauges.items())},
+            "histograms": {n: h.snapshot() for n, h in sorted(histograms.items())},
         }
 
     def reset(self) -> None:
-        """Drop every metric and group (test isolation)."""
+        """Drop every metric (test isolation)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-            self._groups.clear()
 
 
-#: Process-global default registry.  Forked workers inherit a copy; the
-#: session layer reports *deltas* against a start mark, so inherited
-#: parent counts never pollute per-worker numbers.
+#: Process-global default registry.  Forked workers inherit a copy of its
+#: totals, but a worker's session tallies only the worker's own increments.
 _REGISTRY = MetricsRegistry()
 
 

@@ -1,7 +1,7 @@
 """Prometheus text exposition (format 0.0.4) for the metrics registry.
 
-Renders every counter, gauge, histogram, and group metric as the plain
-text format any Prometheus-compatible scraper ingests::
+Renders every counter, gauge, and histogram as the plain text format
+any Prometheus-compatible scraper ingests::
 
     # TYPE repro_server_jobs_finished_total counter
     repro_server_jobs_finished_total{strategy="dcgen",tenant="t1"} 3
@@ -78,19 +78,20 @@ def render_prometheus(registry: MetricsRegistry = None) -> str:
             for name, group in by_name.items()
         )
 
-    for name, group in grouped(registry._counters.values()):
+    counters, gauges, histograms = registry.metrics()
+    for name, group in grouped(counters.values()):
         lines.append(f"# TYPE {name}_total counter")
         for metric in group:
             lines.append(
                 f"{name}_total{_render_labels(metric.labels)} {_format_value(metric.value)}"
             )
 
-    for name, group in grouped(registry._gauges.values()):
+    for name, group in grouped(gauges.values()):
         lines.append(f"# TYPE {name} gauge")
         for metric in group:
             lines.append(f"{name}{_render_labels(metric.labels)} {_format_value(metric.value)}")
 
-    for name, group in grouped(registry._histograms.values()):
+    for name, group in grouped(histograms.values()):
         lines.append(f"# TYPE {name} histogram")
         for metric in group:
             cumulative = 0
@@ -105,14 +106,5 @@ def render_prometheus(registry: MetricsRegistry = None) -> str:
                 f"{name}_sum{_render_labels(metric.labels)} {_format_value(metric.total)}"
             )
             lines.append(f"{name}_count{_render_labels(metric.labels)} {metric.count}")
-
-    # Groups (e.g. inference counters): externally-owned monotonic
-    # counts polled at render time; exposed untyped since the provider
-    # makes no counter-vs-gauge promise.
-    for group, provider in sorted(registry._groups.items()):
-        for key, value in sorted(provider().items()):
-            name = sanitize_name(f"{group}.{key}")
-            lines.append(f"# TYPE {name} untyped")
-            lines.append(f"{name} {_format_value(value)}")
 
     return "\n".join(lines) + "\n"

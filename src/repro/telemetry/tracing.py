@@ -2,10 +2,11 @@
 
 A :class:`TelemetrySession` binds one process to one campaign telemetry
 directory: the parent writes ``telemetry.jsonl``, each worker process
-writes ``telemetry-worker-<pid>.jsonl``.  The session also marks the
-metrics registry at start so everything it reports is a **delta** — a
-forked worker inherits the parent's counter values copy-on-write, and
-deltas are what keep per-worker numbers clean.
+writes ``telemetry-worker-<pid>.jsonl``.  The session also keeps a
+``tally`` of the counter increments made in its own context (see
+:meth:`~repro.telemetry.metrics.Counter.inc`), so everything it reports
+is its own work: a forked worker's fresh session never sees the totals
+it inherited, and one server fleet thread's job never sees another's.
 
 :func:`trace` is the span primitive::
 
@@ -14,13 +15,14 @@ deltas are what keep per-worker numbers clean.
         span.set(guesses=len(out), model_calls=calls)
 
 On exit one ``span`` event is emitted carrying the span's name, id,
-parent id, wall duration, merged attributes, and the non-zero registry
-counter deltas observed while it was open.  Spans nest via a per-session
-stack; with no active session :func:`trace` is a cheap no-op.
+parent id, wall duration, merged attributes, and the non-zero counter
+increments the session tallied while it was open.  Spans nest via a
+per-session stack; with no active session :func:`trace` is a cheap no-op.
 
-The active session lives in a :class:`contextvars.ContextVar`, so only
-the thread that started it sees it: a server fleet slot's job session
-never collects the event loop's events and journal spans.
+The active session lives in a :class:`contextvars.ContextVar`
+(:data:`~repro.telemetry.metrics.ACTIVE_SESSION`), so only the thread
+that started it sees it: a server fleet slot's job session never
+collects the event loop's events, journal spans or counter increments.
 
 Every session belongs to exactly one **trace** (see
 :mod:`~repro.telemetry.context`): span ids are minted from
@@ -41,7 +43,6 @@ a worker initializer).
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import os
 import time
@@ -51,7 +52,7 @@ from typing import Iterator, Optional, Union
 
 from .context import TraceContext, make_span_id, new_trace_id
 from .logger import TelemetryLogger
-from .metrics import get_registry, values_delta
+from .metrics import ACTIVE_SESSION, values_delta
 
 
 class Span:
@@ -107,12 +108,11 @@ class TelemetrySession:
         self.logger = TelemetryLogger(
             self.dir / name, run_id=run_id, worker=worker, level=level, clock=clock
         )
-        self.registry = get_registry()
         #: Pid that created the session (a forked child must not close
         #: the parent's stream when it replaces the inherited session).
         self.pid = os.getpid()
-        #: Registry mark: everything the session reports is relative to it.
-        self._mark = self.registry.values()
+        #: Counter increments made in this session's context, by labeled key.
+        self.tally: dict[str, int] = {}
         #: Open spans, outermost first.  Holds the Span objects (not just
         #: ids) so a crash-resume trace adoption can re-parent them.
         self._span_stack: list = []
@@ -194,8 +194,8 @@ class TelemetrySession:
 
     # ------------------------------------------------------------------
     def metrics_delta(self) -> dict:
-        """Non-zero counter/gauge/group changes since the session started."""
-        return values_delta(self._mark, self.registry.values())
+        """The non-zero counter increments made in this session's context."""
+        return {name: n for name, n in self.tally.items() if n}
 
     def emit_metrics(self, event: str = "metrics_snapshot") -> None:
         """Record the current session-relative metrics delta."""
@@ -206,12 +206,6 @@ class TelemetrySession:
             if emit_snapshot:
                 self.emit_metrics()
             self.logger.close()
-
-
-#: The calling context's active session (``None`` when telemetry is off).
-_SESSION: contextvars.ContextVar[Optional[TelemetrySession]] = contextvars.ContextVar(
-    "repro_telemetry_session", default=None
-)
 
 
 def start_session(
@@ -230,31 +224,31 @@ def start_session(
     joins an existing trace (worker under a parent campaign span, job
     session under a server request span) instead of minting a new one.
     """
-    current = _SESSION.get()
+    current = ACTIVE_SESSION.get()
     if current is not None and current.pid == os.getpid():
         # Replacing an open same-process session: close it cleanly first.
         current.close()
     sess = TelemetrySession(
         directory, run_id=run_id, worker=worker, level=level, clock=clock, context=context
     )
-    _SESSION.set(sess)
+    ACTIVE_SESSION.set(sess)
     return sess
 
 
 def end_session(emit_snapshot: bool = True) -> None:
     """Close and deactivate the calling context's session (no-op when none)."""
-    sess = _SESSION.get()
+    sess = ACTIVE_SESSION.get()
     if sess is not None:
         if sess.pid == os.getpid():
             sess.close(emit_snapshot=emit_snapshot)
         # An inherited (forked) session is just dropped: writing a
         # snapshot into the parent's stream would corrupt its accounting.
-        _SESSION.set(None)
+        ACTIVE_SESSION.set(None)
 
 
 def active() -> Optional[TelemetrySession]:
     """The calling context's active session, or ``None``."""
-    return _SESSION.get()
+    return ACTIVE_SESSION.get()
 
 
 @contextmanager
@@ -269,7 +263,7 @@ def session(directory: Union[str, Path], **kwargs) -> Iterator[TelemetrySession]
 
 def trace_ref() -> Optional[dict]:
     """The active session's attach point, or ``None`` (see ``Session.trace_ref``)."""
-    sess = _SESSION.get()
+    sess = ACTIVE_SESSION.get()
     return sess.trace_ref() if sess is not None else None
 
 
@@ -296,7 +290,7 @@ def rejoin_trace(stored: Optional[dict]) -> bool:
     no-op; on resume it re-roots the new session into the original
     run's trace.  Returns whether the session changed identity.
     """
-    sess = _SESSION.get()
+    sess = ACTIVE_SESSION.get()
     if sess is None or not isinstance(stored, dict):
         return False
     trace_id = stored.get("trace_id")
@@ -308,20 +302,20 @@ def rejoin_trace(stored: Optional[dict]) -> bool:
 
 def emit(event: str, level: str = "info", **fields) -> None:
     """Emit an event on the active session; silently dropped when none."""
-    sess = _SESSION.get()
+    sess = ACTIVE_SESSION.get()
     if sess is not None:
         sess.logger.emit(event, level=level, **fields)
 
 
 @contextmanager
 def trace(name: str, level: str = "info", **attrs) -> Iterator[Span]:
-    """Time a block as a nested span with registry counter deltas."""
-    sess = _SESSION.get()
+    """Time a block as a nested span with the counter increments made in it."""
+    sess = ACTIVE_SESSION.get()
     if sess is None:
         yield _NULL_SPAN
         return
     span = Span(name, sess.next_span_id(), sess.current_span_id(), dict(attrs))
-    before = sess.registry.values()
+    before = dict(sess.tally)
     sess._span_stack.append(span)
     started = time.perf_counter()
     try:
@@ -337,5 +331,5 @@ def trace(name: str, level: str = "info", **attrs) -> Iterator[Span]:
             parent_id=span.parent_id,
             duration_s=round(duration, 6),
             attrs=span.attrs,
-            delta=values_delta(before, sess.registry.values()),
+            delta=values_delta(before, sess.tally),
         )

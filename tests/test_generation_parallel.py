@@ -10,6 +10,7 @@ These run against an *untrained* PagPassGPT: equivalence must hold for
 any next-token distribution, so training is unnecessary.
 """
 
+import multiprocessing as mp
 from collections import Counter
 
 import numpy as np
@@ -263,6 +264,37 @@ class TestCrashFallback:
         journal = RunJournal.open(journal_path)
         assert sorted(journal.completed("leaf_batch")) == [0]
         journal.close()
+
+
+# ----------------------------------------------------------------------
+# Concurrent pools
+# ----------------------------------------------------------------------
+
+class TestConcurrentPools:
+    """Two campaigns in one process (two server fleet slots) each start a
+    pool whenever they reach one: a pool's workers run that pool's tasks."""
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="needs fork")
+    def test_a_pool_started_meanwhile_cannot_swap_the_workers_context(
+        self, model, monkeypatch
+    ):
+        chunks = free_chunks(1024)
+        serial = [execute_free_chunk(model, chunk, 7) for chunk in chunks]
+        fork = type(mp.get_context("fork"))
+        pool = fork.Pool
+        other = []
+
+        def pool_after_another_campaign(ctx, *args, **kwargs):
+            # Another slot's campaign runs a whole pool between this
+            # campaign's pool setup and its workers' fork.
+            if not other:
+                other.append("running")
+                other[0] = pooled(model, chunks, execute_free_chunk, 8, workers=2)
+            return pool(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(fork, "Pool", pool_after_another_campaign)
+        assert pooled(model, chunks, execute_free_chunk, 7, workers=2) == (serial, {})
+        assert other[0][1] == {}
 
 
 # ----------------------------------------------------------------------

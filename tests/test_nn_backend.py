@@ -22,6 +22,7 @@ Three layers of guarantees, mirroring how the backend is built:
 """
 
 import ctypes
+import dataclasses
 import json
 import sys
 import threading
@@ -477,13 +478,13 @@ class TestShortBuffers:
         _, primed = inf.start(np.array([[1, 2, 3], [4, 5, 6]]))
         cache = primed.gather([1, 0], capacity=3) if short == "gather" else primed.trimmed()
         assert cache.keys[0].shape[2] == cache.length == 3
-        counters = inf.counters.as_dict()
+        counters = dataclasses.asdict(inf.counters)
         kv = [buf.tobytes() for buf in (*cache.keys, *cache.values)]
         with pytest.raises(ValueError, match="cache overflow: 4 > buffer length 3"):
             inf.step(np.array([7, 8]), cache)
         with pytest.raises(ValueError, match="cache overflow: 5 > buffer length 3"):
             inf.extend(np.array([[7, 8], [9, 10]]), cache)
-        assert inf.counters.as_dict() == counters
+        assert dataclasses.asdict(inf.counters) == counters
         assert cache.length == 3
         assert [buf.tobytes() for buf in (*cache.keys, *cache.values)] == kv
 

@@ -202,6 +202,30 @@ class TestPromptCacheAccounting:
             delta = after[f"prompt_cache.{key}"] - before[key]
             assert delta == cache.stats()[key], key
 
+    def test_registry_inference_counters_sum_every_live_engine(self):
+        """Two engines alive at once, as on two server fleet slots: the
+        registry's ``inference.*`` counters hold both engines' work."""
+        import dataclasses
+
+        from repro.nn.inference import InferenceCounters
+        from repro.telemetry import get_registry
+
+        cfg = GPT2Config(vocab_size=VOCAB, block_size=BLOCK, dim=32, n_layers=2, n_heads=4, dropout=0.0)
+        names = [f"inference.{field.name}" for field in dataclasses.fields(InferenceCounters)]
+        registry = get_registry()
+        before = {name: registry.values().get(name, 0) for name in names}
+        engines = [GPT2Inference(GPT2Model(cfg, seed=seed)) for seed in (5, 6)]
+        for rounds, engine in enumerate(engines, start=1):
+            for _ in range(rounds):
+                _, cache = engine.start(np.array([[1, 2, 3], [4, 5, 6]]))
+                engine.step(np.array([7, 8]), cache)
+                engine.logits(np.array([[1, 2]]))
+        after = registry.values()
+        for name in names:
+            field = name.split(".", 1)[1]
+            expected = sum(getattr(engine.counters, field) for engine in engines)
+            assert after[name] - before[name] == expected, name
+
 
 class TestPromptCacheInterleaved:
     """LRU behaviour under the ordered-frontier access pattern: the

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator
+from repro import telemetry
+from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator, run_strategy
 from repro.models import PagPassGPT
-from repro.nn import GPT2Config
+from repro.nn import GPT2Config, GPT2Inference
 from repro.runtime import chaos, faults
 from repro.runtime.faults import FAULT_ENV, FAULT_STATE_ENV
 from repro.server import (
@@ -606,6 +610,137 @@ class TestServerSoak:
         ]
 
 
+class TestTracedFleet:
+    """``job_telemetry`` keeps the fleet: each job's session counts only
+    the work done in its own fleet thread."""
+
+    N = 3000
+    THRESHOLD = 64
+
+    def _submit(self, port: int, seed: int) -> int:
+        status, obj, _ = chaos._http_json(
+            port, "POST", "/campaigns",
+            {"n": self.N, "strategy": "dcgen", "seed": seed, "threshold": self.THRESHOLD},
+        )
+        assert status == 202, obj
+        return obj["id"]
+
+    def _check_session(self, state_dir, job_id: int) -> dict:
+        """The job's merged summary passes ``summarize --check``; returns
+        the session's closing metrics snapshot."""
+        tele = state_dir / "jobs" / f"{job_id:06d}" / "tele"
+        summary = telemetry.summarize_campaign(tele)
+        assert telemetry.check_summary(summary) == [], job_id
+        events = telemetry.read_events(tele / "telemetry.jsonl")
+        [snapshot] = [e["fields"]["metrics"] for e in events if e["event"] == "metrics_snapshot"]
+        return snapshot
+
+    def test_two_traced_jobs_run_at_once(self, checkpoint, trained_pagpassgpt, tmp_path):
+        state_dir = tmp_path / "state"
+        runner = chaos._ServerThread(
+            _config(checkpoint, state_dir, fleet=2, job_telemetry=True)
+        )
+        port = runner.start()
+        try:
+            assert runner.server.config.fleet == 2
+            seeds = {self._submit(port, seed): seed for seed in (3, 4)}
+            most_running = 0
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline:
+                _, status, _ = chaos._http_json(port, "GET", "/status")
+                most_running = max(most_running, len(status["running"]))
+                if status["jobs"]["done"] + status["jobs"]["failed"] == len(seeds):
+                    break
+                time.sleep(0.01)
+            assert most_running == 2
+            for job_id, seed in seeds.items():
+                job = _wait_terminal(port, job_id)
+                assert job["state"] == "done", job
+                _, data, _ = chaos._http_request(port, "GET", f"/campaigns/{job_id}/guesses")
+                expected, _, _ = run_strategy(
+                    trained_pagpassgpt, "dcgen", self.N, seed=seed, threshold=self.THRESHOLD
+                )
+                assert data.decode("utf-8").splitlines() == expected
+                self._check_session(state_dir, job_id)
+        finally:
+            runner.drain(timeout=120.0)
+
+    def test_a_multi_slot_server_runs_blas_on_one_thread(
+        self, checkpoint, tmp_path, monkeypatch
+    ):
+        from repro.server import core
+
+        pinned = []
+        monkeypatch.setattr(core, "set_blas_threads", pinned.append)
+        for fleet in (1, 2):
+            server = CampaignServer(_config(checkpoint, tmp_path / f"state-{fleet}", fleet=fleet))
+            server.store.close()
+        assert pinned == [1]
+
+    def test_one_blas_thread_survives_a_fork_in_another_thread(self):
+        """What a multi-slot server relies on: a slot may fork its worker
+        pool while another slot is inside a BLAS call.  With OpenBLAS's
+        own threads that call spins forever."""
+        script = """
+import os, threading, time
+import numpy as np
+from repro.nn.backend.blas import set_num_threads
+if not set_num_threads(1):
+    raise SystemExit("no OpenBLAS")
+a = np.ones((256, 256), dtype=np.float32)
+stop, done = threading.Event(), []
+def work():
+    while not stop.is_set():
+        a @ a
+        done.append(1)
+thread = threading.Thread(target=work, daemon=True)
+thread.start()
+end = time.monotonic() + 1.0
+while time.monotonic() < end:
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    time.sleep(0.002)
+stop.set()
+thread.join(10)
+print("stranded" if thread.is_alive() else "finished", len(done))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=120, env=env)
+        if "no OpenBLAS" in run.stderr:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert run.returncode == 0, run.stderr
+        verdict, matmuls = run.stdout.split()
+        assert verdict == "finished" and int(matmuls) > 0
+
+    def test_traced_jobs_in_a_row_reuse_the_slots_engine(
+        self, checkpoint, tmp_path, monkeypatch
+    ):
+        built = []
+        init = GPT2Inference.__init__
+
+        def recording_init(engine, *args, **kwargs):
+            init(engine, *args, **kwargs)
+            built.append(engine)
+
+        monkeypatch.setattr(GPT2Inference, "__init__", recording_init)
+        state_dir = tmp_path / "state"
+        runner = chaos._ServerThread(_config(checkpoint, state_dir, job_telemetry=True))
+        port = runner.start()
+        try:
+            calls = 0
+            for seed in (3, 4):
+                job = _wait_terminal(port, self._submit(port, seed))
+                assert job["state"] == "done", job
+                calls += self._check_session(state_dir, job["id"])["inference.calls"]
+        finally:
+            runner.drain(timeout=120.0)
+        [engine] = built  # the second job ran on the first job's engine
+        assert calls == engine.counters.calls
+
+
 # ----------------------------------------------------------------------
 # Observability surface: Prometheus exposition, traces, repro top
 # ----------------------------------------------------------------------
@@ -718,12 +853,17 @@ class TestObservability:
         )
 
     def test_metrics_json_shape_unchanged(self, server):
-        """The JSON endpoint keeps its pre-Prometheus shape (back compat)."""
+        """The JSON endpoint holds counters, gauges and histograms; a job's
+        inference work is among the counters, in both formats."""
         _, port, _ = server
+        status, obj, _ = chaos._http_json(port, "POST", "/campaigns", {"n": 5, "seed": 2})
+        assert status == 202
+        _wait_terminal(port, obj["id"])
         status, metrics, _ = chaos._http_json(port, "GET", "/metrics")
         assert status == 200
-        assert {"counters", "gauges", "histograms", "groups"} <= set(metrics)
-        assert isinstance(metrics["counters"], dict)
+        assert set(metrics) == {"counters", "gauges", "histograms"}
+        assert metrics["counters"]["inference.calls"] > 0
+        assert "# TYPE repro_inference_calls_total counter" in self._scrape(port).splitlines()
 
     def test_traceparent_header_joins_the_callers_trace(self, server):
         _, port, state_dir = server

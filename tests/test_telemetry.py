@@ -12,7 +12,9 @@ from __future__ import annotations
 import io
 import json
 import logging
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -63,19 +65,35 @@ class TestMetrics:
             reg.histogram("h").observe(7)
         assert a.snapshot() == b.snapshot()
 
-    def test_register_group_polled_at_snapshot(self):
+    def test_reads_do_not_race_metric_creation(self):
+        """A fleet thread may create a labeled counter while the event
+        loop answers ``/metrics``: neither read may see a dict resize."""
         reg = MetricsRegistry()
-        state = {"calls": 0}
-        reg.register_group("inf", lambda: dict(state))
-        state["calls"] = 9
-        assert reg.values()["inf.calls"] == 9
-        assert reg.snapshot()["groups"]["inf"] == {"calls": 9}
+        stop = threading.Event()
 
-    def test_register_group_replaces(self):
-        reg = MetricsRegistry()
-        reg.register_group("inf", lambda: {"calls": 1})
-        reg.register_group("inf", lambda: {"calls": 2})
-        assert reg.values()["inf.calls"] == 2
+        def create() -> None:
+            while not stop.is_set():
+                for i in range(200):
+                    reg.counter("jobs", labels={"i": str(i)}).inc()
+                    reg.gauge("depth", labels={"i": str(i)}).set(i)
+                reg.reset()
+
+        writer = threading.Thread(target=create)
+        writer.start()
+        errors = []
+        deadline = time.monotonic() + 1.0
+        try:
+            while time.monotonic() < deadline and not errors:
+                try:
+                    reg.values()
+                    telemetry.render_prometheus(reg)
+                except RuntimeError as exc:
+                    errors.append(str(exc))
+        finally:
+            stop.set()
+            writer.join(10)
+        assert not writer.is_alive()
+        assert errors == []
 
     def test_values_delta_only_nonzero(self):
         before = {"a": 2, "b": 5}
@@ -228,6 +246,50 @@ class TestTracing:
         with telemetry.session(tmp_path) as sess:
             telemetry.get_registry().counter("preexisting").inc(1)
             assert sess.metrics_delta().get("preexisting") == 1
+
+    def test_sessions_tally_only_their_own_context(self, tmp_path):
+        """Four threads' sessions (more than the cores) interleave
+        increments of one counter, switching as often as the interpreter
+        allows: each session counts exactly its own thread's increments,
+        and the process total loses none."""
+        counter = telemetry.get_registry().counter("shared.work")
+        total = counter.value
+        all_open = threading.Barrier(4, timeout=60)
+        deltas = {}
+
+        def job(n: int) -> None:
+            with telemetry.session(tmp_path / str(n)) as sess:
+                all_open.wait()
+                for _ in range(n):
+                    counter.inc()
+                all_open.wait()
+                deltas[n] = sess.metrics_delta()
+
+        counts = (3_000, 5_000, 7_000, 11_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=job, args=(n,)) for n in counts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert deltas == {n: {"shared.work": n} for n in counts}
+        assert counter.value - total == sum(counts)
+
+    def test_gauges_stay_out_of_session_and_span_deltas(self, tmp_path):
+        """A gauge holds process state (queue depth), not a session's work."""
+        with telemetry.session(tmp_path) as sess:
+            with telemetry.trace("work"):
+                telemetry.get_registry().gauge("queue.depth").set(7)
+                telemetry.get_registry().counter("widgets").inc()
+            assert sess.metrics_delta() == {"widgets": 1}
+        events = telemetry.read_events(tmp_path / "telemetry.jsonl")
+        [span] = [e["fields"] for e in events if e["event"] == "span"]
+        assert span["delta"] == {"widgets": 1}
 
     def test_session_is_bound_to_the_thread_that_started_it(self, tmp_path):
         """A server fleet slot's job session must not collect the event
@@ -552,13 +614,6 @@ class TestPrometheusRender:
             if line.startswith("repro_lat_bucket")
         ]
         assert bucket_counts == sorted(bucket_counts)
-
-    def test_group_values_are_untyped(self):
-        reg = MetricsRegistry()
-        reg.register_group("inference", lambda: {"calls": 4})
-        text = telemetry.render_prometheus(reg)
-        assert "# TYPE repro_inference_calls untyped\n" in text
-        assert "repro_inference_calls 4\n" in text
 
     def test_name_sanitization_and_label_escaping(self):
         from repro.telemetry.prometheus import escape_label_value, sanitize_name

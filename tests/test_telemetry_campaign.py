@@ -1,6 +1,6 @@
 """Campaign-level telemetry integration (ISSUE 5 acceptance tests).
 
-Four contracts pinned here:
+Five contracts pinned here:
 
 1. **Zero interference** — running the golden campaign inside a
    telemetry session emits the byte-identical stream the committed
@@ -15,12 +15,18 @@ Four contracts pinned here:
    counted ``task_failed``/``task_recovered`` pair with nothing
    unaccounted, and a crash/resume run's merged summary records the
    resume while still passing :func:`check_summary`.
+5. **Own-context accounting** — a session counts the work done in its
+   own thread and nothing else: two concurrent campaigns (two server
+   fleet slots) each pass :func:`check_summary`, and an engine rebuilt
+   mid-session is counted in full.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
 
 import pytest
 
@@ -79,12 +85,7 @@ def test_golden_stream_byte_identical_with_telemetry(tmp_path):
 # ----------------------------------------------------------------------
 
 def _traced_campaign(directory) -> list[str]:
-    # Force the lazy inference engine into existence *before* the
-    # session: registering its counter group replaces any prior model's
-    # values, and that replacement must be part of the session's registry
-    # mark — deltas then depend only on this campaign's work.
     model = build_model()
-    model.inference
     gen = DCGenerator(model, DCGenConfig(threshold=THRESHOLD, gen_batch=128))
     with telemetry.session(directory, run_id="det") as sess:
         stream = gen.generate(TOTAL, seed=SEED)
@@ -220,3 +221,43 @@ def test_crash_resume_campaign_is_accounted(tmp_path, monkeypatch):
 
     events = _summary_events(tele_dir)
     assert any(e["event"] == "campaign_resume" for e in events)
+
+
+# ----------------------------------------------------------------------
+# 5. A session counts its own context's work
+# ----------------------------------------------------------------------
+
+def test_concurrent_sessions_each_account_their_own_campaign(tmp_path):
+    """Two traced campaigns on two threads, each with its own model and
+    session, as two server fleet slots run them."""
+    generators = {name: _generator() for name in ("a", "b")}
+    both_open = Barrier(2, timeout=120)
+
+    def run(name: str) -> list[str]:
+        with telemetry.session(tmp_path / name, run_id=name):
+            both_open.wait()
+            return generators[name].generate(TOTAL, seed=SEED)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = {name: pool.submit(run, name) for name in generators}
+        streams = {name: future.result(timeout=300) for name, future in futures.items()}
+    assert streams["a"] == streams["b"]
+    for name in generators:
+        summary = telemetry.summarize_campaign(tmp_path / name)
+        assert summary["total_guesses"] == len(streams[name])
+        assert telemetry.check_summary(summary) == [], name
+
+
+def test_engine_rebuilt_in_a_session_is_counted_in_full(tmp_path):
+    """A session open across an engine rebuild reports the new engine's
+    work, not its count minus the replaced engine's."""
+    gen = _generator()
+    gen.generate(TOTAL, seed=SEED)  # the first engine's work, before the session
+    with telemetry.session(tmp_path) as sess:
+        gen.model.invalidate_inference()
+        gen.generate(TOTAL, seed=SEED)
+        delta = sess.metrics_delta()
+    counters = gen.model.inference.counters
+    assert counters.calls > 0
+    assert delta["inference.calls"] == counters.calls
+    assert delta["inference.prime_positions"] == counters.prime_positions
