@@ -288,7 +288,7 @@ python -m repro.cli serve --checkpoint "$SMOKE_DIR/model.npz" \
     2> "$SMOKE_DIR/serve.log" &
 SERVER_PID=$!
 for _ in $(seq 1 50); do
-    grep -q "serving on" "$SMOKE_DIR/serve.log" && break
+    grep -qs "serving on" "$SMOKE_DIR/serve.log" && break
     kill -0 "$SERVER_PID" || { cat "$SMOKE_DIR/serve.log" >&2; exit 1; }
     sleep 0.2
 done

@@ -48,6 +48,7 @@ reached, 4 stopped by signal.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -64,7 +65,13 @@ from .evaluation import (
     render_table,
     repeat_rate,
 )
-from .generation import OrderedConfig, SamplerConfig, UnsupportedStrategy, run_strategy
+from .generation import (
+    DCGenConfig,
+    OrderedConfig,
+    SamplerConfig,
+    UnsupportedStrategy,
+    run_strategy,
+)
 from .models import PagPassGPT, PassGPT, load_checkpoint
 from .nn import CheckpointError, GPT2Config
 from .runtime import (
@@ -305,43 +312,78 @@ def _campaign_flags(args: argparse.Namespace) -> list[str]:
     return [flag for flag, on in used.items() if on]
 
 
+@contextlib.contextmanager
+def _flags(names: str):
+    """Prefix a ValueError raised inside with the flags that fed it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{names}: {exc}") from None
+
+
+def _generate_inputs(args: argparse.Namespace, strategy: str):
+    """The budget, sampler, pattern and ordered config ``repro generate``
+    runs with, built from its flags before the checkpoint is read.
+
+    Raises ValueError naming the flags behind the first value that
+    cannot run.  Past ``-n``, ``--seed`` and ``--workers`` the checks
+    are the built classes' own; the D&C-GEN config is built only for
+    its check (``run_strategy`` builds the one it runs).
+    """
+    for flag, value, least in (("-n", args.n, 1), ("--seed", args.seed, 0),
+                               ("--workers", args.workers, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    # Always build a budget (all limits may be None): a limitless budget
+    # still turns SIGTERM/SIGINT into a graceful stop at the next poll.
+    with _flags("--deadline/--max-guesses/--max-model-calls"):
+        budget = Budget(wall_seconds=args.deadline, max_guesses=args.max_guesses,
+                        max_model_calls=args.max_model_calls)
+    with _flags("--temperature/--top-k/--top-p"):
+        sampler = SamplerConfig(temperature=args.temperature, top_k=args.top_k,
+                                top_p=args.top_p)
+    with _flags("--pattern"):
+        pattern = Pattern.parse(args.pattern) if args.pattern else None
+    ordered = None
+    if strategy == "dcgen":
+        with _flags("--threshold"):
+            DCGenConfig(threshold=args.threshold, workers=args.workers)
+    elif strategy == "ordered":
+        with _flags("--beam-width/--max-frontier/--snapshot-every"):
+            ordered = OrderedConfig(beam_width=args.beam_width, max_frontier=args.max_frontier,
+                                    snapshot_every=args.snapshot_every)
+    return budget, sampler, pattern, ordered
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     conflicts = _campaign_flags(args) if args.pattern else []
     if conflicts:
         print(f"error: --pattern runs one unjournaled guided pass; it cannot take "
               f"{', '.join(conflicts)}", file=sys.stderr)
         return EXIT_CORRUPT
+    strategy = "dcgen" if args.dcgen else args.strategy
+    try:
+        budget, sampler, pattern, ordered = _generate_inputs(args, strategy)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CORRUPT
     if args.backend:
         # The inference engine is built lazily on first use and reads
         # REPRO_BACKEND then; the env var also reaches spawned workers.
         os.environ["REPRO_BACKEND"] = args.backend
     model = load_checkpoint(args.checkpoint)
-    if args.temperature != 1.0 or args.top_k or args.top_p < 1.0:
-        model.sampler = SamplerConfig(
-            temperature=args.temperature, top_k=args.top_k, top_p=args.top_p
-        )
+    if sampler != SamplerConfig():
+        model.sampler = sampler
     journal_path = Path(args.journal or f"{args.out}.journal.jsonl")
-    # Always build a budget (all limits may be None): a limitless budget
-    # still turns SIGTERM/SIGINT into a graceful stop at the next poll.
-    budget = Budget(
-        wall_seconds=args.deadline,
-        max_guesses=args.max_guesses,
-        max_model_calls=args.max_model_calls,
-    )
     started = _start_telemetry(args, run_id="generate")
     profiler = _start_profiler(args)
     heartbeat = telemetry.Heartbeat(
         args.n, enabled=True if args.heartbeat else None
     )
-    strategy = "dcgen" if args.dcgen else args.strategy
     try:
-        if args.pattern:
-            guesses = model.generate_with_pattern(Pattern.parse(args.pattern), args.n, seed=args.seed)
+        if pattern is not None:
+            guesses = model.generate_with_pattern(pattern, args.n, seed=args.seed)
         else:
-            ordered = None
-            if strategy == "ordered":
-                ordered = OrderedConfig(beam_width=args.beam_width, max_frontier=args.max_frontier,
-                                        snapshot_every=args.snapshot_every)
             guesses, summary, _ = run_strategy(
                 model, strategy, args.n, seed=args.seed, workers=args.workers,
                 threshold=args.threshold, ordered=ordered,
@@ -567,9 +609,9 @@ def _add_observability_options(p: argparse.ArgumentParser) -> None:
                    help="stderr verbosity for telemetry events "
                         "(default: $REPRO_LOG or warning)")
     p.add_argument("--profile", default=None, metavar="FILE",
-                   help="sample the wall-clock (setitimer) while the command "
-                        "runs and write folded flamegraph stacks to FILE; "
-                        "each sample is attributed to the open span")
+                   help="sample every thread's wall-clock stack while the "
+                        "command runs and write folded flamegraph stacks to "
+                        "FILE; each sample is attributed to the open span")
 
 
 def build_parser() -> argparse.ArgumentParser:

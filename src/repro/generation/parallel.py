@@ -75,7 +75,7 @@ class _WorkerContext:
 _CTX: Optional[_WorkerContext] = None
 
 
-def _parent_telemetry_args() -> Optional[tuple[str, str, str, Optional[dict]]]:
+def _parent_telemetry_args() -> Optional[tuple[str, str, Optional[dict]]]:
     """Session init args to ship to workers, or ``None`` (telemetry off).
 
     The trace ref pins the worker session into the parent's trace: its
@@ -85,11 +85,11 @@ def _parent_telemetry_args() -> Optional[tuple[str, str, str, Optional[dict]]]:
     sess = telemetry.active()
     if sess is None:
         return None
-    return (str(sess.dir), sess.run_id, sess.level, sess.trace_ref())
+    return (str(sess.dir), sess.run_id, sess.trace_ref())
 
 
 def _init_worker(
-    tele: Optional[tuple[str, str, str, Optional[dict]]],
+    tele: Optional[tuple[str, str, Optional[dict]]],
     context: Optional[_WorkerContext] = None,
 ) -> None:
     """Pool initializer for the fork path (``context`` rides the
@@ -108,12 +108,11 @@ def _init_worker(
     _CTX = context
     signals.ignore_in_worker()
     if tele is not None:
-        directory, run_id, level, trace = tele
+        directory, run_id, trace = tele
         telemetry.start_session(
             directory,
             run_id=run_id,
             worker=os.getpid(),
-            level=level,
             context=telemetry.TraceContext.from_dict(trace),
         )
 

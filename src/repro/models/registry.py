@@ -1,9 +1,10 @@
 """Model registry: build any model of the zoo by name, or load a GPT
 checkpoint of either kind.
 
-Used by the benchmark harness and examples so "the six rows of Table IV"
-are data, not code, and by ``repro generate`` / ``repro serve`` to load
-checkpoints.
+``create_model`` is a public entry point for library callers; the
+package itself builds no model by name.  ``PagPassGPTDC`` has no name
+here: it wraps a fitted base model.  ``repro generate`` and ``repro
+serve`` load checkpoints through ``load_checkpoint``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ def available_models() -> list[str]:
 def create_model(name: str, **kwargs) -> PasswordGuesser:
     """Instantiate a model by (case-insensitive) registry name."""
     key = name.lower().replace("-", "").replace("_", "")
-    aliases = {"pagpassgptdc": "pagpassgpt"}  # the D&C wrapper wraps a base model
-    key = aliases.get(key, key)
     try:
         factory = _FACTORIES[key]
     except KeyError:

@@ -51,7 +51,7 @@ from .integrity import (
     verify_paths,
     write_manifest,
 )
-from .journal import JournalError, RunJournal, file_digest
+from .journal import JournalError, RunJournal
 from .retry import supervised_map
 from . import signals
 
@@ -78,7 +78,6 @@ __all__ = [
     "write_manifest",
     "JournalError",
     "RunJournal",
-    "file_digest",
     "supervised_map",
     "signals",
 ]

@@ -1,10 +1,10 @@
 """Append-only JSONL run journal: the unit of crash-safe progress.
 
 A journal records one line per completed unit of work — a D&C-GEN leaf
-batch, a free-generation chunk, a training epoch — keyed by a stable
-``task_id`` and guarded by a content digest.  An interrupted run resumes
-by reopening its journal, skipping every journaled task, and re-executing
-only the rest; because every task draws its randomness from
+batch, a free-generation chunk, an ordered frontier snapshot — keyed by
+a stable ``task_id`` and guarded by a content digest.  An interrupted
+run resumes by reopening its journal, skipping every journaled task, and
+re-executing only the rest; because every task draws its randomness from
 ``(base_seed, task_id)``, the merged result is byte-identical to an
 uninterrupted run.
 
@@ -47,11 +47,6 @@ class JournalError(RuntimeError):
 def _digest(obj: Any) -> str:
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def file_digest(path: str | Path) -> str:
-    """Short sha256 digest of a file's bytes (journaled with checkpoints)."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 class RunJournal:

@@ -12,11 +12,11 @@ line, and multiple processes may in principle share a file without
 interleaving bytes within a line.
 
 Console verbosity is a separate axis from capture: the JSONL stream
-records every event at or above the logger's ``level`` (default
-``debug`` — the file is the data), while each event is also forwarded to
-the stdlib logger ``repro.telemetry`` where the usual ``logging``
-machinery (configured by :func:`configure_logging` from ``--log-level``
-or the ``REPRO_LOG`` environment variable) decides what reaches stderr.
+records every event, whatever its ``level`` (the file is the data),
+while each event is also forwarded to the stdlib logger
+``repro.telemetry`` where the usual ``logging`` machinery (configured by
+:func:`configure_logging` from ``--log-level`` or the ``REPRO_LOG``
+environment variable) decides what reaches stderr.
 """
 
 from __future__ import annotations
@@ -62,24 +62,16 @@ class TelemetryLogger:
         path: Union[str, Path],
         run_id: str = "run",
         worker: Optional[int] = None,
-        level: str = "debug",
         clock=time.time,
     ) -> None:
-        if level not in LEVELS:
-            raise ValueError(f"unknown log level {level!r}; expected one of {sorted(LEVELS)}")
         self.path = Path(path)
         self.run_id = run_id
         self.worker = worker
-        self.level = level
-        self._min = LEVELS[level]
         self._clock = clock
         self._stream = AppendStream(self.path)
 
     def emit(self, event: str, level: str = "info", **fields) -> None:
         """Write one record (and forward it to the stdlib bridge)."""
-        severity = LEVELS.get(level, LEVELS["info"])
-        if severity < self._min:
-            return
         record = {
             "ts": round(self._clock(), 6),
             "run_id": self.run_id,
@@ -92,6 +84,7 @@ class TelemetryLogger:
         self._stream.write_line(
             json.dumps(record, sort_keys=True, separators=(",", ":"), default=_json_default)
         )
+        severity = LEVELS.get(level, LEVELS["info"])
         if _BRIDGE.isEnabledFor(severity):
             _BRIDGE.log(severity, "%s %s", event, fields)
 

@@ -95,7 +95,6 @@ class TelemetrySession:
         directory: Union[str, Path],
         run_id: str = "run",
         worker: Optional[int] = None,
-        level: str = "debug",
         clock=time.time,
         context: Optional[TraceContext] = None,
     ) -> None:
@@ -104,10 +103,7 @@ class TelemetrySession:
         name = "telemetry.jsonl" if worker is None else f"telemetry-worker-{worker}.jsonl"
         self.worker = worker
         self.run_id = run_id
-        self.level = level
-        self.logger = TelemetryLogger(
-            self.dir / name, run_id=run_id, worker=worker, level=level, clock=clock
-        )
+        self.logger = TelemetryLogger(self.dir / name, run_id=run_id, worker=worker, clock=clock)
         #: Pid that created the session (a forked child must not close
         #: the parent's stream when it replaces the inherited session).
         self.pid = os.getpid()
@@ -144,7 +140,10 @@ class TelemetrySession:
 
     def current_span(self) -> Optional[Span]:
         """The innermost open span, or ``None``."""
-        return self._span_stack[-1] if self._span_stack else None
+        # One slice, not a test then an index: the profiler's sampler
+        # thread reads this while the owning thread pushes and pops.
+        top = self._span_stack[-1:]
+        return top[0] if top else None
 
     def current_span_id(self) -> Optional[int]:
         """Id new children attach under: innermost span or remote parent."""
@@ -212,7 +211,6 @@ def start_session(
     directory: Union[str, Path],
     run_id: str = "run",
     worker: Optional[int] = None,
-    level: str = "debug",
     clock=time.time,
     context: Optional[TraceContext] = None,
 ) -> TelemetrySession:
@@ -228,9 +226,7 @@ def start_session(
     if current is not None and current.pid == os.getpid():
         # Replacing an open same-process session: close it cleanly first.
         current.close()
-    sess = TelemetrySession(
-        directory, run_id=run_id, worker=worker, level=level, clock=clock, context=context
-    )
+    sess = TelemetrySession(directory, run_id=run_id, worker=worker, clock=clock, context=context)
     ACTIVE_SESSION.set(sess)
     return sess
 

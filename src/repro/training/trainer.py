@@ -32,14 +32,7 @@ from .. import telemetry
 from ..autograd import no_grad
 from ..nn import AdamW, GPT2Model, WarmupLinear, clip_grad_norm
 from ..nn.serialization import CheckpointError, _load_npz
-from ..runtime import (
-    Budget,
-    RunJournal,
-    atomic_write,
-    file_digest,
-    maybe_corrupt,
-    maybe_fail,
-)
+from ..runtime import Budget, atomic_write, maybe_corrupt, maybe_fail
 from .dataloader import BatchLoader
 
 _META_KEY = "__meta_json__"
@@ -243,7 +236,6 @@ class Trainer:
         *,
         checkpoint_path: Optional[Union[str, Path]] = None,
         resume_from: Optional[Union[str, Path]] = None,
-        journal: Optional[RunJournal] = None,
         budget: Optional[Budget] = None,
     ) -> TrainHistory:
         """Run the full training loop; returns loss history.
@@ -253,16 +245,13 @@ class Trainer:
         the next epoch, bit-identically to the uninterrupted run.  When
         early stopping is enabled the best-validation weights are
         snapshotted and restored into the model if the run stops early
-        (``history.restored_best``).  ``journal`` (an open
-        :class:`~repro.runtime.journal.RunJournal`) records one entry per
-        completed epoch with the checkpoint's content digest.
+        (``history.restored_best``).
 
         ``budget`` (a :class:`~repro.runtime.Budget`) is polled at every
-        epoch boundary, *after* the epoch's training state and journal
-        record are durable: a tripped deadline or delivered SIGTERM
-        raises :class:`~repro.runtime.CampaignInterrupted`, and a rerun
-        with ``resume_from`` continues from the next epoch
-        bit-identically.
+        epoch boundary, *after* the epoch's training state is durable: a
+        tripped deadline or delivered SIGTERM raises
+        :class:`~repro.runtime.CampaignInterrupted`, and a rerun with
+        ``resume_from`` continues from the next epoch bit-identically.
         """
         cfg = self.config
         params = self.model.parameters()
@@ -353,21 +342,9 @@ class Trainer:
                             best_state=best_state,
                             dropout_rng=dropout_rng,
                         )
-                    if journal is not None:
-                        journal.record(
-                            "epoch",
-                            epoch,
-                            {
-                                "train_loss": history.train_loss[-1],
-                                "val_loss": history.val_loss[-1] if history.val_loss else None,
-                                "checkpoint_digest": (
-                                    file_digest(checkpoint_path) if checkpoint_path is not None else None
-                                ),
-                            },
-                        )
                 if budget is not None:
-                    # The epoch just became durable (state + journal
-                    # record written): a trip here loses nothing.
+                    # The epoch just became durable (state written):
+                    # a trip here loses nothing.
                     budget.poll(
                         epochs=epoch + 1,
                         steps=int(registry.counter("train.steps").value),

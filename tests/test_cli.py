@@ -388,6 +388,30 @@ class TestLifecycle:
         assert len(err) == 1 and flags[0] in err[0]
 
     @pytest.mark.parametrize("flags", [
+        ["--strategy", "dcgen", "--threshold", "0"],
+        ["--strategy", "dcgen", "--workers", "0"], ["--deadline", "0"],
+        ["--deadline", "-1"], ["--max-guesses", "0"], ["--max-model-calls", "-3"],
+        ["--strategy", "ordered", "--beam-width", "0"],
+        ["--strategy", "ordered", "--max-frontier", "10"],
+        ["--strategy", "ordered", "--snapshot-every", "0"], ["--temperature", "0"],
+        ["--top-p", "0"], ["--top-k", "-1"], ["--seed", "-1"], ["--pattern", "Q9"],
+        ["--pattern", "L40"], ["-n", "0"], ["-n", "-5"], ["--workers", "0"],
+    ], ids="=".join)
+    def test_generate_rejects_unusable_flags(self, tmp_path, capsys, flags):
+        """A flag value no campaign can run with exits 2 with one line
+        naming it, before the checkpoint is read (it does not exist
+        here) and before the telemetry directory is made."""
+        checkpoint = tmp_path / "missing.npz"
+        tele = tmp_path / "tele"
+        code = main(["generate", "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "g.txt"), "--telemetry", str(tele), *flags])
+        assert code == EXIT_CORRUPT
+        assert not tele.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert flags[-2] in err[0] and str(checkpoint) not in err[0]
+
+    @pytest.mark.parametrize("flags", [
         ["--dropout", "1.0"], ["--dropout", "1.5"], ["--dropout", "-0.5"],
         ["--batch-size", "0"], ["--dim", "15", "--heads", "2"], ["--heads", "0"],
         ["--dim", "0"], ["--lr", "-1"], ["--epochs", "0"], ["--layers", "0"],

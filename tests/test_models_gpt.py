@@ -80,6 +80,13 @@ class TestRegistry:
         with pytest.raises(KeyError):
             create_model("gpt5")
 
+    @pytest.mark.parametrize("name", ["PagPassGPTDC", "pagpassgpt_dc", "pagpassgpt-dc"])
+    def test_dc_wrapper_has_no_name(self, name):
+        # PagPassGPTDC wraps a fitted base model; no name builds a bare
+        # PagPassGPT in its place.
+        with pytest.raises(KeyError, match="unknown model"):
+            create_model(name)
+
 
 class TestPagPassGPTGuided:
     def test_conformity(self, trained_pagpassgpt):

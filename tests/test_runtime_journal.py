@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.runtime import JournalError, RunJournal, file_digest
+from repro.runtime import JournalError, RunJournal
 
 HEADER = {"kind": "dcgen", "seed": 7, "total": 100, "plan": "abc123"}
 
@@ -146,13 +146,3 @@ class TestAttach:
         journal = RunJournal.attach(path, HEADER, resume=False)
         assert journal.completed("leaf_batch") == {}
         journal.close()
-
-
-class TestFileDigest:
-    def test_digest_changes_with_content(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        a.write_bytes(b"one")
-        b.write_bytes(b"two")
-        assert file_digest(a) != file_digest(b)
-        b.write_bytes(b"one")
-        assert file_digest(a) == file_digest(b)

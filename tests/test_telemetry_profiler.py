@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import signal
 import threading
 import time
 
@@ -86,15 +85,6 @@ def test_write_folded_file(tmp_path):
 # Lifecycle guards
 # ----------------------------------------------------------------------
 
-def test_handler_restored_after_stop():
-    before = signal.getsignal(signal.SIGALRM)
-    profiler = SamplingProfiler(interval=0.001)
-    profiler.start()
-    assert signal.getsignal(signal.SIGALRM) != before
-    profiler.stop()
-    assert signal.getsignal(signal.SIGALRM) == before
-    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-
 def test_double_start_refused():
     profiler = SamplingProfiler(interval=0.001)
     profiler.start()
@@ -107,35 +97,65 @@ def test_double_start_refused():
 def test_stop_without_start_is_noop():
     SamplingProfiler().stop()
 
-def test_gil_keeper_runs_only_while_profiling():
-    # The keeper guarantees a second GIL taker for the lifetime of the
-    # profiler (drop_gil forced-switch liveness) and must not leak.
+def test_sampler_thread_runs_only_while_profiling():
+    before = set(threading.enumerate())
     profiler = SamplingProfiler(interval=0.001)
     profiler.start()
     try:
-        keeper = profiler._keeper
-        assert keeper is not None and keeper.is_alive() and keeper.daemon
-        # Keeper stacks never pollute samples (filtered by ident).
+        (sampler,) = set(threading.enumerate()) - before
+        assert sampler.is_alive() and sampler.daemon
         time.sleep(0.05)
     finally:
         profiler.stop()
-    assert profiler._keeper is None
-    assert not keeper.is_alive()
-    assert not any("_keep_gil_moving" in stack for stack in profiler.samples)
+    assert not sampler.is_alive()
+    assert set(threading.enumerate()) <= before
+    assert profiler.sample_count > 0
+    # The sampler never folds its own stack.
+    assert not any("SamplingProfiler._sample" in stack for stack in profiler.samples)
 
-def test_non_main_thread_start_refused():
-    caught = []
+def test_non_main_thread_start_samples():
+    profilers = []
 
-    def attempt():
-        try:
-            SamplingProfiler().start()
-        except ProfilerError as exc:
-            caught.append(exc)
+    def profile_here():
+        profiler = SamplingProfiler(interval=0.001)
+        with profiler:
+            _busy(0.05)
+        profilers.append(profiler)
 
-    thread = threading.Thread(target=attempt)
+    thread = threading.Thread(target=profile_here)
     thread.start()
-    thread.join()
-    assert len(caught) == 1
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    (profiler,) = profilers
+    assert profiler.sample_count > 0
+    assert "profile_here" in profiler.folded()
+
+def test_every_thread_sampled_at_one_rate():
+    # A thread spinning in Python while the main thread sleeps: each tick
+    # folds both stacks, so neither thread is sampled at a slower rate.
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            sum(i * i for i in range(200))
+
+    def nap():
+        time.sleep(0.4)
+
+    spinner = threading.Thread(target=spin)
+    spinner.start()
+    profiler = SamplingProfiler(interval=0.001)
+    try:
+        with profiler:
+            nap()
+    finally:
+        stop.set()
+        spinner.join(timeout=30)
+    assert not spinner.is_alive()
+    busy = sum(n for stack, n in profiler.samples.items() if ".spin" in stack)
+    main = sum(n for stack, n in profiler.samples.items() if ".nap" in stack)
+    assert main > 10
+    assert busy >= main / 2, (busy, main)
 
 def test_bad_interval_refused():
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import CheckpointError, GPT2Config, GPT2Model
-from repro.runtime import FAULT_ENV, InjectedFault, RunJournal, corrupt_file
+from repro.runtime import FAULT_ENV, InjectedFault, corrupt_file
 from repro.training import (
     BatchLoader,
     TrainConfig,
@@ -261,19 +261,6 @@ class TestCrashResume:
         ref = _params(ref_model)
         for name, value in _params(resume_model).items():
             assert np.array_equal(value, ref[name]), f"weight drift in {name}"
-
-    def test_journal_records_epochs(self, toy_ids, tmp_path):
-        path = tmp_path / "state.npz"
-        journal_path = tmp_path / "train.journal.jsonl"
-        _, trainer = _make_trainer(TrainConfig(epochs=2, batch_size=16))
-        journal = RunJournal.create(journal_path, {"kind": "train"})
-        trainer.fit(toy_ids, checkpoint_path=path, journal=journal)
-        journal.close()
-        reopened = RunJournal.open(journal_path)
-        done = reopened.completed("epoch")
-        assert set(done) == {0, 1}
-        assert done[1]["checkpoint_digest"]
-        reopened.close()
 
 
 class TestGoldenTraining:
