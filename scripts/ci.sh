@@ -36,8 +36,10 @@
 #    must pass `summarize --check`.
 # 6. Compiled-backend smoke (ISSUE 8): reruns the 2-worker campaign with
 #    `--backend compiled` and demands the stream of the numpy reference
-#    run.  Soft-skipped (with a visible notice) when no C compiler is on
-#    PATH.
+#    run, and a campaign plan that names the compiled backend (a kernel
+#    that fails to build or fails the canary falls back to numpy, whose
+#    stream would pass the diff trivially).  Soft-skipped (with a
+#    visible notice) when no C compiler is on PATH.
 # 7. Chaos sweep and server soak: one seeded case schedule, run as CLI
 #    crash/resume legs and as requests to a live server under a worker
 #    crash and a SIGTERM drain, each held to the numpy reference bytes.
@@ -214,7 +216,15 @@ if command -v "${CC:-cc}" > /dev/null; then
         --out "$SMOKE_DIR/compiled_run.txt" --telemetry "$SMOKE_DIR/compiled-tele"
     diff "$SMOKE_DIR/clean_run.txt" "$SMOKE_DIR/compiled_run.txt"
     python -m repro.cli telemetry summarize "$SMOKE_DIR/compiled-tele" --check
-    echo "compiled smoke: C backend stream is byte-identical"
+    python - "$SMOKE_DIR/compiled-tele/campaign-summary.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    planned = json.load(fh)["planned"]
+assert planned["backend"] == "compiled", f"the campaign ran on {planned['backend']}"
+PY
+    echo "compiled smoke: C backend ran and its stream is byte-identical"
 else
     echo "compiled smoke: SKIPPED — no C compiler ('${CC:-cc}') on PATH" >&2
 fi

@@ -587,8 +587,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     profiler = _start_profiler(args)
     try:
-        with signals.graceful_shutdown():
-            summary = asyncio.run(_serve())
+        # main's graceful_shutdown is active: a SIGTERM requests the drain.
+        summary = asyncio.run(_serve())
     finally:
         _finish_profiler(args, profiler)
     jobs = {k: v for k, v in summary["jobs"].items() if v}

@@ -7,11 +7,12 @@ Two implementations sit behind the same ``step()``/``start()``/
   (``_step_numpy``, ``_prefill_numpy``); always available, define
   correctness.
 * ``compiled`` — the fused C kernels in :mod:`.compiled`: one cached
-  forward step over ``seq`` new tokens per row, rendered from an explicit
-  op graph (:mod:`.graph` → :mod:`.cstyle`), compiled once with ``cc``
-  and loaded via ``ctypes``, with numpy's own BLAS doing the matmuls in
-  numpy's own call shapes so the output is bit-identical to the
-  reference.  The decode step and the prefill run the same segments.
+  forward step over ``seq`` new tokens per row, written as one C source
+  (:mod:`.cstyle`: the shape's ``#define`` lines, then a constant body),
+  compiled once with ``cc`` and loaded via ``ctypes``, with numpy's own
+  BLAS doing the matmuls in numpy's own call shapes so the output is
+  bit-identical to the reference.  The decode step and the prefill run
+  the same entry points.
 
 The ``backend=`` argument to ``GPT2Inference`` (the CLI's
 ``--backend``) wins, then the ``REPRO_BACKEND`` environment variable;
@@ -34,8 +35,7 @@ from .compiled import (
     compiler_path,
     kernel_cache_dir,
 )
-from .cstyle import render_op_test_source, render_step_source
-from .graph import HostOp, Op, Segment, StepShape, build_step_graph, fuse_segments
+from .cstyle import StepShape, render_step_source
 
 __all__ = [
     "BACKEND_ENV",
@@ -44,18 +44,12 @@ __all__ = [
     "BlasSymbols",
     "BlasUnavailable",
     "CompiledStepBackend",
-    "HostOp",
-    "Op",
-    "Segment",
     "StepShape",
     "build_library",
-    "build_step_graph",
     "compiler_available",
     "compiler_path",
     "find_blas",
-    "fuse_segments",
     "kernel_cache_dir",
-    "render_op_test_source",
     "render_step_source",
     "requested_backend",
 ]

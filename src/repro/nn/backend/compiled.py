@@ -2,7 +2,7 @@
 
 One :class:`CompiledStepBackend` serves one ``GPT2Inference`` instance.
 Construction renders the fused C source for the model's
-:class:`~.graph.StepShape`, compiles it once (or reuses a cached shared
+:class:`~.cstyle.StepShape`, compiles it once (or reuses a cached shared
 library — in-memory per process, on-disk under ``~/.cache/repro-kernels``
 keyed by source digest), binds the model's weight pointers into the
 context struct, and then runs a **parity canary**: at batch 2 and batch
@@ -17,7 +17,7 @@ campaign continues.
 ``step()`` and ``prefill()`` are drop-ins for the numpy kernels
 (``_step_numpy`` and ``_prefill_numpy``): same ``(ids, KVCache) ->
 logits`` contract, same cache mutation, bit-identical output.  Both run
-the same fused segments.  ``supports()`` is the cheap per-call guard
+the same four entry points.  ``supports()`` is the cheap per-call guard
 (contiguity, dtype, buffer length, position bounds); anything outside
 the guard silently takes the numpy path for that call.  Token ids are
 checked by the caller before either kernel runs.
@@ -41,15 +41,13 @@ import numpy as np
 from ...telemetry.metrics import get_registry
 from .blas import BlasSymbols, BlasUnavailable, find_blas
 from .cstyle import (
-    CTX_CACHE_PTRS,
     CTX_GLOBAL_PTRS,
     CTX_LAYER_PTRS,
     CTX_SCRATCH_PTRS,
-    RENDERER_VERSION,
+    StepShape,
     ctx_ctypes_struct,
     render_step_source,
 )
-from .graph import HostOp, Segment, StepShape, build_step_graph, fuse_segments
 
 __all__ = [
     "BackendUnavailable",
@@ -118,7 +116,6 @@ def kernel_cache_dir() -> str:
 
 def _digest(source: str, flags: Tuple[str, ...]) -> str:
     h = hashlib.sha256()
-    h.update(RENDERER_VERSION.encode())
     h.update(platform.machine().encode())
     h.update(" ".join(flags).encode())
     h.update(source.encode())
@@ -220,6 +217,8 @@ class CompiledStepBackend:
 
     def __init__(self, inference: Any) -> None:
         cfg = inference.config
+        if cfg.n_layers < 1:
+            raise BackendUnavailable("the kernels need at least one transformer layer")
         self._vocab = int(inference.token_emb.shape[0])
         self._block = int(inference.pos_emb.shape[0])
         head_trans, head_arr = self._head_layout(inference.lm_head)
@@ -227,7 +226,6 @@ class CompiledStepBackend:
             dim=int(cfg.dim),
             n_layers=int(cfg.n_layers),
             n_heads=int(cfg.n_heads),
-            block_size=self._block,
             vocab_size=self._vocab,
             head_transposed=head_trans,
         )
@@ -240,11 +238,14 @@ class CompiledStepBackend:
         self._lib.repro_set_blas(
             ctypes.c_void_p(self.blas.sgemm), ctypes.c_void_p(self.blas.sgemv)
         )
+        self._first = self._entry("repro_first", layered=False)
+        self._mid = self._entry("repro_mid", layered=True)
+        self._next = self._entry("repro_next", layered=True)
+        self._last = self._entry("repro_last", layered=False)
 
         self._keep: List[np.ndarray] = []  # pins every array the ctx points into
         self._ctx = self._bind_weights(inference, head_arr)
         self._bound: Optional[Dict[str, np.ndarray]] = None  # scratch the ctx points at
-        self._schedule = self._build_schedule()
         self._verify_against_reference(inference)
 
     # -- construction ---------------------------------------------------
@@ -274,35 +275,22 @@ class CompiledStepBackend:
         def ptr(arr: np.ndarray) -> int:
             return _as_f32_contiguous(arr, keep).ctypes.data
 
-        ctx.token_emb = ptr(inference.token_emb)
-        ctx.pos_emb = ptr(inference.pos_emb)
-        ctx.lnf_w = ptr(inference.ln_f_w)
-        ctx.lnf_b = ptr(inference.ln_f_b)
-        ctx.lm_head = ptr(head_arr)
+        for name in CTX_GLOBAL_PTRS:
+            setattr(ctx, name, ptr(head_arr if name == "lm_head" else getattr(inference, name)))
         ctx.head_trans = 1 if shape.head_transposed else 0
-
-        # _BlockWeights attribute names differ from the short C names
-        # only for the second MLP matmul.
-        attr_map = {"fcp_w": "fc_proj_w", "fcp_b": "fc_proj_b"}
-        for field in CTX_LAYER_PTRS:
-            arr_field = getattr(ctx, field)
+        for name in CTX_LAYER_PTRS:
+            per_layer = getattr(ctx, name)
             for layer, bw in enumerate(inference.blocks):
-                arr_field[layer] = ptr(getattr(bw, attr_map.get(field, field)))
+                per_layer[layer] = ptr(getattr(bw, name))
         self._ctx_ref = ctypes.byref(ctx)
         return ctx
 
-    def _build_schedule(self) -> List[Tuple[str, Any]]:
-        schedule: List[Tuple[str, Any]] = []
-        for item in fuse_segments(build_step_graph(self.shape)):
-            if isinstance(item, Segment):
-                segment = getattr(self._lib, item.name)
-                # (ctx, batch, seq, start, cap, mrows)
-                segment.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 5
-                segment.restype = None
-                schedule.append(("seg", segment))
-            else:
-                schedule.append((item.func, item.buf))
-        return schedule
+    def _entry(self, name: str, layered: bool) -> Any:
+        """An entry point taking ``(ctx, [layer,] batch, seq, start, cap, mrows)``."""
+        fn = getattr(self._lib, name)
+        fn.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * (6 if layered else 5)
+        fn.restype = None
+        return fn
 
     def _reserve(self, batch: int, seq: int, stop: int) -> Dict[str, np.ndarray]:
         """This thread's scratch, grown to fit ``seq`` new tokens per row
@@ -385,28 +373,30 @@ class CompiledStepBackend:
         return self._run(ids, cache, batch=batch, seq=seq, mrows=seq)
 
     def _run(self, ids: np.ndarray, cache: Any, batch: int, seq: int, mrows: int) -> np.ndarray:
-        """Walk the segment/host-op schedule for ``seq`` new tokens per row."""
+        """One forward over ``seq`` new tokens per row: ``2L+1`` C calls
+        with numpy's ``exp`` and ``tanh`` between them."""
         start = cache.length
         stop = start + seq
         scratch = self._reserve(batch, seq, stop)
         ctx = self._ctx
         ctx.ids = ids.ctypes.data
-        for layer in range(self.shape.n_layers):
+        n_layers = self.shape.n_layers
+        for layer in range(n_layers):
             ctx.keys[layer] = cache.keys[layer].ctypes.data
             ctx.values[layer] = cache.values[layer].ctypes.data
 
-        args = (self._ctx_ref, batch, seq, start, cache.keys[0].shape[2], mrows)
-        n_scores = batch * seq * self.shape.n_heads * stop
-        n_ff = batch * seq * self.shape.ff_dim
-        for kind, payload in self._schedule:
-            if kind == "seg":
-                payload(*args)
-            elif kind == "exp":
-                flat = scratch["scores"][:n_scores]
-                np.exp(flat, out=flat)
-            else:  # tanh
-                flat = scratch["t"][:n_ff]
-                np.tanh(flat, out=flat)
+        ref = self._ctx_ref
+        dims = (batch, seq, start, cache.keys[0].shape[2], mrows)
+        scores = scratch["scores"][: batch * seq * self.shape.n_heads * stop]
+        t = scratch["t"][: batch * seq * self.shape.ff_dim]
+        self._first(ref, *dims)
+        for layer in range(n_layers):
+            np.exp(scores, out=scores)
+            self._mid(ref, layer, *dims)
+            np.tanh(t, out=t)
+            if layer + 1 < n_layers:
+                self._next(ref, layer, *dims)
+        self._last(ref, *dims)
         cache.length = stop
         return scratch["logits"][: batch * self._vocab].reshape(batch, self._vocab).copy()
 

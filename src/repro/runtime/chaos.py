@@ -547,12 +547,13 @@ def run_server_soak(
 
     Ordered cases are left out: a server job runs ``OrderedConfig()``,
     which no request can change.  The first case that reaches the worker
-    pool hosts :data:`SOAK_FAULT` and is submitted alone, so on the one
-    fleet slot it runs first; ``clients`` threads submit the rest under a
-    tiny per-tenant queue cap.  Once it ends the server drains as on
-    SIGTERM, and a fresh server over the same state directory must finish
-    every accepted request: ``done`` with the reference bytes, or a typed
-    failure.  A fault that never fires, or no case to host it, fails it.
+    pool hosts :data:`SOAK_FAULT` and is submitted alone, so it runs
+    first; ``clients`` threads submit the rest under a tiny per-tenant
+    queue cap.  Once the fault has fired the server drains as on SIGTERM,
+    so the host and whatever else is unfinished checkpoint, and a fresh
+    server over the same state directory must finish every accepted
+    request: ``done`` with the reference bytes, or a typed failure.  A
+    fault that never fires, or no case to host it, fails it.
     """
     from ..server import ServerConfig  # lazy: server imports runtime
 
@@ -613,10 +614,12 @@ def run_server_soak(
                 threads.append(thread)
             for thread in threads:
                 thread.join(60.0)
-            host_id = next((j for j, c in accepted.items() if c == host), None)
-            if host_id is not None:
-                _wait(port, lambda job: job["state"] in ("done", "failed", "interrupted"),
-                      f"/campaigns/{host_id}", 120.0)
+            # Drain once the fault has fired, while the host still runs:
+            # on two fleet slots the other requests can all finish before
+            # the host does, and the drain must leave phase 2 work to recover.
+            deadline = time.monotonic() + 120.0
+            while not any(fault_state.glob("*.tripped")) and time.monotonic() < deadline:
+                time.sleep(0.01)
             summary = runner.drain()
             report.drains.append(summary)
             _say(log, f"  phase 1: drained ({summary.get('reason')}) "

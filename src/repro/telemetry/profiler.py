@@ -9,11 +9,14 @@ flamegraph line format::
 
     span:dcgen.execute_batch;cli.py:cmd_generate;dcgen.py:generate;... 42
 
-The leading ``span:<name>`` frame attributes the sample to that span
-(``span:-`` when none), so the flamegraph directly answers *which
-phase* burns the wall-clock — the same attribution axis the span
-records use.  Every thread is sampled at the same rate: the main
-thread, server fleet slots, the asyncio loop's executor threads.
+The leading ``span:<name>`` frame attributes the sample to the
+innermost span open in *that* thread's session (``span:-`` when none;
+see :func:`~repro.telemetry.tracing.thread_session`), so the flamegraph
+directly answers *which phase* burns the wall-clock — the same
+attribution axis the span records use — and a server fleet slot's
+stacks sit under its own job's spans.  Every thread is sampled at the
+same rate: the main thread, server fleet slots, the asyncio loop's
+executor threads.
 
 * **Wall clock** — a thread blocked in I/O, on a lock, or in a C call
   that released the GIL is sampled where it waits.  A tick needs the
@@ -29,7 +32,6 @@ thread, server fleet slots, the asyncio loop's executor threads.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import sys
 import threading
@@ -45,6 +47,13 @@ MAX_STACK_DEPTH = 128
 
 class ProfilerError(RuntimeError):
     """The profiler cannot start (it is already running)."""
+
+
+def _span_name(thread_id: int) -> str:
+    """Innermost span open in thread ``thread_id``'s session, or ``-``."""
+    sess = tracing.thread_session(thread_id)
+    span = sess.current_span() if sess is not None else None
+    return span.name if span is not None else "-"
 
 
 def _format_frame(frame) -> str:
@@ -79,6 +88,7 @@ class SamplingProfiler:
         #: Ticks taken; each folds one stack per sampled thread.
         self.sample_count = 0
         self._thread: Optional[threading.Thread] = None
+        self._starter = 0  # id of the thread that started the profiler
         self._halt = threading.Event()
 
     # ------------------------------------------------------------------
@@ -96,13 +106,11 @@ class SamplingProfiler:
 
     def _tick(self, own_ident: int) -> None:
         self.sample_count += 1
-        sess = tracing.active()
-        span = sess.current_span() if sess is not None else None
-        span_name = span.name if span is not None else "-"
+        span_name = _span_name(self._starter)
         self.span_samples[span_name] = self.span_samples.get(span_name, 0) + 1
         for thread_id, frame in sys._current_frames().items():
             if thread_id != own_ident:
-                self._fold_stack(frame, f"span:{span_name}")
+                self._fold_stack(frame, f"span:{_span_name(thread_id)}")
 
     def _sample(self) -> None:
         own_ident = threading.get_ident()
@@ -116,13 +124,9 @@ class SamplingProfiler:
         if self._thread is not None:
             raise ProfilerError("profiler already running")
         self._halt.clear()
-        # A new thread starts with an empty context (no session): run the
-        # sampler in a copy of ours, so each tick reads our open span.
+        self._starter = threading.get_ident()
         self._thread = threading.Thread(
-            target=contextvars.copy_context().run,
-            args=(self._sample,),
-            name="profiler-sampler",
-            daemon=True,
+            target=self._sample, name="profiler-sampler", daemon=True
         )
         self._thread.start()
 

@@ -23,6 +23,9 @@ The active session lives in a :class:`contextvars.ContextVar`
 (:data:`~repro.telemetry.metrics.ACTIVE_SESSION`), so only the thread
 that started it sees it: a server fleet slot's job session never
 collects the event loop's events, journal spans or counter increments.
+Each live session is also kept by the id of the thread that started it
+(:func:`thread_session`), so the profiler's sampler thread can root
+every thread's stack at that thread's own open span.
 
 Every session belongs to exactly one **trace** (see
 :mod:`~repro.telemetry.context`): span ids are minted from
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -207,6 +211,11 @@ class TelemetrySession:
             self.logger.close()
 
 
+#: Live sessions by the id of the thread that started them: a context
+#: variable cannot be read from another thread's context.
+_THREAD_SESSIONS: dict[int, TelemetrySession] = {}
+
+
 def start_session(
     directory: Union[str, Path],
     run_id: str = "run",
@@ -228,6 +237,7 @@ def start_session(
         current.close()
     sess = TelemetrySession(directory, run_id=run_id, worker=worker, clock=clock, context=context)
     ACTIVE_SESSION.set(sess)
+    _THREAD_SESSIONS[threading.get_ident()] = sess
     return sess
 
 
@@ -240,11 +250,18 @@ def end_session(emit_snapshot: bool = True) -> None:
         # An inherited (forked) session is just dropped: writing a
         # snapshot into the parent's stream would corrupt its accounting.
         ACTIVE_SESSION.set(None)
+        if _THREAD_SESSIONS.get(threading.get_ident()) is sess:
+            del _THREAD_SESSIONS[threading.get_ident()]
 
 
 def active() -> Optional[TelemetrySession]:
     """The calling context's active session, or ``None``."""
     return ACTIVE_SESSION.get()
+
+
+def thread_session(thread_id: int) -> Optional[TelemetrySession]:
+    """The session thread ``thread_id`` started and has not ended, or ``None``."""
+    return _THREAD_SESSIONS.get(thread_id)
 
 
 @contextmanager

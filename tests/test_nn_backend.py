@@ -2,10 +2,13 @@
 
 Three layers of guarantees, mirroring how the backend is built:
 
-* **Per-op** — each rendered C primitive (pairwise sum, layernorm, GELU
-  halves, softmax halves, the inline attention kernels, BLAS-delegated
-  matmul) reproduces its numpy counterpart: bit-exact on the float32
-  domains the step kernel actually uses, ≤1e-6 relative elsewhere.
+* **Per-op** — each helper of the kernel source (pairwise sum,
+  layernorm, GELU halves, the attention prep with its causal fill and
+  the softmax normalisation, the inline attention kernels,
+  BLAS-delegated matmul), called through its exported ``repro_<name>``
+  wrapper in the step library itself, reproduces its numpy counterpart:
+  bit-exact on the float32 domains the kernels actually use, ≤1e-6
+  relative elsewhere.
 * **Fused** — full decode-step rollouts and prefills (``start`` then
   ``extend`` up to the block size) through ``CompiledStepBackend`` are
   bit-identical to ``GPT2Inference._step_numpy`` / ``_prefill_numpy``,
@@ -52,15 +55,17 @@ def _ptr(arr):
 
 @pytest.fixture(scope="module")
 def oplib(tmp_path_factory):
-    """The standalone per-op kernel library, BLAS pointers bound."""
+    """The step library of one shape, BLAS pointers bound: its exported
+    ``repro_<helper>`` wrappers call the helpers its entry points call."""
     if not bk.compiler_available():
         pytest.skip("no C compiler available")
     blas = bk.find_blas()
-    lib = bk.build_library(bk.render_op_test_source(blas_int64=blas.ilp64), tag="ops")
+    shape = bk.StepShape(64, 2, 4, 135, head_transposed=True)
+    lib = bk.build_library(bk.render_step_source(shape, blas_int64=blas.ilp64), tag="step")
     lib.repro_set_blas(ctypes.c_void_p(blas.sgemm), ctypes.c_void_p(blas.sgemv))
-    lib.repro_sum.restype = ctypes.c_float
+    lib.repro_np_sum.restype = ctypes.c_float
     # explicit argtypes so the float scalar is passed single-precision
-    lib.repro_softmax_prep.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_float]
+    lib.repro_attn_prep.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_float]
     return lib
 
 
@@ -73,35 +78,19 @@ def _tiny_model(**overrides):
 
 
 # ----------------------------------------------------------------------
-# Op graph structure
+# Shapes and backend selection
 # ----------------------------------------------------------------------
 
 
 class TestGraph:
-    def test_segment_count_and_host_interleave(self):
-        shape = bk.StepShape(64, 2, 4, 32, 135, head_transposed=True)
-        program = bk.fuse_segments(bk.build_step_graph(shape))
-        segments = [p for p in program if isinstance(p, bk.Segment)]
-        hosts = [p for p in program if isinstance(p, bk.HostOp)]
-        assert len(segments) == 2 * 2 + 1
-        assert [h.func for h in hosts] == ["exp", "tanh"] * 2
-        # strict alternation: seg, host, seg, host, ..., seg
-        kinds = ["seg" if isinstance(p, bk.Segment) else "host" for p in program]
-        assert kinds == ["seg", "host"] * (len(hosts)) + ["seg"]
-
-    def test_graph_covers_reference_ops(self):
-        shape = bk.StepShape(64, 3, 4, 32, 135, head_transposed=False)
-        ops = bk.build_step_graph(shape)
-        per_layer = [op.kind for op in ops if op.layer == 1]
-        assert per_layer.count("layernorm") == 2
-        assert per_layer.count("matmul") == 4
-        assert ops[0].kind == "embed" and ops[-1].kind == "head"
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            bk.StepShape(30, 2, 4, 32, 135, head_transposed=False).validate()
+    def test_shape_validation(self, monkeypatch, capsys):
         with pytest.raises(ValueError):
             bk.requested_backend("metal")
+        # No layer for the kernels to run: the engine is numpy from the
+        # start, refused before the canary could run a layer 0.
+        monkeypatch.setattr(inference_mod, "_BACKEND_FALLBACK_EMITTED", False)
+        assert GPT2Inference(_tiny_model(n_layers=0), backend="compiled").backend_name == "numpy"
+        assert "at least one transformer layer" in capsys.readouterr().err
 
     def test_requested_backend_resolution(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(bk.BACKEND_ENV, raising=False)
@@ -134,7 +123,7 @@ class TestPerOp:
     def test_sum_matches_numpy_pairwise_exactly(self, oplib, n):
         rng = np.random.default_rng(n)
         a = _f32(n, rng=rng)
-        got = np.float32(oplib.repro_sum(_ptr(a), ctypes.c_int64(n)))
+        got = np.float32(oplib.repro_np_sum(_ptr(a), ctypes.c_int64(n)))
         assert got.tobytes() == np.float32(a.sum()).tobytes()
 
     @pytest.mark.parametrize("dim", [8, 16, 64, 96, 128, 200])
@@ -144,7 +133,8 @@ class TestPerOp:
         x, w, b = _f32(rows, dim, rng=rng), _f32(dim, rng=rng), _f32(dim, rng=rng)
         out = np.empty_like(x)
         oplib.repro_layer_norm(
-            _ptr(x), _ptr(w), _ptr(b), _ptr(out), ctypes.c_int64(rows), ctypes.c_int64(dim)
+            _ptr(x), ctypes.c_int64(dim), _ptr(w), _ptr(b), _ptr(out),
+            ctypes.c_int64(rows), ctypes.c_int64(dim),
         )
         assert out.tobytes() == _layer_norm(x, w, b).astype(np.float32).tobytes()
 
@@ -167,9 +157,24 @@ class TestPerOp:
         ref -= ref.max()
         np.exp(ref, out=ref)
         ref /= ref.sum()
-        oplib.repro_softmax_prep(_ptr(s), ctypes.c_int64(n), ctypes.c_float(kscale))
+        oplib.repro_attn_prep(_ptr(s), n, n, ctypes.c_float(kscale))  # every position visible
         np.exp(s, out=s)  # host op
-        oplib.repro_softmax_norm(_ptr(s), ctypes.c_int64(n))
+        oplib.repro_attn_norm(_ptr(s), ctypes.c_int64(n))
+        assert s.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("vis_stop", [(1, 2), (1, 5), (3, 4), (4, 9), (17, 31)])
+    def test_attention_prep_causal_fill_exact(self, oplib, vis_stop):
+        """Positions from ``vis`` on take numpy's ``np.where`` fill before
+        the max shift, as a prefill's later queries do."""
+        vis, stop = vis_stop
+        rng = np.random.default_rng(stop)
+        s = _f32(stop, rng=rng, scale=3.0)
+        kscale = np.float32(4.0)
+        mask = np.arange(stop) >= vis
+        ref = np.where(mask, inference_mod._NEG_INF, s / kscale)
+        ref -= ref.max()
+        oplib.repro_attn_prep(_ptr(s), stop, vis, ctypes.c_float(kscale))
+        assert ref.dtype == np.float32
         assert s.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("hd", [16, 32, 64])
@@ -195,9 +200,9 @@ class TestPerOp:
         score, and ``fmaf(1, v, 0) == v`` makes the mix exact."""
         rng = np.random.default_rng(hd)
         s = _f32(1, rng=rng, scale=5.0)
-        oplib.repro_softmax_prep(_ptr(s), ctypes.c_int64(1), ctypes.c_float(np.float32(4.0)))
+        oplib.repro_attn_prep(_ptr(s), 1, 1, ctypes.c_float(np.float32(4.0)))
         np.exp(s, out=s)
-        oplib.repro_softmax_norm(_ptr(s), ctypes.c_int64(1))
+        oplib.repro_attn_norm(_ptr(s), ctypes.c_int64(1))
         assert s[0] == np.float32(1.0)
         v = _f32(1, hd, rng=rng)
         out = np.empty(hd, dtype=np.float32)
@@ -220,9 +225,9 @@ class TestPerOp:
         rng = np.random.default_rng(m + k + n)
         a, b = _f32(m, k, rng=rng), _f32(k, n, rng=rng)
         out = np.empty((m, n), dtype=np.float32)
-        oplib.repro_matmul(
+        oplib.repro_mm(  # one 2-D product: one call over all rows
             _ptr(a), _ptr(b), _ptr(out),
-            ctypes.c_int64(m), ctypes.c_int64(k), ctypes.c_int64(n),
+            ctypes.c_int64(m), ctypes.c_int64(m), ctypes.c_int64(k), ctypes.c_int64(n),
         )
         assert out.tobytes() == (a @ b).tobytes()
 
@@ -231,7 +236,7 @@ class TestPerOp:
         rng = np.random.default_rng(m)
         a, bt = _f32(m, 64, rng=rng), _f32(135, 64, rng=rng)  # (vocab, dim) base
         out = np.empty((m, 135), dtype=np.float32)
-        oplib.repro_matmul_t(
+        oplib.repro_mm_t(
             _ptr(a), _ptr(bt), _ptr(out),
             ctypes.c_int64(m), ctypes.c_int64(64), ctypes.c_int64(135),
         )
@@ -445,12 +450,13 @@ class TestPrefillParity:
         follow its own writes, so the logits still agree): construction
         falls back to numpy."""
         render = compiled_mod.render_step_source
+        model = _tiny_model()
 
         def block_stride(shape, blas_int64):
             source = render(shape, blas_int64)
-            # per layer: the K and V cache writes, the scores, the mix
-            assert source.count("*cap") == 4 * shape.n_layers
-            return source.replace("*cap", f"*{shape.block_size}")
+            # the K and V cache writes, the scores, the mix
+            assert source.count("*cap") == 4
+            return source.replace("*cap", f"*{model.config.block_size}")
 
         monkeypatch.setattr(compiled_mod, "render_step_source", block_stride)
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
@@ -458,7 +464,7 @@ class TestPrefillParity:
         monkeypatch.setattr(inference_mod, "_BACKEND_FALLBACK_EMITTED", False)
         registry = get_registry()
         before = dict(registry.values()).get("backend.fallbacks", 0)
-        inf = GPT2Inference(_tiny_model(), backend="compiled")
+        inf = GPT2Inference(model, backend="compiled")
         assert inf.backend_name == "numpy"
         assert dict(registry.values()).get("backend.fallbacks", 0) == before + 1
         assert list(tmp_path.glob("step-*.so")), "the broken kernel never compiled"

@@ -18,6 +18,7 @@ import pytest
 from repro import telemetry
 from repro.generation import DCGenConfig, DCGenerator
 from repro.telemetry.profiler import ProfilerError, SamplingProfiler
+from repro.telemetry.tracing import thread_session
 
 from tests.goldens import GOLDEN_PATH, SPEC, build_model, generate_ordered_stream
 
@@ -156,6 +157,30 @@ def test_every_thread_sampled_at_one_rate():
     main = sum(n for stack, n in profiler.samples.items() if ".nap" in stack)
     assert main > 10
     assert busy >= main / 2, (busy, main)
+
+def test_each_thread_rooted_at_its_own_span(tmp_path):
+    # As `repro serve --profile`: the profiler starts on a thread with no
+    # session while a fleet thread runs a traced job.  The job's stacks
+    # sit under the job's span; the starter's own count stays at "-".
+    def job():
+        telemetry.start_session(tmp_path, run_id="job")
+        try:
+            with telemetry.trace("job.work"):
+                _busy(0.4)
+        finally:
+            telemetry.end_session()
+
+    profiler = SamplingProfiler(interval=0.001)
+    with profiler:
+        worker = threading.Thread(target=job)
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    busy = [stack for stack in profiler.samples if ".job;" in stack and "_busy" in stack]
+    assert busy
+    assert all(stack.startswith("span:job.work;") for stack in busy), busy
+    assert set(profiler.span_samples) == {"-"}
+    assert thread_session(worker.ident) is None  # ended, forgotten
 
 def test_bad_interval_refused():
     with pytest.raises(ValueError):
