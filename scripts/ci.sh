@@ -67,7 +67,20 @@ python -m pytest benchmarks/bench_table4_trawling.py --benchmark-only -x -q
 # Crash-resume smoke (ISSUE 2): interrupted campaign == clean campaign.
 # ----------------------------------------------------------------------
 SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR"' EXIT
+SERVER_PID=
+# SIGTERM (the graceful drain) and reap the backgrounded `repro serve`;
+# returns its exit status.  SERVER_PID is cleared first, so the EXIT
+# trap never signals a pid this script has already reaped.
+stop_server() {
+    local pid=$SERVER_PID status=0
+    SERVER_PID=
+    kill -TERM "$pid"
+    wait "$pid" || status=$?
+    return "$status"
+}
+# A failing command between a server's start and its stop exits the
+# script (set -e): the trap stops that server before the state dir goes.
+trap 'if [ -n "$SERVER_PID" ]; then stop_server || true; fi; rm -rf "$SMOKE_DIR"' EXIT
 
 python -m repro.cli synth --site rockyou --entries 2000 --out "$SMOKE_DIR/leak.txt"
 python -m repro.cli clean --input "$SMOKE_DIR/leak.txt" --out "$SMOKE_DIR/cleaned.txt"
@@ -267,9 +280,8 @@ python -m repro.cli serve --checkpoint "$SMOKE_DIR/model.npz" \
     --state-dir "$SMOKE_DIR/server-state" --port 0 --fleet 1 &
 SERVER_PID=$!
 sleep 3
-kill -0 "$SERVER_PID" || { echo "serve smoke: server died at startup" >&2; exit 1; }
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID"
+kill -0 "$SERVER_PID" || { SERVER_PID=; echo "serve smoke: server died at startup" >&2; exit 1; }
+stop_server
 test -s "$SMOKE_DIR/server-state/requests.journal.jsonl"
 echo "serve smoke: SIGTERM drain exits 0"
 
@@ -299,7 +311,7 @@ python -m repro.cli serve --checkpoint "$SMOKE_DIR/model.npz" \
 SERVER_PID=$!
 for _ in $(seq 1 50); do
     grep -qs "serving on" "$SMOKE_DIR/serve.log" && break
-    kill -0 "$SERVER_PID" || { cat "$SMOKE_DIR/serve.log" >&2; exit 1; }
+    kill -0 "$SERVER_PID" || { SERVER_PID=; cat "$SMOKE_DIR/serve.log" >&2; exit 1; }
     sleep 0.2
 done
 PORT=$(sed -n 's|.*serving on http://[^:]*:\([0-9]*\).*|\1|p' "$SMOKE_DIR/serve.log" | head -1)
@@ -362,6 +374,5 @@ test -n "$CLI_EXACT"
 test "$CLI_EXACT" = "$(cat "$SMOKE_DIR/ordered_server.exact")"
 echo "ordered smoke: server ordered job == repro generate --strategy ordered" \
     "(stream and $CLI_EXACT provably exact)"
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID"
+stop_server
 echo "observability smoke: prometheus scrape + repro top ok, drain clean"

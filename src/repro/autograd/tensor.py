@@ -85,12 +85,6 @@ def _is_basic_index(index) -> bool:
     )
 
 
-def _as_array(value: ArrayLike) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value, dtype=_DEFAULT_DTYPE)
-
-
 def as_tensor(value: ArrayLike) -> "Tensor":
     """Coerce ``value`` to a :class:`Tensor` (no-op if it already is one)."""
     if isinstance(value, Tensor):
@@ -180,17 +174,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Graph plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        backward_fn: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
-
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into this tensor's gradient buffer."""
         if self.grad is None:

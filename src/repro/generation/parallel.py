@@ -109,12 +109,7 @@ def _init_worker(
     signals.ignore_in_worker()
     if tele is not None:
         directory, run_id, trace = tele
-        telemetry.start_session(
-            directory,
-            run_id=run_id,
-            worker=os.getpid(),
-            context=telemetry.TraceContext.from_dict(trace),
-        )
+        telemetry.start_session(directory, run_id=run_id, worker=os.getpid(), trace=trace)
 
 
 def _init_from_checkpoint(

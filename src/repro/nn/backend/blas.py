@@ -40,10 +40,6 @@ class BlasSymbols:
     sgemv: int
     ilp64: bool  # True -> dims are int64 (suffix "64_"), else int32
 
-    @property
-    def flavor(self) -> str:
-        return "ilp64" if self.ilp64 else "lp64"
-
 
 # (sgemm symbol, sgemv symbol, ilp64) in probe order.  The scipy_ pair is
 # what numpy>=1.26 wheels actually export.

@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import faults, signals
-from .atomic import DiskFullError
 from .faults import FAULT_ENV, FAULT_STATE_ENV, InjectedFault, corrupt_file
 from .retry import TASK_TIMEOUT_ENV
 
@@ -233,16 +232,16 @@ def _armed(fault: Optional[str], state_dir: Optional[Path] = None):
 def _run_cli(argv: list[str]) -> tuple[Optional[int], Optional[BaseException]]:
     """One in-process CLI leg; returns ``(exit_code, exception)``.
 
-    Injected faults and ENOSPC deliberately escape ``cli.main`` the way
-    a real crash would escape the process; everything else is an exit
-    code.  Fault counters and any pending signal state are reset after
-    the leg so legs stay independent.
+    An injected fault deliberately escapes ``cli.main`` the way a real
+    crash would escape the process; everything else, a full disk
+    included, is an exit code.  Fault counters and any pending signal
+    state are reset after the leg so legs stay independent.
     """
     from .. import cli  # lazy: cli imports this package
 
     try:
         return cli.main(argv), None
-    except (InjectedFault, DiskFullError) as exc:
+    except InjectedFault as exc:
         return None, exc
     finally:
         faults.reset()

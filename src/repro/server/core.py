@@ -245,7 +245,7 @@ class CampaignServer:
         # telemetry session adopts it — so one id follows the request
         # from the socket through the fleet slot into forked workers.
         if trace is None:
-            trace = telemetry.TraceContext.new().to_dict()
+            trace = {"trace_id": telemetry.new_trace_id()}
         job = self.store.admit(spec, trace=trace)
         self._update_gauges()
         return job
@@ -390,11 +390,7 @@ class CampaignServer:
             # received via ``traceparent``): its campaign span becomes a
             # remote child of the caller's span, and pool workers chain
             # under it — one connected tree per request.
-            telemetry.start_session(
-                session_dir,
-                run_id=f"job-{job.job_id}",
-                context=telemetry.TraceContext.from_dict(job.trace),
-            )
+            telemetry.start_session(session_dir, run_id=f"job-{job.job_id}", trace=job.trace)
         try:
             guesses, _, stats = run_strategy(
                 model, spec.strategy, spec.n, seed=spec.seed, workers=spec.workers,

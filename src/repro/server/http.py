@@ -51,13 +51,6 @@ _STATUS_TEXT = {
 }
 
 
-class _HttpError(Exception):
-    def __init__(self, status: int, code: str, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-
-
 def _render(
     status: int,
     body: bytes,
@@ -88,15 +81,15 @@ async def _read_request(reader: asyncio.StreamReader):
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # clean disconnect before a request
-        raise _HttpError(400, "bad_request", "truncated request head") from None
+        raise RequestError(400, "bad_request", "truncated request head") from None
     except asyncio.LimitOverrunError:
-        raise _HttpError(413, "headers_too_large", "request head too large") from None
+        raise RequestError(413, "headers_too_large", "request head too large") from None
     if len(head) > MAX_HEADER_BYTES:
-        raise _HttpError(413, "headers_too_large", "request head too large")
+        raise RequestError(413, "headers_too_large", "request head too large")
     lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split(" ")
     if len(parts) != 3:
-        raise _HttpError(400, "bad_request", f"malformed request line {lines[0]!r}")
+        raise RequestError(400, "bad_request", f"malformed request line {lines[0]!r}")
     method, target, _version = parts
     headers = {}
     for line in lines[1:]:
@@ -104,15 +97,15 @@ async def _read_request(reader: asyncio.StreamReader):
             continue
         name, sep, value = line.partition(":")
         if not sep:
-            raise _HttpError(400, "bad_request", f"malformed header {line!r}")
+            raise RequestError(400, "bad_request", f"malformed header {line!r}")
         headers[name.strip().lower()] = value.strip()
     length = headers.get("content-length", "0")
     try:
         length = int(length)
     except ValueError:
-        raise _HttpError(400, "bad_request", "bad Content-Length") from None
+        raise RequestError(400, "bad_request", "bad Content-Length") from None
     if length < 0 or length > MAX_BODY_BYTES:
-        raise _HttpError(413, "body_too_large", f"body of {length} bytes refused")
+        raise RequestError(413, "body_too_large", f"body of {length} bytes refused")
     body = await reader.readexactly(length) if length else b""
     path, _, query_string = target.partition("?")
     query = {k: v[-1] for k, v in parse_qs(query_string).items()}
@@ -123,7 +116,7 @@ def _decode_json(body: bytes) -> object:
     try:
         return json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _HttpError(400, "bad_json", f"body is not valid JSON: {exc}") from None
+        raise RequestError(400, "bad_json", f"body is not valid JSON: {exc}") from None
 
 
 def _job_or_404(server, ident: str):
@@ -132,19 +125,8 @@ def _job_or_404(server, ident: str):
     except ValueError:
         job = None
     if job is None:
-        raise _HttpError(404, "not_found", f"no request with id {ident!r}")
+        raise RequestError(404, "not_found", f"no request with id {ident!r}")
     return job
-
-
-def _incoming_trace(headers: Dict[str, str]) -> Optional[dict]:
-    """The caller's trace ref from a ``traceparent`` header, if valid."""
-    context = telemetry.TraceContext.from_traceparent(headers.get("traceparent"))
-    if context is None:
-        return None
-    ref = {"trace_id": context.trace_id}
-    if context.parent_span_id is not None:
-        ref["span_id"] = context.parent_span_id
-    return ref
 
 
 def route_label(path: str) -> str:
@@ -175,7 +157,8 @@ async def _route(
     parts = [p for p in path.split("/") if p]
     if parts == ["campaigns"]:
         if method == "POST":
-            job = server.submit_generate(_decode_json(body), trace=_incoming_trace(headers))
+            trace = telemetry.parse_traceparent(headers.get("traceparent"))
+            job = server.submit_generate(_decode_json(body), trace=trace)
             return _json_response(
                 202,
                 {"id": job.job_id, "state": job.state, "href": f"/campaigns/{job.job_id}"},
@@ -183,17 +166,17 @@ async def _route(
         if method == "GET":
             jobs = [job.public(verbose=False) for _, job in sorted(server.store.jobs.items())]
             return _json_response(200, {"requests": jobs})
-        raise _HttpError(405, "method_not_allowed", f"{method} not supported here")
+        raise RequestError(405, "method_not_allowed", f"{method} not supported here")
     if len(parts) == 2 and parts[0] == "campaigns":
         if method != "GET":
-            raise _HttpError(405, "method_not_allowed", f"{method} not supported here")
+            raise RequestError(405, "method_not_allowed", f"{method} not supported here")
         return _json_response(200, _job_or_404(server, parts[1]).public())
     if len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "guesses":
         if method != "GET":
-            raise _HttpError(405, "method_not_allowed", f"{method} not supported here")
+            raise RequestError(405, "method_not_allowed", f"{method} not supported here")
         job = _job_or_404(server, parts[1])
         if job.state != "done":
-            raise _HttpError(
+            raise RequestError(
                 409, "not_finished",
                 f"request {job.job_id} is {job.state}; guesses exist only for 'done'",
             )
@@ -206,10 +189,9 @@ async def _route(
         )
     if parts == ["score"]:
         if method != "POST":
-            raise _HttpError(405, "method_not_allowed", f"{method} not supported here")
-        return _json_response(
-            200, await server.submit_score(_decode_json(body), trace=_incoming_trace(headers))
-        )
+            raise RequestError(405, "method_not_allowed", f"{method} not supported here")
+        trace = telemetry.parse_traceparent(headers.get("traceparent"))
+        return _json_response(200, await server.submit_score(_decode_json(body), trace=trace))
     if parts == ["status"] and method == "GET":
         return _json_response(200, server.status())
     if parts == ["metrics"] and method == "GET":
@@ -222,7 +204,7 @@ async def _route(
         return _json_response(200, server.metrics())
     if parts == ["healthz"] and method == "GET":
         return _json_response(200, {"ok": True, "draining": server.draining})
-    raise _HttpError(404, "not_found", f"no route for {method} {path}")
+    raise RequestError(404, "not_found", f"no route for {method} {path}")
 
 
 async def handle_connection(server, reader, writer) -> None:
@@ -236,10 +218,8 @@ async def handle_connection(server, reader, writer) -> None:
             method, path, query, headers, body = parsed
             label = route_label(path)
             response = await _route(server, method, path, query, headers, body)
-    except RequestError as exc:  # admission/validation: typed + Retry-After
+    except RequestError as exc:  # a typed refusal; backpressure adds Retry-After
         response = _json_response(exc.status, exc.to_payload(), exc.retry_after)
-    except _HttpError as exc:
-        response = _json_response(exc.status, {"error": exc.code, "message": str(exc)})
     except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError):
         response = None  # client went away; nothing useful to say
     except Exception as exc:  # noqa: BLE001 — a connection must not kill the server

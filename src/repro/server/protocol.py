@@ -169,7 +169,7 @@ class CampaignSpec:
                 checkpoint=checkpoint,
                 seed=_take_int(payload, "seed", 0, 0, 2**32 - 1),
                 workers=_take_int(payload, "workers", 1, 1, MAX_WORKERS),
-                threshold=_take_int(payload, "threshold", 256, 2, 1_000_000),
+                threshold=_take_int(payload, "threshold", 256, 1, 1_000_000),
                 deadline=_take_number(payload, "deadline", 0.0),
                 max_guesses=_take_int(payload, "max_guesses", None, 1, MAX_REQUEST_GUESSES),
                 max_model_calls=_take_int(payload, "max_model_calls", None, 1, 2**31),
@@ -209,8 +209,3 @@ class CampaignSpec:
             max_guesses=self.max_guesses,
             max_model_calls=self.max_model_calls,
         )
-
-    def describe(self) -> str:
-        if self.kind == "score":
-            return f"score[{self.tenant}] {len(self.guesses)}x{len(self.test)}"
-        return f"generate[{self.tenant}] {self.strategy} n={self.n} seed={self.seed}"

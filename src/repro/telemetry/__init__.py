@@ -40,9 +40,10 @@ from .aggregate import (
 )
 from .context import (
     SPAN_COUNTER_BITS,
-    TraceContext,
+    as_trace_ref,
     make_span_id,
     new_trace_id,
+    parse_traceparent,
     split_span_id,
 )
 from .export import (
@@ -95,9 +96,10 @@ __all__ = [
     "stable_events",
     "summarize_campaign",
     "SPAN_COUNTER_BITS",
-    "TraceContext",
+    "as_trace_ref",
     "make_span_id",
     "new_trace_id",
+    "parse_traceparent",
     "split_span_id",
     "build_chrome_trace",
     "check_trace_tree",

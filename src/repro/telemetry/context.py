@@ -1,15 +1,20 @@
-"""Distributed trace identity: trace ids, span ids, W3C ``traceparent``.
+"""Distributed trace identity: trace ids, span ids, trace refs.
 
 A campaign that spans an HTTP request, a server fleet slot, a forked
 worker pool, and a crash-resumed re-run needs one stable identity for
-the whole tree.  :class:`TraceContext` is that identity:
+the whole tree.  That identity is a **trace ref**, the plain dict
+``{"trace_id": <32 lowercase hex>, "span_id": <int, optional>}``:
 
-* ``trace_id`` — 128 random bits, rendered as 32 lowercase hex chars
-  (the W3C trace-context format), minted once at the edge (the server
-  request handler or the CLI session) and carried everywhere else;
-* ``parent_span_id`` — the span a *remote* child should attach under:
-  the server's request span for a job session, the parent process's
-  campaign span for a pool worker.
+* ``trace_id`` — 128 random bits (the W3C trace-context format),
+  minted once at the edge (the server request handler or the CLI
+  session) and carried everywhere else;
+* ``span_id`` — the span a *remote* child attaches under: the caller's
+  span for a job session, the parent process's campaign span for a pool
+  worker, the first attempt's campaign span for a resumed run.
+
+Run-journal headers, server request records and worker initargs store
+and pass the ref unchanged; :func:`as_trace_ref` is its one validity
+rule and :func:`parse_traceparent` reads one from a W3C header.
 
 Span ids themselves must be unique **across processes** so that merged
 parent + worker streams form an unambiguous tree.  They are derived
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 #: Low bits reserved for the per-session span counter; pids (<= 2^22 on
@@ -60,61 +64,36 @@ def split_span_id(span_id: int) -> tuple:
     return int(span_id) >> SPAN_COUNTER_BITS, int(span_id) & _SPAN_COUNTER_MASK
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The identity a session (or remote child) joins a trace under."""
+def as_trace_ref(payload: object) -> Optional[dict]:
+    """``payload`` as a trace ref, or ``None`` when it names no trace.
 
-    trace_id: str
-    #: Span id of the remote parent this context's root spans attach
-    #: under, or ``None`` when this context starts a brand-new tree.
-    parent_span_id: Optional[int] = None
+    A ref needs a non-empty str ``trace_id``; a ``span_id`` that is not
+    an int is dropped.
+    """
+    if not isinstance(payload, dict):
+        return None
+    trace_id = payload.get("trace_id")
+    if not isinstance(trace_id, str) or not trace_id:
+        return None
+    ref = {"trace_id": trace_id}
+    span_id = payload.get("span_id")
+    if isinstance(span_id, int):
+        ref["span_id"] = int(span_id)
+    return ref
 
-    @classmethod
-    def new(cls) -> "TraceContext":
-        """A brand-new trace with no remote parent."""
-        return cls(trace_id=new_trace_id(), parent_span_id=None)
 
-    # ------------------------------------------------------------------
-    # dict form — journal headers, JobStore records, worker initargs
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        out = {"trace_id": self.trace_id}
-        if self.parent_span_id is not None:
-            out["span_id"] = int(self.parent_span_id)
-        return out
+def parse_traceparent(header: Optional[str]) -> Optional[dict]:
+    """The trace ref a W3C ``traceparent`` header names; invalid/absent → ``None``.
 
-    @classmethod
-    def from_dict(cls, payload: Optional[dict]) -> Optional["TraceContext"]:
-        """Rebuild from :meth:`to_dict` output; ``None``/malformed → ``None``."""
-        if not isinstance(payload, dict):
-            return None
-        trace_id = payload.get("trace_id")
-        if not isinstance(trace_id, str) or not trace_id:
-            return None
-        span_id = payload.get("span_id")
-        parent = int(span_id) if isinstance(span_id, int) else None
-        return cls(trace_id=trace_id, parent_span_id=parent)
-
-    # ------------------------------------------------------------------
-    # W3C trace-context header form — server ingress/egress
-    # ------------------------------------------------------------------
-    def to_traceparent(self, span_id: Optional[int] = None) -> str:
-        """Render as a ``traceparent`` header value.
-
-        ``span_id`` names the span a downstream service should attach
-        under; it defaults to this context's own parent (or zero when
-        the trace has no spans yet).
-        """
-        parent = span_id if span_id is not None else (self.parent_span_id or 0)
-        return f"00-{self.trace_id}-{int(parent) & ((1 << 64) - 1):016x}-01"
-
-    @classmethod
-    def from_traceparent(cls, header: Optional[str]) -> Optional["TraceContext"]:
-        """Parse a ``traceparent`` header; invalid/absent → ``None``."""
-        if not header:
-            return None
-        match = _TRACEPARENT_RE.match(header.strip().lower())
-        if match is None:
-            return None
-        parent = int(match.group("parent_id"), 16)
-        return cls(trace_id=match.group("trace_id"), parent_span_id=parent or None)
+    An all-zero parent id names no span.
+    """
+    if not header:
+        return None
+    match = _TRACEPARENT_RE.match(header.strip().lower())
+    if match is None:
+        return None
+    ref = {"trace_id": match.group("trace_id")}
+    parent = int(match.group("parent_id"), 16)
+    if parent:
+        ref["span_id"] = parent
+    return ref

@@ -30,11 +30,11 @@ every thread's stack at that thread's own open span.
 Every session belongs to exactly one **trace** (see
 :mod:`~repro.telemetry.context`): span ids are minted from
 ``(pid, counter)`` so merged parent + worker streams never collide, and
-a session started with a :class:`TraceContext` attaches its root spans
-under a *remote* parent span — the parent process's campaign span for a
-pool worker, the server's request span for a job session.  Journaled
-campaigns pin their trace in the run-journal header
-(:func:`pin_trace`) and re-adopt it on crash resume
+a session started with a trace ref joins that trace, attaching its root
+spans under the ref's *remote* parent span — the parent process's
+campaign span for a pool worker, the caller's span for a server job
+session.  Journaled campaigns pin their trace ref in the run-journal
+header (:func:`pin_trace`) and re-adopt it on crash resume
 (:func:`rejoin_trace`), so an interrupted campaign's resumed spans stay
 in the original tree.
 
@@ -54,7 +54,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from .context import TraceContext, make_span_id, new_trace_id
+from .context import as_trace_ref, make_span_id, new_trace_id
 from .logger import TelemetryLogger
 from .metrics import ACTIVE_SESSION, values_delta
 
@@ -100,7 +100,7 @@ class TelemetrySession:
         run_id: str = "run",
         worker: Optional[int] = None,
         clock=time.time,
-        context: Optional[TraceContext] = None,
+        trace: Optional[dict] = None,
     ) -> None:
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -119,12 +119,9 @@ class TelemetrySession:
         #: Per-session counter; combined with ``pid`` it yields span ids
         #: unique across every process that ever writes into ``dir``.
         self._span_ids = itertools.count()
-        if context is not None:
-            self.trace_id = context.trace_id
-            self.remote_parent = context.parent_span_id
-        else:
-            self.trace_id = new_trace_id()
-            self.remote_parent = None
+        ref = as_trace_ref(trace) or {"trace_id": new_trace_id()}
+        self.trace_id = ref["trace_id"]
+        self.remote_parent = ref.get("span_id")
         self._emit_trace_context()
 
     # ------------------------------------------------------------------
@@ -221,21 +218,22 @@ def start_session(
     run_id: str = "run",
     worker: Optional[int] = None,
     clock=time.time,
-    context: Optional[TraceContext] = None,
+    trace: Optional[dict] = None,
 ) -> TelemetrySession:
     """Activate a session for the calling context (replacing any current one).
 
     A forked worker inherits the parent's session object; its
     initializer calls this to replace it with a per-worker stream —
-    the parent's descriptor stays untouched in the child.  ``context``
-    joins an existing trace (worker under a parent campaign span, job
-    session under a server request span) instead of minting a new one.
+    the parent's descriptor stays untouched in the child.  ``trace``, a
+    trace ref, joins an existing trace (worker under a parent campaign
+    span, job session under its caller's span) instead of minting a new
+    one.
     """
     current = ACTIVE_SESSION.get()
     if current is not None and current.pid == os.getpid():
         # Replacing an open same-process session: close it cleanly first.
         current.close()
-    sess = TelemetrySession(directory, run_id=run_id, worker=worker, clock=clock, context=context)
+    sess = TelemetrySession(directory, run_id=run_id, worker=worker, clock=clock, trace=trace)
     ACTIVE_SESSION.set(sess)
     _THREAD_SESSIONS[threading.get_ident()] = sess
     return sess
@@ -304,13 +302,10 @@ def rejoin_trace(stored: Optional[dict]) -> bool:
     run's trace.  Returns whether the session changed identity.
     """
     sess = ACTIVE_SESSION.get()
-    if sess is None or not isinstance(stored, dict):
+    ref = as_trace_ref(stored)
+    if sess is None or ref is None:
         return False
-    trace_id = stored.get("trace_id")
-    if not isinstance(trace_id, str) or not trace_id:
-        return False
-    root = stored.get("span_id")
-    return sess.adopt_trace(trace_id, root if isinstance(root, int) else None)
+    return sess.adopt_trace(ref["trace_id"], ref.get("span_id"))
 
 
 def emit(event: str, level: str = "info", **fields) -> None:

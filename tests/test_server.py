@@ -99,6 +99,8 @@ class TestProtocol:
             {"n": 10, "deadline": -5},
             {"n": 10, "max_guesses": 0},
             {"n": 10, "seed": True},
+            {"n": 10, "strategy": "dcgen", "threshold": 0},
+            {"n": 10, "strategy": "dcgen", "threshold": 1_000_001},
         ],
     )
     def test_invalid_generate_payloads(self, payload):
@@ -313,6 +315,19 @@ class TestLiveServer:
         )
         assert status == 200
         expected = trained_pagpassgpt.generate(40, seed=11)
+        assert data.decode("utf-8").splitlines() == expected
+
+    def test_dcgen_threshold_one_matches_direct_generation(self, server, trained_pagpassgpt):
+        """The server takes every threshold ``repro generate`` takes."""
+        _, port = server
+        status, obj, _ = chaos._http_json(
+            port, "POST", "/campaigns", {"n": 60, "strategy": "dcgen", "seed": 4, "threshold": 1}
+        )
+        assert status == 202, obj
+        job = _wait_terminal(port, obj["id"])
+        assert job["state"] == "done", job
+        _, data, _ = chaos._http_request(port, "GET", f"/campaigns/{obj['id']}/guesses")
+        expected, _, _ = run_strategy(trained_pagpassgpt, "dcgen", 60, seed=4, threshold=1)
         assert data.decode("utf-8").splitlines() == expected
 
     @pytest.mark.parametrize("kind", ["pagpassgpt", "passgpt"])
@@ -887,6 +902,37 @@ class TestObservability:
         )
         assert request["payload"]["trace"]["trace_id"] == trace_id
         assert request["payload"]["trace"]["span_id"] == int(parent, 16)
+
+    def test_traced_job_joins_the_callers_trace(self, checkpoint, tmp_path):
+        """The job's own session adopts the request's trace: one
+        ``trace_context`` naming the caller's trace and span, and the
+        campaign span a remote child of that span."""
+        state_dir = tmp_path / "state"
+        runner = chaos._ServerThread(_config(checkpoint, state_dir, job_telemetry=True))
+        port = runner.start()
+        trace_id = "4bf92f3577b34da6a3ce929d0e0e4736"
+        parent = "00f067aa0ba902b7"
+        try:
+            status, data, _ = _http_with_headers(
+                port, "POST", "/campaigns",
+                {"n": 200, "strategy": "dcgen", "seed": 3, "threshold": 64},
+                headers={"traceparent": f"00-{trace_id}-{parent}-01"},
+            )
+            assert status == 202
+            job = _wait_terminal(port, json.loads(data)["id"])
+            assert job["state"] == "done", job
+        finally:
+            runner.drain(timeout=120.0)
+        tele = state_dir / "jobs" / f"{job['id']:06d}" / "tele"
+        contexts = [
+            e["fields"] for e in telemetry.read_events(tele / "telemetry.jsonl")
+            if e["event"] == "trace_context"
+        ]
+        assert contexts == [{"trace_id": trace_id, "remote_parent": int(parent, 16)}]
+        spans = telemetry.load_spans(tele)
+        [campaign] = [s for s in spans if s["name"] == "campaign"]
+        assert campaign["parent_id"] == int(parent, 16)
+        assert telemetry.check_trace_tree(spans) == []
 
     def test_submission_without_traceparent_mints_a_trace(self, server):
         _, port, state_dir = server

@@ -14,7 +14,8 @@ Five contracts pinned here:
 4. **Fault accounting** — an injected worker crash shows up as a
    counted ``task_failed``/``task_recovered`` pair with nothing
    unaccounted, and a crash/resume run's merged summary records the
-   resume while still passing :func:`check_summary`.
+   resume while still passing :func:`check_summary`; the resumed spans
+   rejoin the first attempt's trace as one tree.
 5. **Own-context accounting** — a session counts the work done in its
    own thread and nothing else: two concurrent campaigns (two server
    fleet slots) each pass :func:`check_summary`, and an engine rebuilt
@@ -221,6 +222,14 @@ def test_crash_resume_campaign_is_accounted(tmp_path, monkeypatch):
 
     events = _summary_events(tele_dir)
     assert any(e["event"] == "campaign_resume" for e in events)
+
+    # The resume rejoined the first attempt's trace: its campaign span
+    # hangs under the crashed one, so both legs export as one tree.  Both
+    # legs share one session; a second session in this process would
+    # restart the span counter and reuse the first leg's span ids.
+    spans = telemetry.load_spans(tele_dir)
+    assert [s["name"] for s in spans].count("campaign") == 2
+    assert telemetry.check_trace_tree(spans) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Distributed trace identity: ids, headers, and cross-process uniqueness.
+"""Distributed trace identity: ids, trace refs, and cross-process uniqueness.
 
 The span-id scheme is the foundation the whole export/`--check` story
 stands on: ids derived from ``(pid, counter)`` can never collide across
@@ -16,9 +16,10 @@ import pytest
 from repro import telemetry
 from repro.telemetry.context import (
     SPAN_COUNTER_BITS,
-    TraceContext,
+    as_trace_ref,
     make_span_id,
     new_trace_id,
+    parse_traceparent,
     split_span_id,
 )
 
@@ -49,50 +50,37 @@ class TestSpanIds:
 
 
 # ----------------------------------------------------------------------
-# TraceContext
+# Trace refs
 # ----------------------------------------------------------------------
 
-class TestTraceContext:
-    def test_new_mints_32_hex_chars(self):
-        ctx = TraceContext.new()
-        assert len(ctx.trace_id) == 32
-        int(ctx.trace_id, 16)  # raises if not hex
-        assert ctx.parent_span_id is None
+class TestTraceRef:
+    def test_new_trace_id_mints_32_hex_chars(self):
+        trace_id = new_trace_id()
+        assert len(trace_id) == 32
+        int(trace_id, 16)  # raises if not hex
 
     def test_trace_ids_unique(self):
         assert len({new_trace_id() for _ in range(64)}) == 64
 
-    def test_dict_roundtrip(self):
-        ctx = TraceContext(trace_id="ab" * 16, parent_span_id=make_span_id(7, 3))
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
+    def test_valid_ref_passes_through(self):
+        ref = {"trace_id": "ab" * 16, "span_id": make_span_id(7, 3)}
+        assert as_trace_ref(ref) == ref
 
-    def test_dict_roundtrip_without_parent(self):
-        ctx = TraceContext(trace_id="cd" * 16)
-        assert "span_id" not in ctx.to_dict()
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
+    def test_valid_ref_without_span_passes_through(self):
+        ref = {"trace_id": "cd" * 16}
+        assert as_trace_ref(ref) == ref
+        assert as_trace_ref({**ref, "span_id": "7"}) == ref  # a non-int span is dropped
 
     @pytest.mark.parametrize("payload", [None, {}, {"span_id": 3}, {"trace_id": ""},
                                          {"trace_id": 7}, "not-a-dict", []])
     def test_malformed_dict_is_none(self, payload):
-        assert TraceContext.from_dict(payload) is None
+        assert as_trace_ref(payload) is None
 
-    def test_traceparent_roundtrip(self):
-        ctx = TraceContext(trace_id="0af7651916cd43dd8448eb211c80319c",
-                           parent_span_id=make_span_id(9, 5))
-        parsed = TraceContext.from_traceparent(ctx.to_traceparent())
-        assert parsed == ctx
-
-    def test_traceparent_format(self):
-        ctx = TraceContext(trace_id="ab" * 16, parent_span_id=255)
-        header = ctx.to_traceparent()
-        version, trace_id, parent, flags = header.split("-")
-        assert (version, flags) == ("00", "01")
-        assert trace_id == ctx.trace_id
-        assert parent == f"{255:016x}"
-
-    def test_traceparent_explicit_span_overrides(self):
-        ctx = TraceContext(trace_id="ab" * 16, parent_span_id=1)
-        assert f"{77:016x}" in ctx.to_traceparent(span_id=77)
+    def test_traceparent_parses_to_its_ref(self):
+        trace_id, span_id = "0af7651916cd43dd8448eb211c80319c", make_span_id(9, 5)
+        header = f"00-{trace_id}-{span_id:016x}-01"
+        assert parse_traceparent(header) == {"trace_id": trace_id, "span_id": span_id}
+        assert parse_traceparent(f"  {header.upper()} ") == parse_traceparent(header)
 
     @pytest.mark.parametrize("header", [
         None, "", "garbage", "00-short-0000000000000001-01",
@@ -100,13 +88,11 @@ class TestTraceContext:
         "0af7651916cd43dd8448eb211c80319c",  # bare trace id, no structure
     ])
     def test_invalid_traceparent_is_none(self, header):
-        assert TraceContext.from_traceparent(header) is None
+        assert parse_traceparent(header) is None
 
     def test_all_zero_parent_means_no_parent(self):
         header = "00-" + "ab" * 16 + "-" + "0" * 16 + "-01"
-        parsed = TraceContext.from_traceparent(header)
-        assert parsed is not None
-        assert parsed.parent_span_id is None
+        assert parse_traceparent(header) == {"trace_id": "ab" * 16}
 
 
 # ----------------------------------------------------------------------
