@@ -49,8 +49,9 @@
 #    byte-identical, pass `summarize --check`, and export to a single
 #    connected chrome-trace tree (`export --check`); a live `repro serve`
 #    is scraped for Prometheus exposition, rendered once by `repro top`,
-#    and runs one ordered campaign whose stream and provably exact count
-#    must equal the CLI's before its SIGTERM drain.
+#    runs one ordered campaign whose stream and provably exact count
+#    must equal the CLI's, and answers one score that leaves no id, no
+#    listing entry and no journal record behind its SIGTERM drain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -374,5 +375,37 @@ test -n "$CLI_EXACT"
 test "$CLI_EXACT" = "$(cat "$SMOKE_DIR/ordered_server.exact")"
 echo "ordered smoke: server ordered job == repro generate --strategy ordered" \
     "(stream and $CLI_EXACT provably exact)"
+# A score is answered in its response and kept nowhere: it carries no
+# id, the listing holds only the ordered campaign, and after the drain
+# the server journal holds that campaign's request record alone.
+python - "$PORT" <<'PY'
+import json
+import sys
+from urllib.request import Request, urlopen
+
+base = f"http://127.0.0.1:{sys.argv[1]}"
+body = json.dumps({"guesses": ["password", "hunter2", "hunter2"],
+                   "test": ["password", "letmein"]}).encode()
+post = Request(f"{base}/score", data=body, method="POST",
+               headers={"Content-Type": "application/json"})
+with urlopen(post, timeout=10) as r:
+    score = json.load(r)
+assert set(score) == {"hit_rate", "repeat_rate", "unique_guesses"}, score
+assert score["hit_rate"] == 0.5 and score["unique_guesses"] == 2, score
+assert abs(score["repeat_rate"] - 1 / 3) < 1e-9, score
+with urlopen(f"{base}/campaigns", timeout=10) as r:
+    listing = json.load(r)["requests"]
+assert [(job["strategy"], job["state"]) for job in listing] == [("ordered", "done")], listing
+print("score through the live server: answered, not listed")
+PY
 stop_server
+python - "$SMOKE_DIR/obs-server-state/requests.journal.jsonl" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    kinds = [json.loads(line)["kind"] for line in fh]
+assert kinds.count("request") == 1, kinds
+print("server journal: one request record, the ordered campaign's")
+PY
 echo "observability smoke: prometheus scrape + repro top ok, drain clean"

@@ -43,6 +43,7 @@ import numpy as np
 
 from .. import telemetry
 from ..runtime import Budget, RunJournal
+from ..tokenizer.charset import CLASS_MEMBERS
 from ..tokenizer.patterns import Pattern
 from . import campaign
 from .sampler import GEN_BATCH, choose_constrained, constrained_distribution
@@ -168,7 +169,7 @@ def remaining_search_space(pattern: Pattern, done_chars: int) -> float:
     classes = pattern.char_classes()
     space = 1.0
     for cls in classes[done_chars:]:
-        space *= {"L": 52, "N": 10, "S": 32}[cls]
+        space *= len(CLASS_MEMBERS[cls])
     return space
 
 

@@ -34,8 +34,9 @@ from ..generation.sampler import (
 from ..nn import GPT2Config, GPT2Inference, GPT2Model, PromptCache
 from ..nn.serialization import load_checkpoint, read_checkpoint_meta, save_checkpoint
 from ..runtime import Budget, RunJournal
-from ..tokenizer.patterns import Pattern
+from ..tokenizer.patterns import MAX_PASSWORD_LENGTH, Pattern
 from ..tokenizer.tokenizer import PasswordTokenizer
+from ..tokenizer.vocab import Vocabulary
 from ..training import TrainConfig, TrainHistory, Trainer
 from .base import PatternGuidedGuesser
 
@@ -151,7 +152,7 @@ class GPTGuesser(PatternGuidedGuesser):
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        """Write weights + config + S_p to an npz checkpoint."""
+        """Write weights + config + S_p + password length to an npz checkpoint."""
         save_checkpoint(
             self.model,
             path,
@@ -159,6 +160,8 @@ class GPTGuesser(PatternGuidedGuesser):
                 "kind": self.name,
                 "config": asdict(self.model_config),
                 "pattern_probs": self.pattern_probs,
+                # None for PassGPT, whose tokenizer sets no such bound.
+                "max_password_length": getattr(self.tokenizer, "max_password_length", None),
             },
         )
 
@@ -176,7 +179,12 @@ class GPTGuesser(PatternGuidedGuesser):
             meta = read_checkpoint_meta(path)
         if meta.get("kind") != cls.name:
             raise ValueError(f"checkpoint is a {meta.get('kind')!r} model, not {cls.name}")
-        model = cls(model_config=GPT2Config(**meta["config"]))
+        config = GPT2Config(**meta["config"])
+        length = meta.get("max_password_length") or MAX_PASSWORD_LENGTH
+        tokenizer = None
+        if length != MAX_PASSWORD_LENGTH:  # a §V extended tokenizer
+            tokenizer = cls.tokenizer_cls(Vocabulary(length), config.block_size, length)
+        model = cls(model_config=config, tokenizer=tokenizer)
         load_checkpoint(model.model, path)
         model.pattern_probs = meta.get("pattern_probs", {})
         model._fitted = True

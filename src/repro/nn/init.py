@@ -1,8 +1,8 @@
 """Weight initialisers used across the model zoo.
 
 GPT-2 uses N(0, 0.02) for embeddings and projections, with the residual
-projections scaled by 1/sqrt(2 * n_layers); the GAN/VAE/flow baselines use
-Xavier/He schemes appropriate to their activations.
+projections scaled by 1/sqrt(2 * n_layers); the GAN/VAE/flow baselines
+build their MLPs from ``nn.Linear`` and take its normal init.
 """
 
 from __future__ import annotations
@@ -21,16 +21,3 @@ def zeros(shape: tuple[int, ...]) -> np.ndarray:
 
 def ones(shape: tuple[int, ...]) -> np.ndarray:
     return np.ones(shape, dtype=np.float32)
-
-
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Glorot uniform init for tanh/sigmoid networks."""
-    fan_in, fan_out = shape[0], shape[-1]
-    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
-def he_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Kaiming normal init for ReLU-family networks."""
-    fan_in = shape[0]
-    return (rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)).astype(np.float32)

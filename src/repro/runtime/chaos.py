@@ -653,12 +653,9 @@ def run_server_soak(
                     f"score request failed: status={status} body={score}"
                 )
             # No phantom requests: the server's journal must list exactly
-            # the accepted campaign submissions (plus the score job).
+            # the accepted campaign submissions.
             _, listing, _ = _http_json(port, "GET", "/campaigns")
-            journaled = sorted(
-                entry["id"] for entry in listing["requests"]
-                if entry["kind"] == "generate"
-            )
+            journaled = sorted(entry["id"] for entry in listing["requests"])
             if journaled != sorted(accepted):
                 report.harness_failures.append(
                     f"journaled requests {journaled} != accepted {sorted(accepted)}"

@@ -4,7 +4,7 @@
 long-lived service: concurrent clients submit campaign and scoring
 requests over HTTP, admission control pushes back explicitly
 (429/503 + ``Retry-After``) instead of buffering without bound, every
-accepted request survives a server crash via the request journal, and
+accepted campaign survives a server crash via the request journal, and
 SIGTERM drains gracefully — in-flight work finishes or checkpoints,
 queued work stays journaled for the next process, exit code 0.
 
@@ -12,7 +12,7 @@ Layers:
 
 * :mod:`~repro.server.protocol` — typed request validation + lifecycle;
 * :mod:`~repro.server.admission` — token buckets and queue caps;
-* :mod:`~repro.server.jobs` — the journal-persisted job store;
+* :mod:`~repro.server.jobs` — the journal-persisted campaign store;
 * :mod:`~repro.server.core` — the fleet, budgets, drain, recovery;
 * :mod:`~repro.server.http` — the stdlib asyncio HTTP front-end.
 """
@@ -26,6 +26,7 @@ from .protocol import (
     TERMINAL_STATES,
     CampaignSpec,
     RequestError,
+    score_lists,
 )
 
 __all__ = [
@@ -41,4 +42,5 @@ __all__ = [
     "TERMINAL_STATES",
     "CampaignSpec",
     "RequestError",
+    "score_lists",
 ]

@@ -3,22 +3,25 @@
 :class:`CampaignServer` is the long-lived process the ROADMAP's serving
 layer calls for, with robustness as the headline guarantee:
 
-* every accepted request is journaled **before** the 202 leaves the
+* every accepted campaign is journaled **before** the 202 leaves the
   socket, so a crashed server restarts and re-queues exactly the
   accepted-but-unfinished work (:mod:`repro.server.jobs`);
-* each request executes through the existing campaign machinery — its
+* each campaign executes through the existing campaign machinery — its
   own :class:`~repro.runtime.RunJournal`, the supervised retrying pool
   (``runtime/retry.supervised_map`` underneath ``workers > 1``
   campaigns), per-request backend fallback — so worker crashes, hangs,
   and compiled-backend failures degrade *that request*, never the
   process;
+* a score passes the same admission gate and runs on the same fleet
+  executor, but is answered in its response and kept nowhere: no job
+  id, no journal record, nothing to recover;
 * per-request deadlines compose min-wins with the server-wide budget
   via :meth:`~repro.runtime.Budget.merge`;
 * SIGTERM starts a graceful drain: admission closes (503 +
   ``Retry-After``), running requests finish or checkpoint at their next
   durable boundary (the process-global stop request trips their merged
-  budgets), queued requests stay journaled for the next process, and
-  the server exits 0.
+  budgets), in-flight scores answer, queued requests stay journaled
+  for the next process, and the server exits 0.
 
 Execution model: the asyncio event loop owns all bookkeeping (journal
 writes, state transitions, admission); campaigns run in a small thread
@@ -56,7 +59,7 @@ from ..runtime import (
 )
 from .admission import AdmissionController
 from .jobs import Job, JobStore
-from .protocol import CampaignSpec, RequestError
+from .protocol import CampaignSpec, RequestError, score_lists
 
 GUESSES_FILE = "guesses.txt"
 JOB_JOURNAL = "run.journal.jsonl"
@@ -82,6 +85,15 @@ class ServerConfig:
     #: Per-job telemetry sessions, under each job directory.
     job_telemetry: bool = False
     poll_interval: float = 0.05
+
+
+def _score(guesses: tuple[str, ...], test: tuple[str, ...]) -> dict:
+    """The ``POST /score`` answer: the §IV-D trawling metrics."""
+    return {
+        "hit_rate": hit_rate(guesses, test),
+        "repeat_rate": repeat_rate(guesses),
+        "unique_guesses": len(set(guesses)),
+    }
 
 
 class _ModelSlots:
@@ -130,9 +142,8 @@ class CampaignServer:
         self.drain_reason: Optional[str] = None
         self._started_at = time.monotonic()
         self._queue: asyncio.Queue[Job] = asyncio.Queue()
-        #: Executions in flight on the loop (fleet + synchronous scores);
-        #: drain waits for it to hit zero before closing the journal.
-        self._inflight = 0
+        #: Scores being computed; drain waits for them to answer.
+        self._scoring = 0
         self._drain_event: Optional[asyncio.Event] = None
         self._fleet_tasks: list[asyncio.Task] = []
         self._executor = ThreadPoolExecutor(
@@ -214,7 +225,7 @@ class CampaignServer:
         telemetry.emit("server_drain", level="warning", reason=reason)
         self._drain_event.set()
         await asyncio.gather(*self._fleet_tasks, return_exceptions=True)
-        while self._inflight:  # synchronous score requests still running
+        while self._scoring:
             await asyncio.sleep(self.config.poll_interval)
         if self._http is not None:
             self._http.close()
@@ -226,20 +237,25 @@ class CampaignServer:
     # ------------------------------------------------------------------
     # Submission (event loop only)
     # ------------------------------------------------------------------
-    def _admit(self, spec: CampaignSpec, trace: Optional[dict] = None) -> Job:
-        if spec.kind == "generate" and spec.checkpoint is not None:
-            if not Path(spec.checkpoint).exists():
-                raise RequestError(
-                    400, "invalid_request", f"checkpoint {spec.checkpoint!r} not found"
-                )
+    def _admit(self, tenant: str) -> None:
+        """The gate every request passes: drain, queue caps, token bucket."""
         queued = self.store.queued_by_tenant()
         self.admission.admit(
-            spec.tenant,
-            tenant_queued=queued.get(spec.tenant, 0),
+            tenant,
+            tenant_queued=queued.get(tenant, 0),
             total_queued=sum(queued.values()),
             draining=self.draining,
         )
-        # Every admitted request owns a trace: the caller's (propagated
+
+    def submit_generate(self, payload: object, trace: Optional[dict] = None) -> Job:
+        """Validate + admit + journal + enqueue a campaign; returns the queued job."""
+        spec = CampaignSpec.from_payload(payload)
+        if spec.checkpoint is not None and not Path(spec.checkpoint).exists():
+            raise RequestError(
+                400, "invalid_request", f"checkpoint {spec.checkpoint!r} not found"
+            )
+        self._admit(spec.tenant)
+        # Every admitted campaign owns a trace: the caller's (propagated
         # via ``traceparent``) or a freshly minted one.  Journaled with
         # the request, it survives crash recovery, and the job's
         # telemetry session adopts it — so one id follows the request
@@ -248,30 +264,25 @@ class CampaignServer:
             trace = {"trace_id": telemetry.new_trace_id()}
         job = self.store.admit(spec, trace=trace)
         self._update_gauges()
-        return job
-
-    def submit_generate(self, payload: object, trace: Optional[dict] = None) -> Job:
-        """Validate + admit + enqueue a campaign; returns the queued job."""
-        spec = CampaignSpec.from_payload(payload, kind="generate")
-        job = self._admit(spec, trace=trace)
         self._queue.put_nowait(job)
         return job
 
-    async def submit_score(self, payload: object, trace: Optional[dict] = None) -> dict:
-        """Validate + admit + execute a scoring request synchronously.
+    async def submit_score(self, payload: object) -> dict:
+        """Validate + admit + compute a score; returns its metrics.
 
-        Scoring shares the admission gate and the journaled lifecycle,
-        but the caller waits for the result: scoring is pure CPU over
-        the supplied lists, so the fleet executor bounds its concurrency
-        and the response carries the metrics directly.
+        Scoring is pure CPU over the supplied lists, so it runs on the
+        fleet executor (which bounds its concurrency) while the caller
+        waits.  The lists live only as long as the request.
         """
-        spec = CampaignSpec.from_payload(payload, kind="score")
-        job = self._admit(spec, trace=trace)
-        state, detail = await self._execute(job)
-        if state != "done":
-            raise RequestError(500, detail.get("error", "failed"),
-                               detail.get("message", "scoring failed"))
-        return {"id": job.job_id, **detail}
+        tenant, guesses, test = score_lists(payload)
+        self._admit(tenant)
+        self._scoring += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, _score, guesses, test
+            )
+        finally:
+            self._scoring -= 1
 
     # ------------------------------------------------------------------
     # Fleet
@@ -292,10 +303,9 @@ class CampaignServer:
             stop.cancel()
             await self._execute(get.result())
 
-    async def _execute(self, job: Job) -> tuple[str, dict]:
+    async def _execute(self, job: Job) -> None:
         self.store.set_state(job, "running")
         self._update_gauges()
-        self._inflight += 1
         try:
             state, detail = await asyncio.get_running_loop().run_in_executor(
                 self._executor, self._run_job_sync, job
@@ -305,38 +315,24 @@ class CampaignServer:
             # that escaped the campaign machinery degrades to a typed
             # per-request failure.
             state, detail = "failed", {"error": type(exc).__name__, "message": str(exc)}
-        finally:
-            self._inflight -= 1
         self.store.set_state(job, state, **detail)
         self._registry.counter(f"server.jobs_{state}").inc()
         # Labeled variant for Prometheus scrapes: per-tenant/strategy
         # outcome counts without exploding the flat JSON namespace.
         self._registry.counter(
             "server.jobs_finished",
-            labels={
-                "state": state,
-                "tenant": str(job.spec.tenant),
-                "strategy": str(job.spec.strategy or job.spec.kind),
-            },
+            labels={"state": state, "tenant": job.spec.tenant, "strategy": job.spec.strategy},
         ).inc()
         telemetry.emit("server_job_finished", job=job.job_id, state=state)
         self._update_gauges()
-        return state, detail
 
     # ------------------------------------------------------------------
     # Job execution (fleet threads)
     # ------------------------------------------------------------------
     def _run_job_sync(self, job: Job) -> tuple[str, dict]:
-        """Execute one request to a terminal state; never raises."""
+        """Execute one campaign to a terminal state; never raises."""
         job.started_at = time.monotonic()
-        spec = job.spec
         try:
-            if spec.kind == "score":
-                return "done", {
-                    "hit_rate": hit_rate(list(spec.guesses), list(spec.test)),
-                    "repeat_rate": repeat_rate(list(spec.guesses)),
-                    "unique_guesses": len(set(spec.guesses)),
-                }
             return self._run_generate(job)
         except CampaignInterrupted as exc:
             # Deadline/quota: the request's budget is spent — terminal.

@@ -9,21 +9,21 @@ error — backpressure rejections carry a ``Retry-After`` header.
 Endpoints::
 
     POST /campaigns            submit a campaign        -> 202 {id, state}
-    GET  /campaigns            list requests
+    GET  /campaigns            list campaigns
     GET  /campaigns/<id>       lifecycle + progress heartbeat
     GET  /campaigns/<id>/guesses   the finished guess stream (text/plain)
-    POST /score                synchronous scoring      -> 200 {hit_rate,...}
+    POST /score                score two lists, kept nowhere -> 200 {hit_rate,...}
     GET  /status               server state, queue depths, heartbeats
     GET  /metrics              metrics-registry snapshot (JSON)
     GET  /metrics?format=prometheus   text exposition (0.0.4) for scrapers
     GET  /healthz              liveness (also 200 while draining)
 
-Submissions honour an incoming W3C ``traceparent`` header: the request
-joins the caller's distributed trace instead of minting its own, and
-the trace ref is journaled with the request so even a crash-recovered
-job still reports under the original trace id.  Every request's wall
-time is observed into a per-route ``server.request_ms`` histogram
-(visible in both metrics formats).
+Campaign submissions honour an incoming W3C ``traceparent`` header: the
+campaign joins the caller's distributed trace instead of minting its
+own, and the trace ref is journaled with the request so even a
+crash-recovered job still reports under the original trace id.  Every
+request's wall time is observed into a per-route ``server.request_ms``
+histogram (visible in both metrics formats).
 """
 
 from __future__ import annotations
@@ -190,8 +190,7 @@ async def _route(
     if parts == ["score"]:
         if method != "POST":
             raise RequestError(405, "method_not_allowed", f"{method} not supported here")
-        trace = telemetry.parse_traceparent(headers.get("traceparent"))
-        return _json_response(200, await server.submit_score(_decode_json(body), trace=trace))
+        return _json_response(200, await server.submit_score(_decode_json(body)))
     if parts == ["status"] and method == "GET":
         return _json_response(200, server.status())
     if parts == ["metrics"] and method == "GET":

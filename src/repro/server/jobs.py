@@ -1,13 +1,13 @@
-"""Journal-persisted request lifecycle: nothing accepted is ever lost.
+"""Journal-persisted campaign lifecycle: nothing accepted is ever lost.
 
-The server journals every accepted request — and every state transition
-— into one :class:`~repro.runtime.RunJournal` under the state directory
-*before* acknowledging anything to the client.  That single append-only
-file is the source of truth: a crashed or SIGKILLed server process
-restarts, replays the journal, and re-queues exactly the requests that
-were queued, running, or drain-checkpointed, while each request's own
-campaign journal (under ``jobs/<id>/``) makes the re-execution
-byte-identical to an undisturbed run.
+The server journals every accepted campaign — and every state
+transition — into one :class:`~repro.runtime.RunJournal` under the
+state directory *before* acknowledging anything to the client.  That
+single append-only file is the source of truth: a crashed or SIGKILLed
+server process restarts, replays the journal, and re-queues exactly the
+campaigns that were queued, running, or drain-checkpointed, while each
+campaign's own journal (under ``jobs/<id>/``) makes the re-execution
+byte-identical to an undisturbed run.  Scores never reach the store.
 
 Journal layout (record kinds)::
 
@@ -17,7 +17,9 @@ Journal layout (record kinds)::
 
 ``state`` records are last-wins per job id (the journal's in-memory
 index already keeps only the latest), so replay cost stays linear and a
-job's history of transitions remains greppable in the raw file.
+job's history of transitions remains greppable in the raw file.  Replay
+skips the ``"kind": "score"`` requests older servers journaled, and
+their states; their ids stay spent.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ SERVER_HEADER = {"kind": "campaign-server", "format": 1}
 
 @dataclass
 class Job:
-    """One accepted request plus its mutable runtime bookkeeping."""
+    """One accepted campaign plus its mutable runtime bookkeeping."""
 
     job_id: int
     spec: CampaignSpec
@@ -71,13 +73,11 @@ class Job:
         """The JSON shape ``GET /campaigns/<id>`` returns."""
         out = {
             "id": self.job_id,
-            "kind": self.spec.kind,
             "tenant": self.spec.tenant,
             "state": self.state,
+            "n": self.spec.n,
+            "strategy": self.spec.strategy,
         }
-        if self.spec.kind == "generate":
-            out["n"] = self.spec.n
-            out["strategy"] = self.spec.strategy
         if verbose:
             out["detail"] = dict(self.detail)
             if self.state == "running":
@@ -104,7 +104,10 @@ class JobStore:
         self.journal = RunJournal.attach(path, dict(SERVER_HEADER), resume=path.exists())
         self.jobs: Dict[int, Job] = {}
         states = self.journal.completed("state")
-        for job_id, payload in sorted(self.journal.completed("request").items()):
+        requests = self.journal.completed("request")
+        for job_id, payload in sorted(requests.items()):
+            if payload.get("kind") == "score":
+                continue
             # The trace ref rides the request record but is not part of
             # the spec; strip it before the strict spec reconstruction.
             payload = dict(payload)
@@ -116,14 +119,14 @@ class JobStore:
                 job.state = detail.pop("state")
                 job.detail = detail
             self.jobs[job_id] = job
-        self._next_id = max(self.jobs, default=-1) + 1
+        self._next_id = max(requests, default=-1) + 1
 
     # ------------------------------------------------------------------
     def job_dir(self, job: Job) -> Path:
         return self.jobs_dir / f"{job.job_id:06d}"
 
     def admit(self, spec: CampaignSpec, trace: Optional[dict] = None) -> Job:
-        """Persist an accepted request; durable before the 202 goes out."""
+        """Persist an accepted campaign; durable before the 202 goes out."""
         job = Job(self._next_id, spec, trace=trace)
         self._next_id += 1
         payload = spec.to_payload()

@@ -1,14 +1,15 @@
 """Typed request protocol for the campaign server.
 
-Every request the server accepts is first validated into a frozen
+Every campaign the server accepts is first validated into a frozen
 :class:`CampaignSpec` — the serving-layer twin of the campaign-plan
-objects the generators consume.  Validation is strict on purpose:
+objects the generators consume — and every score into its lists
+(:func:`score_lists`).  Validation is strict on purpose:
 unknown fields, wrong types, and out-of-range values are *admission*
 failures (HTTP 400) rather than something a worker discovers an hour
 into a campaign.  A spec is JSON-round-trippable so the server journal
 can persist it verbatim and rebuild it on restart.
 
-Request lifecycle (persisted per request in the server journal)::
+Campaign lifecycle (persisted per campaign in the server journal)::
 
     queued -> running -> done
                       -> failed        (typed error; terminal)
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Optional
 
 from ..runtime import Budget
 
@@ -117,13 +118,61 @@ def _take_lines(payload: dict, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _parse(payload: object, take: Callable[[dict], Any]) -> tuple[str, Any]:
+    """Validate a decoded JSON body: ``(tenant, take(fields))``, or raise 400.
+
+    ``take`` consumes its fields from a copy of the body key by key;
+    anything left over is an unknown field and rejected — a typo'd
+    limit silently ignored is a campaign run with no limit.
+    """
+    if not isinstance(payload, dict):
+        raise _bad("request body must be a JSON object")
+    payload = dict(payload)
+    tenant = payload.pop("tenant", "public")
+    if not isinstance(tenant, str) or not _TENANT_RE.match(tenant):
+        raise _bad("tenant must match [A-Za-z0-9._-]{1,64}")
+    taken = take(payload)
+    if payload:
+        raise _bad(f"unknown field(s): {', '.join(sorted(payload))}")
+    return tenant, taken
+
+
+def score_lists(payload: object) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """A ``POST /score`` body as ``(tenant, guesses, test)``, or raise 400."""
+    tenant, (guesses, test) = _parse(
+        payload, lambda body: (_take_lines(body, "guesses"), _take_lines(body, "test"))
+    )
+    return tenant, guesses, test
+
+
+def _take_campaign(payload: dict) -> dict:
+    n = _take_int(payload, "n", None, 1, MAX_REQUEST_GUESSES)
+    if n is None:
+        raise _bad("n (number of guesses) is required")
+    strategy = payload.pop("strategy", "sampled")
+    if strategy not in GENERATE_STRATEGIES:
+        raise _bad(f"strategy must be one of {GENERATE_STRATEGIES}")
+    checkpoint = payload.pop("checkpoint", None)
+    if checkpoint is not None and not isinstance(checkpoint, str):
+        raise _bad("checkpoint must be a string path")
+    return dict(
+        n=n,
+        strategy=strategy,
+        checkpoint=checkpoint,
+        seed=_take_int(payload, "seed", 0, 0, 2**32 - 1),
+        workers=_take_int(payload, "workers", 1, 1, MAX_WORKERS),
+        threshold=_take_int(payload, "threshold", 256, 1, 1_000_000),
+        deadline=_take_number(payload, "deadline", 0.0),
+        max_guesses=_take_int(payload, "max_guesses", None, 1, MAX_REQUEST_GUESSES),
+        max_model_calls=_take_int(payload, "max_model_calls", None, 1, 2**31),
+    )
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
-    """One validated request: everything a worker needs to execute it."""
+    """One validated campaign: everything a worker needs to execute it."""
 
-    kind: str  # "generate" | "score"
     tenant: str = "public"
-    # --- generate ---
     n: int = 0
     seed: int = 0
     strategy: str = "sampled"
@@ -133,72 +182,23 @@ class CampaignSpec:
     deadline: Optional[float] = None  # per-request wall-clock budget
     max_guesses: Optional[int] = None
     max_model_calls: Optional[int] = None
-    # --- score ---
-    guesses: tuple[str, ...] = field(default=())
-    test: tuple[str, ...] = field(default=())
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_payload(cls, payload: object, kind: str) -> "CampaignSpec":
-        """Validate a decoded JSON body into a spec, or raise 400.
-
-        Consumes the payload dict key by key; anything left over is an
-        unknown field and rejected — a typo'd limit silently ignored is
-        a campaign run with no limit.
-        """
-        if not isinstance(payload, dict):
-            raise _bad("request body must be a JSON object")
-        payload = dict(payload)
-        tenant = payload.pop("tenant", "public")
-        if not isinstance(tenant, str) or not _TENANT_RE.match(tenant):
-            raise _bad("tenant must match [A-Za-z0-9._-]{1,64}")
-        fields: dict = {"kind": kind, "tenant": tenant}
-        if kind == "generate":
-            n = _take_int(payload, "n", None, 1, MAX_REQUEST_GUESSES)
-            if n is None:
-                raise _bad("n (number of guesses) is required")
-            strategy = payload.pop("strategy", "sampled")
-            if strategy not in GENERATE_STRATEGIES:
-                raise _bad(f"strategy must be one of {GENERATE_STRATEGIES}")
-            checkpoint = payload.pop("checkpoint", None)
-            if checkpoint is not None and not isinstance(checkpoint, str):
-                raise _bad("checkpoint must be a string path")
-            fields.update(
-                n=n,
-                strategy=strategy,
-                checkpoint=checkpoint,
-                seed=_take_int(payload, "seed", 0, 0, 2**32 - 1),
-                workers=_take_int(payload, "workers", 1, 1, MAX_WORKERS),
-                threshold=_take_int(payload, "threshold", 256, 1, 1_000_000),
-                deadline=_take_number(payload, "deadline", 0.0),
-                max_guesses=_take_int(payload, "max_guesses", None, 1, MAX_REQUEST_GUESSES),
-                max_model_calls=_take_int(payload, "max_model_calls", None, 1, 2**31),
-            )
-        elif kind == "score":
-            fields.update(
-                guesses=_take_lines(payload, "guesses"),
-                test=_take_lines(payload, "test"),
-            )
-        else:  # pragma: no cover - routing bug, not client input
-            raise _bad(f"unknown request kind {kind!r}")
-        if payload:
-            raise _bad(f"unknown field(s): {', '.join(sorted(payload))}")
-        return cls(**fields)
+    def from_payload(cls, payload: object) -> "CampaignSpec":
+        """Validate a decoded ``POST /campaigns`` body into a spec, or raise 400."""
+        tenant, fields = _parse(payload, _take_campaign)
+        return cls(tenant=tenant, **fields)
 
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
         """JSON-safe dict, exact enough to rebuild the spec on restart."""
-        out = asdict(self)
-        out["guesses"] = list(self.guesses)
-        out["test"] = list(self.test)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_journal(cls, payload: dict) -> "CampaignSpec":
-        payload = dict(payload)
-        payload["guesses"] = tuple(payload.get("guesses") or ())
-        payload["test"] = tuple(payload.get("test") or ())
-        return cls(**payload)
+        # Records from servers that journaled scores also hold these keys.
+        return cls(**{k: v for k, v in payload.items() if k not in ("kind", "guesses", "test")})
 
     def budget(self) -> Optional[Budget]:
         """The request's own budget, or ``None`` when limitless."""

@@ -85,12 +85,13 @@ def as_trace_ref(payload: object) -> Optional[dict]:
 def parse_traceparent(header: Optional[str]) -> Optional[dict]:
     """The trace ref a W3C ``traceparent`` header names; invalid/absent → ``None``.
 
-    An all-zero parent id names no span.
+    Version ``ff`` and an all-zero trace id are invalid, as W3C
+    trace-context says; an all-zero parent id names no span.
     """
     if not header:
         return None
     match = _TRACEPARENT_RE.match(header.strip().lower())
-    if match is None:
+    if match is None or match.group("version") == "ff" or not int(match.group("trace_id"), 16):
         return None
     ref = {"trace_id": match.group("trace_id")}
     parent = int(match.group("parent_id"), 16)

@@ -81,6 +81,24 @@ class TestModelCommands:
                      "-n", "200", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 200
 
+    def test_generate_from_an_extended_tokenizer_checkpoint(self, tmp_path):
+        """A §V longer-password checkpoint generates with its own tokenizer."""
+        from repro.models import PagPassGPT
+        from repro.tokenizer import build_extended_tokenizer, extended_gpt2_config
+
+        tokenizer = build_extended_tokenizer(16)
+        model = PagPassGPT(
+            model_config=extended_gpt2_config(tokenizer, dim=16, n_layers=1, n_heads=2),
+            tokenizer=tokenizer,
+            seed=0,
+        )
+        model._fitted = True
+        checkpoint, out = tmp_path / "ext.npz", tmp_path / "ext.txt"
+        model.save(checkpoint)
+        assert main(["generate", "--checkpoint", str(checkpoint),
+                     "-n", "20", "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines() == model.generate(20, seed=0)
+
     def test_generate_guided_conforms(self, pipeline, checkpoint):
         out = pipeline / "guided.txt"
         assert main(["generate", "--checkpoint", str(checkpoint),

@@ -242,6 +242,23 @@ class TestSaveLoadAPI:
         clone = PassGPT.load(path)
         assert clone.generate(6, seed=3) == trained_passgpt.generate(6, seed=3)
 
+    def test_extended_tokenizer_save_load(self, tmp_path):
+        """A §V longer-password model reloads with its own tokenizer."""
+        from repro.models import load_checkpoint
+
+        tokenizer = build_extended_tokenizer(16)
+        model = PagPassGPT(
+            model_config=extended_gpt2_config(tokenizer, dim=16, n_layers=1, n_heads=2),
+            tokenizer=tokenizer,
+            seed=0,
+        )
+        model._fitted = True
+        path = tmp_path / "ext.npz"
+        model.save(path)
+        clone = load_checkpoint(path)
+        assert clone.tokenizer.max_password_length == 16
+        assert clone.generate(20, seed=0) == model.generate(20, seed=0)
+
     def test_kind_mismatch_rejected(self, trained_passgpt, tmp_path):
         path = tmp_path / "pass_api2.npz"
         trained_passgpt.save(path)

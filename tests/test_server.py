@@ -11,17 +11,20 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from repro import telemetry
+from repro.evaluation import hit_rate
 from repro.generation import DCGenConfig, DCGenerator, OrderedGenerator, run_strategy
 from repro.models import PagPassGPT
 from repro.nn import GPT2Config, GPT2Inference
-from repro.runtime import chaos, faults
+from repro.runtime import RunJournal, chaos, faults, signals
 from repro.runtime.faults import FAULT_ENV, FAULT_STATE_ENV
 from repro.server import (
     AdmissionController,
@@ -31,6 +34,7 @@ from repro.server import (
     RequestError,
     ServerConfig,
     TokenBucket,
+    score_lists,
 )
 
 
@@ -77,8 +81,7 @@ def _wait_terminal(port: int, job_id: int, timeout: float = 120.0) -> dict:
 
 class TestProtocol:
     def test_minimal_generate_payload(self):
-        spec = CampaignSpec.from_payload({"n": 10}, kind="generate")
-        assert spec.kind == "generate"
+        spec = CampaignSpec.from_payload({"n": 10})
         assert spec.n == 10
         assert spec.strategy == "sampled"
         assert spec.tenant == "public"
@@ -105,34 +108,30 @@ class TestProtocol:
     )
     def test_invalid_generate_payloads(self, payload):
         with pytest.raises(RequestError) as info:
-            CampaignSpec.from_payload(payload, kind="generate")
+            CampaignSpec.from_payload(payload)
         assert info.value.status == 400
         assert info.value.code == "invalid_request"
 
     def test_score_payload_requires_nonempty_lines(self):
         with pytest.raises(RequestError):
-            CampaignSpec.from_payload({"guesses": [], "test": ["x"]}, kind="score")
+            score_lists({"guesses": [], "test": ["x"]})
         with pytest.raises(RequestError):
-            CampaignSpec.from_payload({"guesses": ["x"]}, kind="score")
-        spec = CampaignSpec.from_payload(
-            {"guesses": ["a", "b"], "test": ["a"]}, kind="score"
+            score_lists({"guesses": ["x"]})
+        assert score_lists({"guesses": ["a", "b"], "test": ["a"]}) == (
+            "public", ("a", "b"), ("a",)
         )
-        assert spec.guesses == ("a", "b")
 
     def test_journal_round_trip(self):
         spec = CampaignSpec.from_payload(
             {"n": 5, "strategy": "dcgen", "threshold": 16, "seed": 3,
              "tenant": "t1", "max_guesses": 9, "deadline": 2.5},
-            kind="generate",
         )
         assert CampaignSpec.from_journal(spec.to_payload()) == spec
         # and the payload itself must be JSON-safe
         json.dumps(spec.to_payload())
 
     def test_request_budget(self):
-        spec = CampaignSpec.from_payload(
-            {"n": 5, "deadline": 2.5, "max_guesses": 100}, kind="generate"
-        )
+        spec = CampaignSpec.from_payload({"n": 5, "deadline": 2.5, "max_guesses": 100})
         budget = spec.budget()
         assert budget.wall_seconds == 2.5
         assert budget.max_guesses == 100
@@ -208,7 +207,7 @@ class TestAdmission:
 # ----------------------------------------------------------------------
 
 def _spec(n: int = 5, tenant: str = "t") -> CampaignSpec:
-    return CampaignSpec.from_payload({"n": n, "tenant": tenant}, kind="generate")
+    return CampaignSpec.from_payload({"n": n, "tenant": tenant})
 
 
 class TestJobStore:
@@ -273,7 +272,6 @@ class TestJobFailures:
             for workers in (1, 2):
                 job = server.store.admit(CampaignSpec.from_payload(
                     {"strategy": "dcgen", "n": 600, "threshold": 32, "workers": workers},
-                    kind="generate",
                 ))
                 faults.reset()
                 monkeypatch.setenv(FAULT_ENV, "disk_full:journal:1")
@@ -384,6 +382,23 @@ class TestLiveServer:
         assert status == 200
         assert obj["hit_rate"] == pytest.approx(0.5)
         assert obj["unique_guesses"] == 2
+
+    def test_scores_leave_nothing_behind(self, server, tmp_path):
+        """A score is answered and forgotten: no id, no listing entry, no
+        job count, no journal record."""
+        _, port = server
+        for k in range(3):
+            status, obj, _ = chaos._http_json(
+                port, "POST", "/score", {"guesses": ["a", f"b{k}", "a"], "test": ["a", "c"]}
+            )
+            assert status == 200
+            assert set(obj) == {"hit_rate", "repeat_rate", "unique_guesses"}
+        _, listing, _ = chaos._http_json(port, "GET", "/campaigns")
+        assert listing == {"requests": []}
+        _, status, _ = chaos._http_json(port, "GET", "/status")
+        assert set(status["jobs"].values()) == {0}
+        journal = (tmp_path / "state" / "requests.journal.jsonl").read_text()
+        assert [json.loads(line)["kind"] for line in journal.splitlines()] == ["header"]
 
     def test_quota_interruption_is_terminal_and_guesses_409(self, server):
         _, port = server
@@ -568,6 +583,86 @@ class TestDrainAndResume:
                 assert data.decode("utf-8") == "\n".join(direct()) + "\n"
             finally:
                 runner.drain(timeout=120.0)
+
+    def test_drain_lets_an_in_flight_score_answer(self, checkpoint, tmp_path, monkeypatch):
+        """A drain that starts while a score computes waits for it: the
+        caller still gets its metrics."""
+        from repro.server import core
+
+        computing, release = threading.Event(), threading.Event()
+
+        def held_hit_rate(guesses, test):
+            computing.set()
+            release.wait(10.0)
+            return hit_rate(guesses, test)
+
+        monkeypatch.setattr(core, "hit_rate", held_hit_rate)
+        runner = chaos._ServerThread(_config(checkpoint, tmp_path / "state"))
+        port = runner.start()
+        replies = []
+        client = threading.Thread(target=lambda: replies.append(chaos._http_request(
+            port, "POST", "/score",
+            {"guesses": ["password", "hunter2", "hunter2"], "test": ["password", "letmein"]},
+            timeout=10.0,
+        )))
+        client.start()
+        try:
+            assert computing.wait(10.0)
+            signals.request(signal.SIGTERM)
+            deadline = time.monotonic() + 10.0
+            while not runner.server.draining and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert runner.server.draining
+        finally:
+            release.set()
+            client.join(10.0)
+            runner.drain(timeout=30.0)
+        [(status, data, _)] = replies
+        assert status == 200
+        obj = json.loads(data)
+        assert obj["hit_rate"] == pytest.approx(0.5)
+        assert obj["unique_guesses"] == 2
+
+    def test_state_dir_with_a_journaled_score_recovers(
+        self, checkpoint, tmp_path, trained_pagpassgpt
+    ):
+        """Servers used to journal each score as a job.  Over such a state
+        dir a server finishes the queued campaign, never lists the running
+        score, and spends the score's id."""
+        state_dir = tmp_path / "state"
+        journal = RunJournal.create(
+            state_dir / "requests.journal.jsonl", {"kind": "campaign-server", "format": 1}
+        )
+        campaign = {
+            "kind": "generate", "tenant": "public", "n": 40, "seed": 11,
+            "strategy": "sampled", "workers": 1, "threshold": 256, "checkpoint": None,
+            "deadline": None, "max_guesses": None, "max_model_calls": None,
+            "guesses": [], "test": [], "trace": {"trace_id": "ab" * 16},
+        }
+        score = {**campaign, "kind": "score", "n": 0,
+                 "guesses": ["password", "hunter2"], "test": ["password"]}
+        journal.record("request", 0, campaign)
+        journal.record("state", 0, {"state": "queued"})
+        journal.record("request", 1, score)
+        journal.record("state", 1, {"state": "queued"})
+        journal.record("state", 1, {"state": "running"})
+        journal.close()
+
+        runner = chaos._ServerThread(_config(checkpoint, state_dir))
+        port = runner.start()
+        try:
+            assert _wait_terminal(port, 0)["state"] == "done"
+            _, data, _ = chaos._http_request(port, "GET", "/campaigns/0/guesses")
+            expected, _, _ = run_strategy(trained_pagpassgpt, "sampled", 40, seed=11)
+            assert data.decode("utf-8").splitlines() == expected
+            _, listing, _ = chaos._http_json(port, "GET", "/campaigns")
+            assert [entry["id"] for entry in listing["requests"]] == [0]
+            status, _, _ = chaos._http_json(port, "GET", "/campaigns/1")
+            assert status == 404
+            status, obj, _ = chaos._http_json(port, "POST", "/campaigns", {"n": 5})
+            assert (status, obj["id"]) == (202, 2)
+        finally:
+            runner.drain(timeout=120.0)
 
     def test_draining_server_rejects_new_work_with_503(
         self, checkpoint, tmp_path

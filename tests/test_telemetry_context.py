@@ -86,6 +86,8 @@ class TestTraceRef:
         None, "", "garbage", "00-short-0000000000000001-01",
         "00-" + "g" * 32 + "-0000000000000001-01",
         "0af7651916cd43dd8448eb211c80319c",  # bare trace id, no structure
+        "00-" + "0" * 32 + "-00f067aa0ba902b7-01",  # all-zero trace id
+        "ff-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01",  # version ff
     ])
     def test_invalid_traceparent_is_none(self, header):
         assert parse_traceparent(header) is None
