@@ -51,7 +51,10 @@
 #    is scraped for Prometheus exposition, rendered once by `repro top`,
 #    runs one ordered campaign whose stream and provably exact count
 #    must equal the CLI's, and answers one score that leaves no id, no
-#    listing entry and no journal record behind its SIGTERM drain.
+#    listing entry and no journal record behind its SIGTERM drain.  That
+#    ordered job journals 1.26 GB of frontier snapshots; the server's
+#    VmHWM and the CLI run's peak RSS must each stay under PEAK_RSS_MB,
+#    since a run journal is its file, never a copy held in memory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -365,9 +368,28 @@ with open(exact, "w") as fh:
     fh.write(f"{job['detail']['exact_prefix']}\n")
 print("ordered campaign through the live server: done")
 PY
-python -m repro.cli generate --checkpoint "$SMOKE_DIR/model.npz" -n 120 \
-    --strategy ordered --backend numpy --out "$SMOKE_DIR/ordered_cli.txt" 2>&1 \
-    | tee "$SMOKE_DIR/ordered_cli.log"
+PEAK_RSS_MB=300
+SERVER_HWM_KB=$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$SERVER_PID/status")
+echo "ordered smoke: server peak RSS $((SERVER_HWM_KB / 1024)) MB"
+test "$SERVER_HWM_KB" -le $((PEAK_RSS_MB * 1024)) \
+    || { echo "ordered smoke: server peak RSS over $PEAK_RSS_MB MB" >&2; exit 1; }
+# The same job from the CLI, under a wrapper that reads its peak RSS.
+python - "$PEAK_RSS_MB" python -m repro.cli generate --checkpoint "$SMOKE_DIR/model.npz" \
+    -n 120 --strategy ordered --backend numpy --out "$SMOKE_DIR/ordered_cli.txt" \
+    2>&1 <<'PY' | tee "$SMOKE_DIR/ordered_cli.log"
+import resource
+import subprocess
+import sys
+
+bound_mb, command = int(sys.argv[1]), sys.argv[2:]
+status = subprocess.call(command)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024
+print(f"ordered smoke: CLI peak RSS {peak_mb} MB", flush=True)
+if status:
+    sys.exit(status)
+if peak_mb > bound_mb:
+    sys.exit(f"ordered smoke: CLI peak RSS over {bound_mb} MB")
+PY
 diff "$SMOKE_DIR/ordered_cli.txt" "$SMOKE_DIR/ordered_server.txt"
 CLI_EXACT=$(sed -n 's/.* \([0-9][0-9]*\) of 120 guesses provably exact$/\1/p' \
     "$SMOKE_DIR/ordered_cli.log")

@@ -136,7 +136,7 @@ class Tasks:
         items, record = self.items, self.record
         results: dict[int, tuple[list[str], int]] = {}
         if journal is not None:
-            for index, payload in journal.completed(record).items():
+            for index, payload in journal.replay(record):
                 if 0 <= index < len(items):
                     calls = int(payload["model_calls"]) if self.counts_calls else 0
                     results[index] = (list(payload["guesses"]), calls)

@@ -65,8 +65,10 @@ span, plan event and journal, and every ``snapshot_every`` rounds the
 round loop records the full enumeration state (frontier, emitted delta,
 counters) as a digest-guarded ``frontier`` record, each frontier column
 as base64 of its little-endian bytes.
-Resuming replays the journaled snapshots and continues from the last
-one; because enumeration is deterministic, the merged stream is
+Resuming streams the journaled snapshots, keeps each one's emitted
+delta and only the latest snapshot, and continues from that one;
+because enumeration is deterministic, the merged stream (and every
+counter, the snapshot count included) is
 byte-identical to an uninterrupted run for any snapshot interval.  The
 journal header pins :data:`SNAPSHOT_FORMAT`, so a journal written in an
 older snapshot layout fails to resume with a header mismatch instead of
@@ -489,21 +491,19 @@ class OrderedGenerator:
         emitted: list[tuple[str, float]] = []
         delta: list[list] = []  # [password, neg_logprob] since last snapshot
         snapshot_id = 0
+        last: Optional[dict] = None  # the latest journaled snapshot
 
-        restored = journal.completed("frontier") if journal is not None else {}
-        if restored:
-            for sid in sorted(restored):
-                emitted.extend(
-                    (pw, -float(neg)) for pw, neg in restored[sid]["emitted"]
-                )
-            last = restored[max(restored)]
+        if journal is not None:
+            for snapshot_id, last in journal.replay("frontier"):
+                emitted.extend((pw, -float(neg)) for pw, neg in last["emitted"])
+        if last is not None:
             frontier = Frontier.decode(last["frontier"])
             seq = int(last["seq"])
             self.stats = stats = OrderedStats.from_dict(last["stats"])
-            snapshot_id = max(restored) + 1
+            snapshot_id += 1  # snapshots are numbered from 0
             telemetry.emit(
                 "campaign_resume",
-                tasks=len(restored),
+                tasks=snapshot_id,
                 guesses=len(emitted),
                 model_calls=int(stats.model_calls),
             )
@@ -738,6 +738,7 @@ class OrderedGenerator:
         leaving K durable snapshots behind).
         """
         maybe_fail("frontier")
+        self.stats.snapshots += 1  # before the record: a resume from it counts it
         journal.record(
             "frontier",
             snapshot_id,
@@ -749,5 +750,4 @@ class OrderedGenerator:
                 "stats": self.stats.as_dict(),
             },
         )
-        self.stats.snapshots += 1
         return snapshot_id + 1

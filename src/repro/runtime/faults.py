@@ -57,7 +57,7 @@ import os
 import signal as _signal
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 #: Fault directive list (see module docstring).
 FAULT_ENV = "REPRO_FAULT"
@@ -68,8 +68,9 @@ HANG_SECONDS = 30.0
 
 _ACTIONS = ("crash", "hang", "corrupt", "disk_full", "signal")
 
-#: Per-process call counters by site (counter-site directives only).
-_counts: dict[str, int] = {}
+#: Per-process call counters by action family and site (counter-site
+#: directives only).
+_counts: dict[tuple[tuple, str], int] = {}
 
 
 class InjectedFault(BaseException):
@@ -124,6 +125,20 @@ def _log_call(site: str, index: Optional[int]) -> None:
         os.close(fd)
 
 
+def _firing(actions: tuple, site: str, index: Optional[int] = None) -> Iterator[tuple[str, int]]:
+    """``(action, call)`` for each directive of the ``actions`` family
+    aimed at ``site`` that fires on this call, by the ``K`` rules."""
+    matching = [(a, arg) for a, s, arg in _directives() if s == site and a in actions]
+    if not matching:
+        return
+    count = _counts.get((actions, site), 0)
+    _counts[(actions, site)] = count + 1
+    for action, arg in matching:
+        hit = arg is None or (arg == index if index is not None else count >= arg)
+        if hit and _trip_once(action, site, arg):
+            yield action, count
+
+
 def maybe_fail(site: str, index: Optional[int] = None) -> None:
     """Fire any crash/hang/signal directive aimed at ``site``; else no-op.
 
@@ -131,20 +146,7 @@ def maybe_fail(site: str, index: Optional[int] = None) -> None:
     counted per process and ``K`` means "after K clean calls".
     """
     _log_call(site, index)
-    matching = [
-        d for d in _directives() if d[1] == site and d[0] in ("crash", "hang", "signal")
-    ]
-    if not matching:
-        return
-    count = _counts.get(site, 0)
-    _counts[site] = count + 1
-    for action, _, arg in matching:
-        if index is not None:
-            hit = arg is None or arg == index
-        else:
-            hit = arg is None or count >= arg
-        if not hit or not _trip_once(action, site, arg):
-            continue
+    for action, count in _firing(("crash", "hang", "signal"), site, index):
         if action == "crash":
             raise InjectedFault(
                 f"injected crash at site {site!r} (call {count}, index {index})"
@@ -159,16 +161,9 @@ def maybe_fail(site: str, index: Optional[int] = None) -> None:
 
 def maybe_corrupt(site: str, path: str | Path) -> None:
     """Fire a ``corrupt:<site>`` directive by truncating ``path`` in place."""
-    matching = [d for d in _directives() if d[0] == "corrupt" and d[1] == site]
-    if not matching:
-        return
-    key = f"corrupt:{site}"
-    count = _counts.get(key, 0)
-    _counts[key] = count + 1
-    for _, _, arg in matching:
-        if (arg is None or count >= arg) and _trip_once("corrupt", site, arg):
-            corrupt_file(path)
-            return
+    for _ in _firing(("corrupt",), site):
+        corrupt_file(path)
+        return  # at most once per call
 
 
 def maybe_disk_full(site: str) -> None:
@@ -179,19 +174,10 @@ def maybe_disk_full(site: str) -> None:
     an exact record boundary; the write paths guarantee that a raise
     here — like a real ENOSPC mid-write — never leaves a torn artifact.
     """
-    matching = [d for d in _directives() if d[0] == "disk_full" and d[1] == site]
-    if not matching:
-        return
-    from .atomic import DiskFullError  # local: atomic must not import faults
+    for _, count in _firing(("disk_full",), site):
+        from .atomic import DiskFullError  # local: atomic must not import faults
 
-    key = f"disk_full:{site}"
-    count = _counts.get(key, 0)
-    _counts[key] = count + 1
-    for _, _, arg in matching:
-        if (arg is None or count >= arg) and _trip_once("disk_full", site, arg):
-            raise DiskFullError(
-                f"injected ENOSPC at site {site!r} (call {count})"
-            )
+        raise DiskFullError(f"injected ENOSPC at site {site!r} (call {count})")
 
 
 def corrupt_file(path: str | Path, keep_fraction: float = 0.5) -> None:

@@ -17,11 +17,12 @@ engine behind ``repro verify``:
 * :func:`scan_journal` — structural validation of a run journal without
   opening it for writing: header presence/format, per-record digests,
   and torn tails (every line from the first unparsable or
-  digest-mismatched record onward is untrusted).
+  digest-mismatched record onward is untrusted), in one streaming pass
+  (:func:`~repro.runtime.journal.scan_file`, which every resume uses).
 * :func:`repair_journal` — truncates a torn journal back to its last
-  valid record via an atomic rewrite, which is exactly the prefix
-  :class:`~repro.runtime.journal.RunJournal.open` would trust anyway;
-  repair makes that recovery explicit and releases the dead bytes.
+  valid record in place, with the durable truncate every resume's
+  :meth:`~repro.runtime.journal.RunJournal.open` performs; repair makes
+  that recovery explicit and releases the dead bytes.
 * :func:`verify_checkpoint` — readability check for npz checkpoints
   (truncated/corrupt archives surface as findings, not tracebacks).
 
@@ -40,7 +41,7 @@ from pathlib import Path
 from typing import Any, Iterable, Optional
 
 from .atomic import atomic_write_text
-from .journal import FORMAT_VERSION, _digest, scan_bytes
+from .journal import FORMAT_VERSION, RunJournal, _digest, scan_file
 
 MANIFEST_VERSION = 1
 
@@ -107,8 +108,7 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
     path = Path(path)
     if not path.exists():
         return [Finding("error", "missing_file", str(path), "journal file does not exist")]
-    raw = path.read_bytes()
-    scan = scan_bytes(raw)
+    scan = scan_file(path)
     findings: list[Finding] = []
     if scan.header is None:
         return [
@@ -121,10 +121,9 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
                 {"total_lines": scan.total_lines},
             )
         ]
-    bad_line = len(scan.lines)  # the first untrusted line, if any
+    bad_line = scan.records + 1  # the first untrusted line, if any
     if bad_line < scan.total_lines:
         dropped = scan.total_lines - bad_line
-        records = bad_line - 1  # the lines kept after the header
         findings.append(
             Finding(
                 "error",
@@ -132,13 +131,13 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
                 str(path),
                 f"line {bad_line + 1} fails parse/digest check; "
                 f"{dropped} trailing line(s) untrusted "
-                f"({records} valid record(s) kept)",
+                f"({scan.records} valid record(s) kept)",
                 {
                     "first_bad_line": bad_line,
                     "dropped_lines": dropped,
-                    "valid_records": records,
+                    "valid_records": scan.records,
                     "valid_bytes": scan.valid_bytes,
-                    "total_bytes": len(raw),
+                    "total_bytes": scan.total_bytes,
                 },
             )
         )
@@ -156,19 +155,18 @@ def scan_journal(path: str | Path, expected_header: Optional[dict] = None) -> li
 
 
 def repair_journal(path: str | Path) -> list[Finding]:
-    """Truncate a torn journal to its last valid record (atomic rewrite).
+    """Truncate a torn journal to its last valid record, in place, with
+    the durable truncate every resume performs (:meth:`RunJournal.open`).
 
     Returns the post-repair findings: a ``repaired`` info finding for a
     recovered torn tail, an ``unrepairable`` error when there is no valid
     header to keep, and nothing for an already-clean journal.
     """
     path = Path(path)
-    findings = scan_journal(path)
     out: list[Finding] = []
-    for f in findings:
+    for f in scan_journal(path):
         if f.kind == "torn_tail":
-            raw = path.read_bytes()
-            atomic_write_text(path, raw[: f.data["valid_bytes"]].decode("utf-8"))
+            RunJournal.open(path).close()
             out.append(
                 Finding(
                     "info",
@@ -198,10 +196,9 @@ def repair_journal(path: str | Path) -> list[Finding]:
 def journal_header_digest(path: str | Path) -> Optional[str]:
     """Digest of a journal's header payload (its run identity), if readable."""
     try:
-        raw = Path(path).read_bytes()
+        header = scan_file(path).header
     except OSError:
         return None
-    header = scan_bytes(raw).header
     return None if header is None else _digest(header)
 
 

@@ -14,10 +14,11 @@ File format (one JSON object per line)::
     {"kind": "leaf_batch", "task_id": 0, "payload": {...}, "digest": "…"}
     ...
 
-Records are flushed and fsynced as they are appended.  On open, reading
-stops at the first unparsable or digest-mismatched line (the torn tail a
-crash mid-append can leave); everything before it is trusted, everything
-after it is discarded and will be recomputed.
+Records are flushed and fsynced as they are appended; the file is their
+only copy, which :meth:`RunJournal.replay` streams back.  Every read goes
+line by line and stops at the first unparsable or digest-mismatched line
+(the torn tail a crash mid-append can leave); everything before it is
+trusted, everything after it is cut on open and will be recomputed.
 
 The header pins the run's identity (seed, totals, a digest of the task
 plan).  Resuming against a journal whose header differs raises
@@ -33,7 +34,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, BinaryIO, Iterator, Optional
 
 from .atomic import AppendStream
 
@@ -52,13 +53,12 @@ def _digest(obj: Any) -> str:
 class RunJournal:
     """One run's append-only journal. Use :meth:`attach` / :meth:`open`."""
 
-    def __init__(self, path: Path, header: dict, records: dict, recovered: int) -> None:
+    def __init__(self, path: Path, header: dict, recovered: int) -> None:
         self.path = path
         #: Run-identity dict written as the first line.
         self.header = header
         #: Lines dropped on open because of a torn/corrupt tail.
         self.recovered_tail = recovered
-        self._records: dict[tuple[str, int], Any] = records
         # AppendStream appends each record with a single O_APPEND write(2)
         # and rolls back partial lines on ENOSPC, so a full disk can stop
         # the journal at a record boundary but never tear it.
@@ -77,7 +77,7 @@ class RunJournal:
             fh.write(line)
             fh.flush()
             os.fsync(fh.fileno())
-        return cls(path, header, {}, recovered=0)
+        return cls(path, header, recovered=0)
 
     @classmethod
     def open(cls, path: str | Path) -> "RunJournal":
@@ -89,19 +89,17 @@ class RunJournal:
         would silently invalidate it on the *next* open).
         """
         path = Path(path)
-        raw = path.read_bytes()
-        scan = scan_bytes(raw)
-        if not scan.lines:
+        scan = scan_file(path)
+        if not scan.valid_bytes:
             raise JournalError(f"{path} has no readable header")
         if scan.header is None:
             raise JournalError(f"{path} does not start with a format-{FORMAT_VERSION} header")
-        records = {(rec["kind"], int(rec["task_id"])): rec["payload"] for rec in scan.lines[1:]}
-        if scan.valid_bytes < len(raw):
+        if scan.valid_bytes < scan.total_bytes:
             with open(path, "r+b") as fh:
                 fh.truncate(scan.valid_bytes)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return cls(path, scan.header, records, recovered=scan.total_lines - len(scan.lines))
+        return cls(path, scan.header, recovered=scan.total_lines - 1 - scan.records)
 
     #: Header key reserved for the pinned telemetry trace.  It names the
     #: *observation* of a run, not its identity: a resumed process has a
@@ -182,11 +180,14 @@ class RunJournal:
             )
             self._stream.fsync()
         telemetry.get_registry().counter("journal.records").inc()
-        self._records[(kind, int(task_id))] = payload
 
-    def completed(self, kind: str) -> dict[int, Any]:
-        """``task_id -> payload`` for every journaled task of ``kind``."""
-        return {tid: payload for (k, tid), payload in self._records.items() if k == kind}
+    def replay(self, kind: str) -> Iterator[tuple[int, Any]]:
+        """``(task_id, payload)`` for each trusted record of ``kind``, in
+        file order, read from the file one line at a time."""
+        with open(self.path, "rb") as fh:
+            for rec, _ in _trusted(fh):
+                if rec.get("kind") == kind:
+                    yield int(rec["task_id"]), rec["payload"]
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -210,33 +211,40 @@ class RunJournal:
 
 @dataclass(frozen=True)
 class JournalScan:
-    """The trusted prefix of a journal's bytes (see :func:`scan_bytes`)."""
+    """One pass over a journal file (see :func:`scan_file`)."""
 
-    #: Decoded lines up to the first unparsable or digest-mismatched one.
-    lines: list[dict]
-    #: Byte length of that prefix, newlines included.
-    valid_bytes: int
-    total_lines: int
     #: The run identity, if line 1 is a format-pinned header.
     header: Optional[dict]
+    #: Trusted lines after line 1.
+    records: int
+    #: Byte length of the trusted prefix, newlines included.
+    valid_bytes: int
+    total_lines: int
+    total_bytes: int
 
 
-def scan_bytes(raw: bytes) -> JournalScan:
-    """Decode journal bytes up to the first line that fails parsing or
-    its digest check (the torn tail a crash mid-append can leave): the
-    one parser :meth:`RunJournal.open` and the integrity checks share."""
-    lines = raw.split(b"\n")
-    # split() leaves a trailing empty element iff raw ends with a newline.
-    if lines and lines[-1] == b"":
-        lines.pop()
-    decoded: list[dict] = []
-    valid_bytes = 0
-    for line in lines:
+def _trusted(fh: BinaryIO) -> Iterator[tuple[dict, int]]:
+    """Each decoded line of ``fh`` with its byte length, up to the first
+    line that fails parsing or its digest check (the torn tail a crash
+    mid-append can leave): nothing from there on is trusted."""
+    for line in fh:
         rec = RunJournal._decode(line.decode("utf-8", errors="replace"))
         if rec is None:
-            break  # torn/corrupt tail: trust nothing from here on
-        decoded.append(rec)
-        valid_bytes = min(valid_bytes + len(line) + 1, len(raw))  # +1 for the newline
-    first = decoded[0] if decoded else {}
-    pinned = first.get("kind") == "header" and first.get("format") == FORMAT_VERSION
-    return JournalScan(decoded, valid_bytes, len(lines), first["payload"] if pinned else None)
+            return
+        yield rec, len(line)
+
+
+def scan_file(path: str | Path) -> JournalScan:
+    """Stream a journal once, line by line: the one validity rule
+    :meth:`RunJournal.open` and the integrity checks share."""
+    header, trusted, valid_bytes = None, 0, 0
+    with open(path, "rb") as fh:
+        for rec, size in _trusted(fh):
+            if not trusted and rec.get("kind") == "header" and rec.get("format") == FORMAT_VERSION:
+                header = rec["payload"]
+            trusted += 1
+            valid_bytes += size
+        fh.seek(valid_bytes)
+        total_lines = trusted + sum(1 for _ in fh)
+        total_bytes = fh.tell()
+    return JournalScan(header, max(trusted - 1, 0), valid_bytes, total_lines, total_bytes)

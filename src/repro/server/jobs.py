@@ -3,11 +3,12 @@
 The server journals every accepted campaign — and every state
 transition — into one :class:`~repro.runtime.RunJournal` under the
 state directory *before* acknowledging anything to the client.  That
-single append-only file is the source of truth: a crashed or SIGKILLed
-server process restarts, replays the journal, and re-queues exactly the
-campaigns that were queued, running, or drain-checkpointed, while each
-campaign's own journal (under ``jobs/<id>/``) makes the re-execution
-byte-identical to an undisturbed run.  Scores never reach the store.
+single append-only file is the source of truth, and the only copy of
+it: a crashed or SIGKILLed server process restarts, replays the journal,
+and re-queues exactly the campaigns that were queued, running, or
+drain-checkpointed, while each campaign's own journal (under
+``jobs/<id>/``) makes the re-execution byte-identical to an undisturbed
+run.  Scores never reach the store.
 
 Journal layout (record kinds)::
 
@@ -15,11 +16,11 @@ Journal layout (record kinds)::
     request  task_id=<job id>  payload=<CampaignSpec.to_payload()>
     state    task_id=<job id>  payload={"state": ..., ...detail}
 
-``state`` records are last-wins per job id (the journal's in-memory
-index already keeps only the latest), so replay cost stays linear and a
-job's history of transitions remains greppable in the raw file.  Replay
-skips the ``"kind": "score"`` requests older servers journaled, and
-their states; their ids stay spent.
+Replay streams the ``request`` records into jobs, then applies the
+``state`` records, the last per job id winning, so replay cost stays
+linear and a job's history of transitions remains greppable in the raw
+file.  It skips the ``"kind": "score"`` requests older servers
+journaled, and their states; their ids stay spent.
 """
 
 from __future__ import annotations
@@ -103,23 +104,20 @@ class JobStore:
         path = self.state_dir / SERVER_JOURNAL
         self.journal = RunJournal.attach(path, dict(SERVER_HEADER), resume=path.exists())
         self.jobs: Dict[int, Job] = {}
-        states = self.journal.completed("state")
-        requests = self.journal.completed("request")
-        for job_id, payload in sorted(requests.items()):
+        self._next_id = 0
+        for job_id, payload in self.journal.replay("request"):
+            self._next_id = max(self._next_id, job_id + 1)
             if payload.get("kind") == "score":
                 continue
             # The trace ref rides the request record but is not part of
             # the spec; strip it before the strict spec reconstruction.
-            payload = dict(payload)
             trace = payload.pop("trace", None)
-            job = Job(job_id, CampaignSpec.from_journal(payload), trace=trace)
-            state = states.get(job_id)
-            if state is not None:
-                detail = dict(state)
+            self.jobs[job_id] = Job(job_id, CampaignSpec.from_journal(payload), trace=trace)
+        for job_id, detail in self.journal.replay("state"):
+            job = self.jobs.get(job_id)
+            if job is not None:  # last wins
                 job.state = detail.pop("state")
                 job.detail = detail
-            self.jobs[job_id] = job
-        self._next_id = max(requests, default=-1) + 1
 
     # ------------------------------------------------------------------
     def job_dir(self, job: Job) -> Path:

@@ -380,7 +380,7 @@ class TestLifecycle:
             # The journal the SIGTERM'd campaign left is structurally valid...
             assert main(["verify", str(journal)]) == EXIT_OK
             recovered = RunJournal.open(journal)
-            assert recovered.completed(record)  # durable progress exists
+            assert dict(recovered.replay(record))  # durable progress exists
             recovered.close()
 
             # ...and resume continues byte-identically.

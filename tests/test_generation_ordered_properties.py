@@ -16,13 +16,16 @@ check that contract from the outside:
   silently, and ``exact_prefix`` must count only guesses that really are
   the true top of the space;
 * **journaling** — an unconditional campaign crashed at a frontier
-  snapshot resumes into the uninterrupted stream, and a journal in an
-  older snapshot layout is refused by its header, never misread.
+  snapshot resumes into the uninterrupted stream and stats, a journal
+  in an older snapshot layout is refused by its header, never misread,
+  and neither a journaled run nor its resume holds the journal in
+  memory.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -49,6 +52,11 @@ TINY_PATTERNS = {"L1N1": 0.6, "N2": 0.4}
 #: Prunes on the tiny model yet leaves a non-empty exact prefix of the
 #: first 80 guesses (54 of them).
 PRUNING = OrderedConfig(beam_width=16, max_frontier=100, snapshot_every=1)
+
+#: Roots whose frontier fills a 2000-row cap, snapshotted every round:
+#: 40 guesses journal about 35 MB of frontier columns.
+WIDE_PATTERNS = {"L4N2": 0.4, "N6": 0.3, "L3S1N2": 0.2, "L8": 0.1}
+WIDE = OrderedConfig(beam_width=16, max_frontier=2000, snapshot_every=1)
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +348,18 @@ def _write_heap_format_journal(path, gen: OrderedGenerator, n: int) -> None:
     journal.close()
 
 
+def _traced_peak(run):
+    """``run()``'s result and the peak bytes traced while it ran
+    (tracemalloc sees numpy's buffers too)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestJournaling:
     UNCONDITIONAL = OrderedConfig(
         beam_width=16, max_chars=2, max_frontier=200_000, snapshot_every=1
@@ -385,6 +405,40 @@ class TestJournaling:
         gen = OrderedGenerator.for_patterns(tiny_model, config=PRUNING)
         stream = gen.generate(80, journal=journal, resume=True)
         return stream, gen.stats
+
+    def test_resume_reports_the_same_stats(self, tiny_model, tmp_path, monkeypatch):
+        """Every counter a resumed run reports, the snapshot count
+        included, equals the uninterrupted journaled run's."""
+        clean = OrderedGenerator.for_patterns(tiny_model, config=PRUNING)
+        stream = clean.generate(80, journal=tmp_path / "clean.jsonl")
+        resumed, stats = self._crash_and_resume(tiny_model, tmp_path / "run.jsonl", monkeypatch)
+        assert resumed == stream
+        assert stats == clean.stats
+
+    def test_journaled_run_holds_no_copy_of_its_journal(self, tiny_model, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        gen = OrderedGenerator.for_patterns(tiny_model, WIDE_PATTERNS, config=WIDE)
+        _, peak = _traced_peak(lambda: gen.generate(40, journal=journal))
+        assert peak < journal.stat().st_size / 10
+
+    def test_resume_holds_no_copy_of_its_journal(self, tiny_model, tmp_path, monkeypatch):
+        """A resume streams the journal: it keeps the latest snapshot,
+        not every snapshot it replays."""
+
+        def gen():
+            return OrderedGenerator.for_patterns(tiny_model, WIDE_PATTERNS, config=WIDE)
+
+        clean = gen().generate(40)
+        journal = tmp_path / "run.jsonl"
+        monkeypatch.setenv(faults.FAULT_ENV, "crash:frontier:60")
+        faults.reset()
+        with pytest.raises(InjectedFault):
+            gen().generate(40, journal=journal)
+        monkeypatch.delenv(faults.FAULT_ENV)
+        faults.reset()
+        resumed, peak = _traced_peak(lambda: gen().generate(40, journal=journal, resume=True))
+        assert resumed == clean
+        assert peak < journal.stat().st_size / 10
 
     def test_resume_reports_the_same_exact_prefix(self, tiny_model, tmp_path, monkeypatch):
         clean = OrderedGenerator.for_patterns(tiny_model, config=PRUNING)

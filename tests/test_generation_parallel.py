@@ -262,7 +262,7 @@ class TestCrashFallback:
             with pytest.raises(CampaignInterrupted):
                 gen.generate(600, seed=7, journal=journal_path, budget=Budget(max_guesses=1))
         journal = RunJournal.open(journal_path)
-        assert sorted(journal.completed("leaf_batch")) == [0]
+        assert sorted(dict(journal.replay("leaf_batch"))) == [0]
         journal.close()
 
 
@@ -380,7 +380,7 @@ class TestJournalResume:
 
         # Exactly the 3 pre-crash batches are journaled and survive.
         journal = RunJournal.open(journal_path)
-        assert len(journal.completed("leaf_batch")) == 3
+        assert len(dict(journal.replay("leaf_batch"))) == 3
         journal.close()
 
         monkeypatch.delenv(FAULT_ENV)
@@ -411,7 +411,7 @@ class TestJournalResume:
             model.generate(1200, seed=11, journal=journal_path)
 
         journal = RunJournal.open(journal_path)
-        assert len(journal.completed("free_chunk")) == 1
+        assert len(dict(journal.replay("free_chunk"))) == 1
         journal.close()
 
         monkeypatch.delenv(FAULT_ENV)

@@ -95,7 +95,7 @@ class TestRepairJournal:
         assert path.read_bytes() == good
         # The repaired journal opens cleanly with every record intact.
         journal = RunJournal.open(path)
-        assert set(journal.completed("leaf_batch")) == {0, 1, 2, 3, 4}
+        assert set(dict(journal.replay("leaf_batch"))) == {0, 1, 2, 3, 4}
         assert journal.recovered_tail == 0
         journal.close()
 
@@ -106,7 +106,7 @@ class TestRepairJournal:
         path.write_text("\n".join(lines) + "\n")
         assert kinds(repair_journal(path)) == ["repaired"]
         journal = RunJournal.open(path)
-        assert set(journal.completed("leaf_batch")) == {0, 1, 2}
+        assert set(dict(journal.replay("leaf_batch"))) == {0, 1, 2}
         journal.close()
 
     def test_clean_journal_untouched(self, tmp_path):

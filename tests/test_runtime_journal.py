@@ -23,7 +23,7 @@ class TestRoundtrip:
         journal = RunJournal.open(path)
         assert journal.header == HEADER
         assert journal.recovered_tail == 0
-        done = journal.completed("leaf_batch")
+        done = dict(journal.replay("leaf_batch"))
         assert set(done) == {0, 1, 2}
         assert done[1] == {"guesses": ["pw1"], "model_calls": 1}
         journal.close()
@@ -32,14 +32,14 @@ class TestRoundtrip:
         journal = RunJournal.create(tmp_path / "run.jsonl", HEADER)
         journal.record("leaf_batch", 0, {"a": 1})
         journal.record("epoch", 0, {"b": 2})
-        assert journal.completed("leaf_batch") == {0: {"a": 1}}
-        assert journal.completed("epoch") == {0: {"b": 2}}
+        assert dict(journal.replay("leaf_batch")) == {0: {"a": 1}}
+        assert dict(journal.replay("epoch")) == {0: {"b": 2}}
         journal.close()
 
     def test_create_truncates_previous_run(self, tmp_path):
         path = make_journal(tmp_path / "run.jsonl")
         journal = RunJournal.create(path, HEADER)
-        assert journal.completed("leaf_batch") == {}
+        assert dict(journal.replay("leaf_batch")) == {}
         journal.close()
 
     def test_remove_deletes_file(self, tmp_path):
@@ -55,7 +55,7 @@ class TestTornTail:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "leaf_batch", "task_id": 3, "payl')  # torn append
         journal = RunJournal.open(path)
-        assert set(journal.completed("leaf_batch")) == {0, 1, 2}
+        assert set(dict(journal.replay("leaf_batch"))) == {0, 1, 2}
         assert journal.recovered_tail == 1
         journal.close()
 
@@ -69,7 +69,7 @@ class TestTornTail:
         journal = RunJournal.open(path)
         # Record 0 (line 1) is still trusted; the tampered line and
         # everything after it are recomputed.
-        assert set(journal.completed("leaf_batch")) == {0}
+        assert set(dict(journal.replay("leaf_batch"))) == {0}
         assert journal.recovered_tail == 2
         journal.close()
 
@@ -83,7 +83,7 @@ class TestTornTail:
         lines[4] = "not json at all"  # and record 3
         path.write_text("\n".join(lines) + "\n")
         journal = RunJournal.open(path)
-        assert set(journal.completed("leaf_batch")) == {0}
+        assert set(dict(journal.replay("leaf_batch"))) == {0}
         assert journal.recovered_tail == 5
         journal.close()
 
@@ -95,7 +95,7 @@ class TestTornTail:
         journal.record("leaf_batch", 9, {"guesses": ["new"], "model_calls": 0})
         journal.close()
         reopened = RunJournal.open(path)
-        assert set(reopened.completed("leaf_batch")) == {0, 1, 2, 9}
+        assert set(dict(reopened.replay("leaf_batch"))) == {0, 1, 2, 9}
         reopened.close()
 
     def test_missing_header_raises(self, tmp_path):
@@ -115,7 +115,7 @@ class TestAttach:
     def test_resume_reuses_matching_journal(self, tmp_path):
         path = make_journal(tmp_path / "run.jsonl")
         journal = RunJournal.attach(path, HEADER, resume=True)
-        assert set(journal.completed("leaf_batch")) == {0, 1, 2}
+        assert set(dict(journal.replay("leaf_batch"))) == {0, 1, 2}
         journal.close()
 
     def test_resume_header_mismatch_raises(self, tmp_path):
@@ -138,11 +138,11 @@ class TestAttach:
 
     def test_resume_without_file_starts_fresh(self, tmp_path):
         journal = RunJournal.attach(tmp_path / "new.jsonl", HEADER, resume=True)
-        assert journal.completed("leaf_batch") == {}
+        assert dict(journal.replay("leaf_batch")) == {}
         journal.close()
 
     def test_no_resume_truncates(self, tmp_path):
         path = make_journal(tmp_path / "run.jsonl")
         journal = RunJournal.attach(path, HEADER, resume=False)
-        assert journal.completed("leaf_batch") == {}
+        assert dict(journal.replay("leaf_batch")) == {}
         journal.close()

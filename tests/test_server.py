@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -257,6 +258,37 @@ class TestJobStore:
         assert store.counts()["queued"] == 2
         assert store.counts()["done"] == 1
         assert store.queued_by_tenant() == {"a": 2}
+        store.close()
+
+    def test_old_scores_leave_nothing_in_memory(self, tmp_path):
+        """Servers used to journal each score as a job.  A store over 2,000
+        such records lists none of them, keeps their ids spent, and holds
+        no copy of their lists."""
+        path = tmp_path / "requests.journal.jsonl"
+        RunJournal.create(path, {"kind": "campaign-server", "format": 1}).close()
+        with open(path, "a", encoding="utf-8") as fh:
+            for job_id in range(2000):
+                score = {
+                    "kind": "score", "tenant": "public", "n": 0, "seed": 0,
+                    "strategy": "sampled", "workers": 1, "threshold": 256,
+                    "checkpoint": None, "deadline": None, "max_guesses": None,
+                    "max_model_calls": None,
+                    "guesses": [f"p{job_id:04d}{i:03d}" for i in range(330)],
+                    "test": [f"t{i:03d}{job_id:04d}" for i in range(150)],
+                }
+                fh.write(RunJournal._encode(
+                    {"kind": "request", "task_id": job_id, "payload": score}))
+                fh.write(RunJournal._encode(
+                    {"kind": "state", "task_id": job_id, "payload": {"state": "done"}}))
+        tracemalloc.start()
+        try:
+            store = JobStore(tmp_path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < path.stat().st_size / 10
+        assert store.jobs == {}
+        assert store.admit(_spec()).job_id == 2000
         store.close()
 
 
